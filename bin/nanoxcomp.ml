@@ -263,20 +263,55 @@ let suite_cmd =
     (Cmd.info "suite" ~doc:"size comparison over the benchmark suite")
     Term.(const run $ common_term $ full)
 
+(* ------------------------------------------------------------------ *)
+(* simulation subcommands: one-job batches through the service engine  *)
+(* ------------------------------------------------------------------ *)
+
+module Svc = Nxc_service
+module J = Obs.Json
+
+(* The flags become a job spec, checked by the same validator as a
+   batch or serve line, and the engine runs it as a one-job batch; a
+   lone job computes on this domain and lends --jobs' pool to its
+   Monte-Carlo trials.  [print] renders the result payload as text;
+   an error envelope is reported the way [die_error] reports one. *)
+let run_job jobs kind fields print =
+  let job =
+    match Svc.Job.of_json (J.Obj (("kind", J.Str kind) :: fields)) with
+    | Ok job -> job
+    | Error e -> die_error e
+  in
+  let o =
+    Nxc_par.Pool.with_jobs jobs @@ fun pool ->
+    List.hd (Svc.Engine.run_jobs ?pool [ job ])
+  in
+  let env = o.Svc.Engine.envelope in
+  (match (J.member "result" env, J.member "error" env) with
+  | Some result, _ -> print result
+  | None, Some (J.Str msg) -> Format.eprintf "nanoxcomp: %s@." msg
+  | None, _ -> ());
+  if o.Svc.Engine.exit_code <> 0 then exit o.Svc.Engine.exit_code
+
+(* result payload fields, typed as the engine writes them for the kind *)
+let int_of key r =
+  match J.member key r with Some (J.Int i) -> i | _ -> invalid_arg key
+
+let float_of key r =
+  match J.member key r with Some (J.Float f) -> f | _ -> invalid_arg key
+
+let bool_of key r = J.member key r = Some (J.Bool true)
+
+let string_enum values = Arg.enum (List.map (fun s -> (s, s)) values)
+
 let bist_cmd =
-  let run _jobs rows cols =
-    let plan = R.Bist.plan ~rows ~cols in
-    let universe = R.Fault_model.universe ~rows ~cols in
-    let cov, und = R.Bist.coverage plan universe in
+  let run jobs rows cols =
+    run_job jobs "bist" [ ("rows", J.Int rows); ("cols", J.Int cols) ]
+    @@ fun r ->
     Format.printf "plan for %dx%d: %d configurations (%d group), %d vectors@."
-      rows cols (R.Bist.num_configs plan)
-      (R.Bisd.num_group_configs plan)
-      (R.Bist.num_vectors plan);
-    Format.printf "faults: %d, coverage %.1f%%@." (List.length universe)
-      (100.0 *. cov);
-    List.iter
-      (fun f -> Format.printf "  UNDETECTED: %a@." R.Fault_model.pp_fault f)
-      und
+      rows cols (int_of "configs" r) (int_of "group_configs" r)
+      (int_of "vectors" r);
+    Format.printf "faults: %d, coverage %.1f%%@." (int_of "faults" r)
+      (float_of "coverage_pct" r)
   in
   let rows =
     Arg.(value & opt int 8 & info [ "rows"; "r" ] ~docv:"R" ~doc:"array rows")
@@ -288,50 +323,25 @@ let bist_cmd =
     (Cmd.info "bist" ~doc:"test-plan statistics and fault coverage")
     Term.(const run $ common_term $ rows $ cols)
 
-(* heuristic BISM schemes plus the exact SAT decision procedure *)
-type cli_scheme = Heuristic of R.Bism.scheme | Exact_sat
-
-let scheme_conv =
-  let parse = function
-    | "blind" -> Ok (Heuristic R.Bism.Blind)
-    | "greedy" -> Ok (Heuristic R.Bism.Greedy)
-    | "hybrid" -> Ok (Heuristic (R.Bism.Hybrid 10))
-    | "sat" -> Ok Exact_sat
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-  in
-  let print ppf = function
-    | Heuristic R.Bism.Blind -> Format.pp_print_string ppf "blind"
-    | Heuristic R.Bism.Greedy -> Format.pp_print_string ppf "greedy"
-    | Heuristic (R.Bism.Hybrid _) -> Format.pp_print_string ppf "hybrid"
-    | Exact_sat -> Format.pp_print_string ppf "sat"
-  in
-  Arg.conv (parse, print)
-
 let bism_cmd =
   let run jobs n k density scheme seed trials =
-    Nxc_par.Pool.with_jobs jobs @@ fun pool ->
-    match scheme with
-    | Heuristic scheme ->
-        let mc, _ =
-          R.Bism.monte_carlo ?pool (R.Rng.create seed) scheme ~trials ~n
-            ~profile:(R.Defect.uniform density) ~k_rows:k ~k_cols:k
-            ~max_configs:1000
-        in
-        Format.printf
-          "%d/%d chips mapped (k=%d on N=%d at %.1f%% defects), avg %.1f \
-           configurations@."
-          mc.R.Bism.mc_mapped trials k n (100.0 *. density)
-          mc.R.Bism.mc_avg_configs
-    | Exact_sat ->
-        let mc =
-          R.Sat_assign.monte_carlo ?pool (R.Rng.create seed) ~trials ~n
-            ~profile:(R.Defect.uniform density) ~k_rows:k ~k_cols:k
-        in
-        Format.printf
-          "%d/%d chips mapped (k=%d on N=%d at %.1f%% defects), %d proven \
-           unmappable, %d degraded@."
-          mc.R.Sat_assign.sa_mapped trials k n (100.0 *. density)
-          mc.R.Sat_assign.sa_unmappable mc.R.Sat_assign.sa_degraded
+    run_job jobs "bism"
+      [ ("n", J.Int n); ("k", J.Int k); ("density", J.Float density);
+        ("seed", J.Int seed); ("trials", J.Int trials);
+        ("scheme", J.Str scheme) ]
+    @@ fun r ->
+    if scheme = "sat" then
+      Format.printf
+        "%d/%d chips mapped (k=%d on N=%d at %.1f%% defects), %d proven \
+         unmappable, %d degraded@."
+        (int_of "mapped" r) trials k n (100.0 *. density)
+        (int_of "unmappable" r) (int_of "degraded" r)
+    else
+      Format.printf
+        "%d/%d chips mapped (k=%d on N=%d at %.1f%% defects), avg %.1f \
+         configurations@."
+        (int_of "mapped" r) trials k n (100.0 *. density)
+        (float_of "avg_configs" r)
   in
   let n = Arg.(value & opt int 32 & info [ "n" ] ~docv:"N" ~doc:"chip side") in
   let k =
@@ -340,7 +350,7 @@ let bism_cmd =
   let scheme =
     Arg.(
       value
-      & opt scheme_conv (Heuristic (R.Bism.Hybrid 10))
+      & opt (string_enum Svc.Job.schemes) "hybrid"
       & info [ "scheme" ] ~docv:"SCHEME"
           ~doc:
             "blind, greedy or hybrid (heuristic BISM), or sat (exact \
@@ -354,24 +364,17 @@ let bism_cmd =
     Term.(const run $ common_term $ n $ k $ density_arg $ scheme $ seed_arg $ trials)
 
 let flow_cmd =
-  let run _jobs expr n density seed =
-    let f = parse_or_die expr in
-    let chip =
-      R.Defect.generate (R.Rng.create seed) ~rows:n ~cols:n
-        (R.Defect.uniform density)
-    in
-    let result =
-      match C.Flow.run_result (R.Rng.create (seed + 1)) ~chip f with
-      | Ok r -> r
-      | Error e -> die_error e
-    in
-    let lattice = C.Synth.best_lattice result.C.Flow.impl in
+  let run jobs expr n density seed =
+    run_job jobs "flow"
+      [ ("expr", J.Str expr); ("n", J.Int n); ("density", J.Float density);
+        ("seed", J.Int seed) ]
+    @@ fun r ->
+    let lattice = Option.get (J.member "lattice" r) in
     Format.printf "lattice %dx%d on a %dx%d chip (%.1f%% defects)@."
-      (Lt.Lattice.rows lattice) (Lt.Lattice.cols lattice) n n
-      (100.0 *. R.Defect.actual_density chip);
-    Format.printf "%a@." R.Bism.pp_stats result.C.Flow.bism;
-    Format.printf "functional after mapping: %b@." result.C.Flow.functional;
-    exit (if result.C.Flow.functional then 0 else 5)
+      (int_of "rows" lattice) (int_of "cols" lattice) n n
+      (float_of "defect_pct" r);
+    Format.printf "mapped: %b@." (bool_of "mapped" r);
+    Format.printf "functional after mapping: %b@." (bool_of "functional" r)
   in
   let n = Arg.(value & opt int 24 & info [ "n" ] ~docv:"N" ~doc:"chip side") in
   Cmd.v
@@ -380,21 +383,16 @@ let flow_cmd =
 
 let yield_cmd =
   let run jobs n density trials =
-    Nxc_par.Pool.with_jobs jobs @@ fun pool ->
-    let profile = R.Defect.uniform density in
-    let ek =
-      R.Yield_model.expected_max_k ?pool (R.Rng.create 1) ~trials ~n ~profile
-    in
+    (* the job's default seed, 1, is the yield experiment's fixed seed *)
+    run_job jobs "yield"
+      [ ("n", J.Int n); ("density", J.Float density); ("trials", J.Int trials) ]
+    @@ fun r ->
     Format.printf "N=%d, density %.1f%%: mean recovered k = %.1f@." n
-      (100.0 *. density) ek;
+      (100.0 *. density) (float_of "mean_max_k" r);
     List.iter
-      (fun y ->
-        let k =
-          R.Yield_model.guaranteed_k ?pool (R.Rng.create 2) ~trials ~n
-            ~profile ~min_yield:y
-        in
-        Format.printf "  k guaranteed at %.0f%% yield: %d@." (100.0 *. y) k)
-      [ 0.5; 0.9; 0.99 ]
+      (fun (y, key) ->
+        Format.printf "  k guaranteed at %.0f%% yield: %d@." y (int_of key r))
+      [ (50., "k_at_50"); (90., "k_at_90"); (99., "k_at_99") ]
   in
   let n = Arg.(value & opt int 32 & info [ "n" ] ~docv:"N" ~doc:"chip side") in
   let trials =
@@ -406,33 +404,23 @@ let yield_cmd =
 
 let repair_cmd =
   let run jobs rows cols spare_rows spare_cols density seed trials mode =
-    if spare_rows < 0 || spare_cols < 0 then
-      die_error
-        (Guard.Error.invalid_input "spare budgets must be non-negative");
-    let profile =
-      match R.Defect.validate_profile (R.Defect.uniform density) with
-      | Ok p -> p
-      | Error e -> die_error e
-    in
-    Nxc_par.Pool.with_jobs jobs @@ fun pool ->
-    let mc, _ =
-      R.Bira.monte_carlo ?pool ~mode (R.Rng.create seed) ~trials ~rows ~cols
-        ~spare_rows ~spare_cols ~profile
-    in
-    let overhead =
-      Nxc_crossbar.Metrics.spare_overhead ~rows ~cols ~spare_rows ~spare_cols
-        ()
-    in
+    run_job jobs "repair"
+      [ ("rows", J.Int rows); ("cols", J.Int cols);
+        ("spare_rows", J.Int spare_rows); ("spare_cols", J.Int spare_cols);
+        ("density", J.Float density); ("seed", J.Int seed);
+        ("trials", J.Int trials); ("mode", J.Str mode) ]
+    @@ fun r ->
     Format.printf
       "%d/%d chips repaired (%dx%d + %d/%d spares at %.1f%% defects)@."
-      mc.R.Bira.mc_repaired trials rows cols spare_rows spare_cols
+      (int_of "repaired" r) trials rows cols spare_rows spare_cols
       (100.0 *. density);
     Format.printf
       "avg %.1f spare lines per repaired chip, %d must-repair lines, %d \
        degraded trials@."
-      mc.R.Bira.mc_avg_spares mc.R.Bira.mc_must_lines mc.R.Bira.mc_degraded;
+      (float_of "avg_spares" r) (int_of "must_lines" r)
+      (int_of "degraded_trials" r);
     Format.printf "spare area overhead: %.1f%%@."
-      (100.0 *. overhead.Nxc_crossbar.Metrics.area_overhead)
+      (100.0 *. float_of "area_overhead" r)
   in
   let rows =
     Arg.(
@@ -458,8 +446,7 @@ let repair_cmd =
   let mode =
     Arg.(
       value
-      & opt (enum [ ("exact", R.Bira.Exact); ("greedy", R.Bira.Greedy) ])
-          R.Bira.Exact
+      & opt (string_enum Svc.Job.repair_modes) "exact"
       & info [ "mode" ] ~docv:"MODE" ~doc:"spare allocation: exact or greedy")
   in
   Cmd.v
@@ -589,8 +576,6 @@ let stats_cmd =
 (* service modes: batch + serve                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Svc = Nxc_service
-
 let cache_arg =
   let doc =
     "Persist the result cache to $(docv) (loaded before the run, saved \
@@ -697,74 +682,47 @@ let serve_cmd =
   let run jobs cache_path window deadline_ms =
     Nxc_par.Pool.with_jobs jobs @@ fun pool ->
     with_disk_cache ~shards:(shards_of_pool pool) cache_path @@ fun cache ->
-    (* the historical synchronous loop stays the --jobs 1 path;
-       streaming (windowed read-ahead + admission) engages as soon as
-       any of the concurrency flags is given *)
-    if jobs = 1 && window = None && deadline_ms = None then
-      let rec loop () =
-        match input_line stdin with
-        | exception End_of_file -> ()
-        | "" -> loop ()
-        | "__stats__" ->
-            (* control line: one-line metrics snapshot (with quantiles),
-               never a job envelope, so clients can poll between jobs *)
-            print_string (Obs.Json.to_string (Obs.Metrics.dump_json ()));
-            print_newline ();
-            flush stdout;
-            loop ()
-        | line ->
-            let o = Svc.Engine.run_line ~cache line in
-            print_string (Obs.Json.to_string o.Svc.Engine.envelope);
-            print_newline ();
-            flush stdout;
-            if o.Svc.Engine.exit_code <> 0 then
-              Obs.Log.dump_flight
-                ~reason:
-                  (Printf.sprintf "serve envelope exit %d"
-                     o.Svc.Engine.exit_code);
-            loop ()
-      in
-      loop ()
-    else begin
-      let stream =
-        Svc.Engine.Stream.create ?pool ~cache ?window ?deadline_ms ()
-      in
-      let emit outs =
-        List.iter
-          (fun o ->
-            print_string (Obs.Json.to_string o.Svc.Engine.envelope);
-            print_newline ();
-            if o.Svc.Engine.exit_code <> 0 then
-              Obs.Log.dump_flight
-                ~reason:
-                  (Printf.sprintf "serve envelope exit %d"
-                     o.Svc.Engine.exit_code))
-          outs;
-        if outs <> [] then flush stdout
-      in
-      let rec loop () =
-        match input_line stdin with
-        | exception End_of_file -> emit (Svc.Engine.Stream.flush stream)
-        | "" -> loop ()
-        | "__flush__" ->
-            (* control line: drain the window without waiting for it to
-               fill (clients that need an answer now) *)
-            emit (Svc.Engine.Stream.flush stream);
-            loop ()
-        | "__stats__" ->
-            (* pending jobs resolve first, so the snapshot reflects
-               everything read so far *)
-            emit (Svc.Engine.Stream.flush stream);
-            print_string (Obs.Json.to_string (Obs.Metrics.dump_json ()));
-            print_newline ();
-            flush stdout;
-            loop ()
-        | line ->
-            emit (Svc.Engine.Stream.push stream line);
-            loop ()
-      in
-      loop ()
-    end
+    (* without a pool the window defaults to one job, so each request
+       line is answered before the next one is read *)
+    let window = if jobs = 1 && window = None then Some 1 else window in
+    let stream =
+      Svc.Engine.Stream.create ?pool ~cache ?window ?deadline_ms ()
+    in
+    let emit outs =
+      List.iter
+        (fun o ->
+          print_string (Obs.Json.to_string o.Svc.Engine.envelope);
+          print_newline ();
+          if o.Svc.Engine.exit_code <> 0 then
+            Obs.Log.dump_flight
+              ~reason:
+                (Printf.sprintf "serve envelope exit %d" o.Svc.Engine.exit_code))
+        outs;
+      if outs <> [] then flush stdout
+    in
+    let rec loop () =
+      match input_line stdin with
+      | exception End_of_file -> emit (Svc.Engine.Stream.flush stream)
+      | "" -> loop ()
+      | "__flush__" ->
+          (* control line: drain the window without waiting for it to
+             fill (clients that need an answer now) *)
+          emit (Svc.Engine.Stream.flush stream);
+          loop ()
+      | "__stats__" ->
+          (* control line: one-line metrics snapshot (with quantiles),
+             never a job envelope; pending jobs resolve first, so the
+             snapshot reflects everything read so far *)
+          emit (Svc.Engine.Stream.flush stream);
+          print_string (Obs.Json.to_string (Obs.Metrics.dump_json ()));
+          print_newline ();
+          flush stdout;
+          loop ()
+      | line ->
+          emit (Svc.Engine.Stream.push stream line);
+          loop ()
+    in
+    loop ()
   in
   let window_arg =
     Arg.(
@@ -773,8 +731,8 @@ let serve_cmd =
       & info [ "window" ] ~docv:"N"
           ~doc:
             "Stream up to $(docv) jobs in flight before resolving a \
-             batch (default: 4 per runner slot).  Implies the \
-             pipelined serve loop even at --jobs 1.")
+             batch (default: 4 per runner slot, or 1 at --jobs 1, which \
+             answers each line before reading the next).")
   in
   let deadline_arg =
     Arg.(

@@ -332,26 +332,20 @@ let failed_stats =
     must_cols_count = 0;
     degraded = false }
 
-(* One RNG stream per trial, split in trial order up front, so the
-   sweep is bit-identical with and without a pool (same contract as
-   Bism.monte_carlo). *)
 let monte_carlo ?pool ?guard ?(mode = Exact) rng ~trials ~rows ~cols
     ~spare_rows ~spare_cols ~profile =
   if trials <= 0 then invalid_arg "Bira.monte_carlo: trials must be positive";
   if rows <= 0 || cols <= 0 then invalid_arg "Bira.monte_carlo: empty array";
   if spare_rows < 0 || spare_cols < 0 then
     invalid_arg "Bira.monte_carlo: negative spare budget";
-  let guard = Guard.Budget.resolve guard in
   Obs.Span.with_ ~name:"bira.monte_carlo"
     ~attrs:(fun () ->
       [ ("trials", Obs.Json.Int trials);
         ("rows", Obs.Json.Int (rows + spare_rows));
         ("cols", Obs.Json.Int (cols + spare_cols)) ])
   @@ fun () ->
-  let rngs = Array.init trials (fun _ -> Rng.split rng) in
   let per =
-    Nxc_par.Pool.map_range ?pool ~guard trials (fun i ->
-        let r = rngs.(i) in
+    Rng.map_trials ?pool ?guard rng ~trials (fun r ->
         let chip =
           Defect.generate r ~rows:(rows + spare_rows)
             ~cols:(cols + spare_cols) profile

@@ -106,9 +106,8 @@ val monte_carlo :
 (** [monte_carlo rng ~trials ~rows ~cols ~spare_rows ~spare_cols
     ~profile] fabricates [trials] random
     [(rows + spare_rows) x (cols + spare_cols)] chips and runs
-    {!analyze} on each.  Per-trial RNG streams are split off [rng] in
-    trial order up front, so results are bit-identical with and without
-    [pool].  Trials always run the guard in [Degrade] mode (a sweep
+    {!analyze} on each, through {!Rng.map_trials} (determinism and
+    budget contract there).  Trials always run the guard in [Degrade] mode (a sweep
     must wind down, not abort), so only [`Unsat]/degraded outcomes
     appear in the stats.
     @raise Invalid_argument when [trials <= 0], a dimension is

@@ -205,22 +205,15 @@ type mc = {
   mc_avg_diagnoses : float;
 }
 
-(* One RNG stream per trial, split off the caller's stream in trial
-   order before any work is dispatched: each trial's chip and mapping
-   draws are independent of every other trial's, so the results do not
-   depend on how a pool schedules them. *)
 let monte_carlo ?pool ?guard rng scheme ~trials ~n ~profile ~k_rows ~k_cols
     ~max_configs =
   if trials <= 0 then invalid_arg "Bism.monte_carlo: trials must be positive";
-  let guard = Guard.Budget.resolve guard in
   Obs.Span.with_ ~name:"bism.monte_carlo"
     ~attrs:(fun () ->
       [ ("trials", Obs.Json.Int trials); ("n", Obs.Json.Int n) ])
   @@ fun () ->
-  let rngs = Array.init trials (fun _ -> Rng.split rng) in
   let per =
-    Nxc_par.Pool.map_range ?pool ~guard trials (fun i ->
-        let r = rngs.(i) in
+    Rng.map_trials ?pool ?guard rng ~trials (fun r ->
         let chip = Defect.generate r ~rows:n ~cols:n profile in
         (* no explicit guard: [run] resolves the ambient budget, which
            the pool points at this slot's partition slice *)

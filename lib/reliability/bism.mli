@@ -68,14 +68,9 @@ val monte_carlo :
   k_rows:int -> k_cols:int -> max_configs:int -> mc * stats array
 (** [monte_carlo rng scheme ~trials ~n ~profile ...] fabricates
     [trials] random [n x n] chips and runs {!run} on each, returning
-    the aggregate and the per-trial statistics in trial order.
-
-    Each trial draws from its own stream split off [rng] up front
-    (see [Rng.split]), so the result is bit-identical with and without
-    [pool].  With a [pool], the resolved [guard] is partitioned across
-    the pool's runner slots and charged back at the join — under budget
-    pressure the {e set} of trials that wind down early may differ from
-    a sequential run, which is the documented degradation contract.
+    the aggregate and the per-trial statistics in trial order.  Trials
+    run through {!Rng.map_trials}, whose determinism and budget
+    contract this inherits.
     @raise Invalid_argument when [trials <= 0]. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -333,18 +333,13 @@ let place_lattice ?guard rng chip lattice ~attempts =
 
 type sweep = { sweep_chips : int; placed_unaware : int; placed_aware : int }
 
-(* One RNG stream per chip, split in chip order up front, so the sweep
-   is bit-identical with and without a pool. *)
 let placement_sweep ?pool ?guard rng ~lattice ~chips ~n ~profile ~attempts =
   if chips <= 0 then invalid_arg "Defect_flow.placement_sweep: chips";
-  let guard = Guard.Budget.resolve guard in
   let need =
     max (Nxc_lattice.Lattice.rows lattice) (Nxc_lattice.Lattice.cols lattice)
   in
-  let rngs = Array.init chips (fun _ -> Rng.split rng) in
   let per =
-    Nxc_par.Pool.map_range ?pool ~guard chips (fun i ->
-        let r = rngs.(i) in
+    Rng.map_trials ?pool ?guard rng ~trials:chips (fun r ->
         let chip = Defect.generate r ~rows:n ~cols:n profile in
         let unaware = recovered_k (greedy_max chip) >= need in
         (* no explicit guard: [place_lattice] resolves the ambient

@@ -132,8 +132,6 @@ val placement_sweep :
   sweep
 (** [placement_sweep rng ~lattice ~chips ~n ~profile ~attempts]
     fabricates [chips] random [n x n] chips and tries both flows on
-    each.  Per-chip RNG streams are split off [rng] in chip order up
-    front, so the counts are bit-identical with and without [pool];
-    the resolved [guard] is partitioned across the pool's runner slots
-    ([Nxc_guard.Budget.partition]) and charged back at the join.
+    each, one chip per trial of {!Rng.map_trials} (determinism and
+    budget contract there).
     @raise Invalid_argument when [chips <= 0]. *)

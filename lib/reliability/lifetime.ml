@@ -83,7 +83,5 @@ let simulate rng ~chip ~k ~horizon ~failure_rate ~check_interval =
 let monte_carlo ?pool rng ~chip ~k ~trials ~horizon ~failure_rate
     ~check_interval =
   if trials <= 0 then invalid_arg "Lifetime.monte_carlo: trials";
-  (* independent per-trial streams, split in trial order up front *)
-  let rngs = Array.init trials (fun _ -> Rng.split rng) in
-  Nxc_par.Pool.map_range ?pool trials (fun i ->
-      simulate rngs.(i) ~chip ~k ~horizon ~failure_rate ~check_interval)
+  Rng.map_trials ?pool rng ~trials (fun r ->
+      simulate r ~chip ~k ~horizon ~failure_rate ~check_interval)

@@ -53,8 +53,7 @@ val monte_carlo :
   check_interval:int ->
   summary array
 (** [trials] independent lifetimes of the same starting [chip], in
-    trial order.  Each trial ages the chip with its own RNG stream
-    split off the argument up front, so the array is bit-identical
-    with and without [pool].
+    trial order, through {!Rng.map_trials} (determinism contract
+    there).
     @raise Invalid_argument when [trials <= 0], on the [simulate]
     argument errors, or if some trial's initial mapping fails. *)

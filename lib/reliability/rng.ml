@@ -43,3 +43,7 @@ let sample_without_replacement t k n =
   let all = Array.init n Fun.id in
   shuffle t all;
   Array.sub all 0 k
+
+let map_trials ?pool ?guard rng ~trials f =
+  let rngs = Array.init trials (fun _ -> split rng) in
+  Nxc_par.Pool.map_range ?pool ?guard trials (fun i -> f rngs.(i))

@@ -33,3 +33,21 @@ val shuffle : t -> 'a array -> unit
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n]: [k] distinct values from
     [0..n-1], in random order.  Requires [k <= n]. *)
+
+val map_trials :
+  ?pool:Nxc_par.Pool.t ->
+  ?guard:Nxc_guard.Budget.t ->
+  t ->
+  trials:int ->
+  (t -> 'a) ->
+  'a array
+(** [map_trials rng ~trials f] runs [f] once per Monte-Carlo trial, each
+    call with its own stream, and returns the results in trial order.
+    Every trial driver of this library goes through it, and inherits
+    its contract: all [trials] streams are split off [rng] in trial
+    order before any trial runs, so the result is bit-identical with
+    and without [pool], for every [--jobs N].  {!Nxc_par.Pool.map_range}
+    partitions [guard] (default: the ambient budget) across the pool's
+    runner slots, so under budget pressure the {e set} of trials that
+    wind down early may differ from a sequential run.
+    @raise Invalid_argument when [trials < 0]. *)

@@ -100,15 +100,12 @@ type mc = {
 let monte_carlo ?pool ?guard rng ~trials ~n ~profile ~k_rows ~k_cols =
   if trials <= 0 then
     invalid_arg "Sat_assign.monte_carlo: trials must be positive";
-  let guard = Guard.Budget.resolve guard in
   Obs.Span.with_ ~name:"sat.monte_carlo"
     ~attrs:(fun () ->
       [ ("trials", Obs.Json.Int trials); ("n", Obs.Json.Int n) ])
   @@ fun () ->
-  let rngs = Array.init trials (fun _ -> Rng.split rng) in
   let per =
-    Nxc_par.Pool.map_range ?pool ~guard trials (fun i ->
-        let r = rngs.(i) in
+    Rng.map_trials ?pool ?guard rng ~trials (fun r ->
         let seed = Rng.int r 0x3FFFFFFF in
         let chip = Defect.generate r ~rows:n ~cols:n profile in
         (* no explicit guard: [decide] resolves the ambient budget,

@@ -56,7 +56,6 @@ val monte_carlo :
   k_rows:int ->
   k_cols:int ->
   mc
-(** Mapping-success sweep in the shape of {!Bism.monte_carlo}: one RNG
-    stream split per trial before dispatch, so the counts are identical
-    for any [?pool] / [--jobs] setting.  A degraded trial that still
+(** Mapping-success sweep in the shape of {!Bism.monte_carlo}, through
+    {!Rng.map_trials} (determinism and budget contract there).  A degraded trial that still
     finds a mapping counts in both [sa_mapped] and [sa_degraded]. *)

@@ -2,19 +2,15 @@ module Obs = Nxc_obs
 
 let m_trials = Obs.Metrics.counter "montecarlo.trials"
 
-(* Each trial gets its own RNG stream, split off the caller's stream in
-   trial order before any work runs — chip [i] is the same chip whether
-   the trials run sequentially or across a pool's domains. *)
 let chips ?pool rng ~trials ~n ~profile f =
   Obs.Metrics.add m_trials trials;
   Obs.Span.with_ ~name:"montecarlo.chips"
     ~attrs:(fun () ->
       [ ("trials", Obs.Json.Int trials); ("n", Obs.Json.Int n) ])
   @@ fun () ->
-  let rngs = Array.init trials (fun _ -> Rng.split rng) in
   let outs =
-    Nxc_par.Pool.map_range ?pool trials (fun i ->
-        f (Defect.generate rngs.(i) ~rows:n ~cols:n profile))
+    Rng.map_trials ?pool rng ~trials (fun r ->
+        f (Defect.generate r ~rows:n ~cols:n profile))
   in
   let hits = Array.fold_left (fun a (h, _) -> if h then a + 1 else a) 0 outs in
   let acc = Array.fold_left (fun a (_, v) -> a +. v) 0.0 outs in

@@ -10,9 +10,8 @@ val recovery_rate :
   ?pool:Nxc_par.Pool.t ->
   Rng.t -> trials:int -> n:int -> k:int -> profile:Defect.profile -> float
 (** Fraction of random chips from which a [k x k] defect-free array is
-    recovered.  Trials draw from independent per-trial RNG streams
-    (split off the argument in trial order), so the estimate is
-    bit-identical with and without [pool].
+    recovered.  Trials run through {!Rng.map_trials} (determinism
+    contract there).
     @raise Invalid_argument when [trials <= 0]. *)
 
 val expected_max_k :

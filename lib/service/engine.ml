@@ -40,10 +40,12 @@ type outcome = { envelope : J.t; exit_code : int; cached : bool }
 
 (* a planned job: either dead on arrival, or keyed with a way to
    compute the cache value and a way to render a value into the result
-   payload (plus its exit-code equivalent) *)
+   payload (plus its exit-code equivalent).  [compute] hands its pool
+   argument to the Monte-Carlo drivers; it receives a pool only when it
+   runs on the calling domain, since a pool runs one batch at a time. *)
 type keyed = {
   key : string;
-  compute : unit -> (J.t, Error.t) result;
+  compute : Nxc_par.Pool.t option -> (J.t, Error.t) result;
   render : J.t -> (J.t * int, Error.t) result;
 }
 
@@ -115,7 +117,7 @@ let plan_synth (job : Job.t) expr cover_backend =
         | _ -> (None, "")
       in
       let key = "npn:" ^ Npn.table_key canon ^ phase ^ budget_tag ^ backend_tag in
-      let compute () =
+      let compute _pool =
         with_job_budget job @@ fun () ->
         match
           ( Minimize.sop_result ?cover_backend:backend f,
@@ -183,7 +185,7 @@ let scheme_of_string = function
   | _ -> R.Bism.Hybrid 10
 
 let plan_sim (job : Job.t) compute_payload ~exit_of =
-  let compute () = with_job_budget job compute_payload in
+  let compute pool = with_job_budget job (fun () -> compute_payload pool) in
   let render value = Ok (value, exit_of value) in
   Keyed { key = Job.cache_key job; compute; render }
 
@@ -194,7 +196,7 @@ let plan_flow job expr n density seed =
   | Error e -> Bad e
   | Ok f ->
       plan_sim job
-        (fun () ->
+        (fun _pool ->
           let chip =
             R.Defect.generate (R.Rng.create seed) ~rows:n ~cols:n
               (R.Defect.uniform density)
@@ -221,7 +223,7 @@ let plan_flow job expr n density seed =
 
 let plan_bist job rows cols =
   plan_sim job
-    (fun () ->
+    (fun _pool ->
       let plan = R.Bist.plan ~rows ~cols in
       let universe = R.Fault_model.universe ~rows ~cols in
       let cov, _ = R.Bist.coverage plan universe in
@@ -236,10 +238,10 @@ let plan_bist job rows cols =
 
 let plan_bism job n k density seed trials scheme =
   plan_sim job
-    (fun () ->
+    (fun pool ->
       if scheme = "sat" then
         let mc =
-          R.Sat_assign.monte_carlo (R.Rng.create seed) ~trials ~n
+          R.Sat_assign.monte_carlo ?pool (R.Rng.create seed) ~trials ~n
             ~profile:(R.Defect.uniform density)
             ~k_rows:k ~k_cols:k
         in
@@ -251,7 +253,7 @@ let plan_bism job n k density seed trials scheme =
                ("degraded", J.Int mc.R.Sat_assign.sa_degraded) ])
       else
         let mc, _ =
-          R.Bism.monte_carlo (R.Rng.create seed) (scheme_of_string scheme)
+          R.Bism.monte_carlo ?pool (R.Rng.create seed) (scheme_of_string scheme)
             ~trials ~n
             ~profile:(R.Defect.uniform density)
             ~k_rows:k ~k_cols:k ~max_configs:1000
@@ -265,13 +267,14 @@ let plan_bism job n k density seed trials scheme =
 
 let plan_yield job n density seed trials =
   plan_sim job
-    (fun () ->
+    (fun pool ->
       let profile = R.Defect.uniform density in
       let mean =
-        R.Yield_model.expected_max_k (R.Rng.create seed) ~trials ~n ~profile
+        R.Yield_model.expected_max_k ?pool (R.Rng.create seed) ~trials ~n
+          ~profile
       in
       let at y =
-        R.Yield_model.guaranteed_k
+        R.Yield_model.guaranteed_k ?pool
           (R.Rng.create (seed + 1))
           ~trials ~n ~profile ~min_yield:y
       in
@@ -289,9 +292,9 @@ let repair_mode_of_string = function
 
 let plan_repair job rows cols spare_rows spare_cols density seed trials mode =
   plan_sim job
-    (fun () ->
+    (fun pool ->
       let mc, _ =
-        R.Bira.monte_carlo (R.Rng.create seed)
+        R.Bira.monte_carlo ?pool (R.Rng.create seed)
           ~mode:(repair_mode_of_string mode) ~trials ~rows ~cols ~spare_rows
           ~spare_cols
           ~profile:(R.Defect.uniform density)
@@ -379,16 +382,17 @@ type tag =
 
 type tagged = { prep_ns : int; tag : tag }
 
+let compute_value ?pool (job : Job.t) keyed =
+  Nxc_obs.Span.with_ ~name:"service.compute"
+    ~attrs:(fun () -> [ ("kind", J.Str (Job.kind job)) ])
+    (fun () -> timed m_lat_compute (fun () -> keyed.compute pool))
+
 let resolve_sequential cache (job : Job.t) keyed =
   let id = job.Job.id and kind = Job.kind job in
   match Cache.find cache keyed.key with
   | Some value -> render_or_error ?id ~kind keyed value ~cached:true
   | None -> (
-      match
-        Nxc_obs.Span.with_ ~name:"service.compute"
-          ~attrs:(fun () -> [ ("kind", J.Str kind) ])
-          (fun () -> timed m_lat_compute keyed.compute)
-      with
+      match compute_value job keyed with
       | Ok value ->
           Cache.add cache keyed.key value;
           render_or_error ?id ~kind keyed value ~cached:false
@@ -423,15 +427,19 @@ let run_tagged ?pool ?cache tags =
   in
   let leaders =
     List.filter_map
-      (fun t -> match t.tag with TLead (_, k) -> Some k | _ -> None)
+      (fun t -> match t.tag with TLead (job, k) -> Some (job, k) | _ -> None)
       tags
   in
   let computed =
-    Nxc_par.Pool.map ?pool
-      (fun k ->
-        Nxc_obs.Span.with_ ~name:"service.compute" (fun () ->
-            timed m_lat_compute k.compute))
-      leaders
+    match leaders with
+    | [ (job, k) ] ->
+        (* a lone leader computes on the calling domain and lends the
+           pool to its Monte-Carlo driver, so its trials still spread;
+           a job with its own step budget keeps its trials sequential,
+           so that budget winds down the same way at every --jobs *)
+        let pool = if job.Job.budget_steps = None then pool else None in
+        [ compute_value ?pool job k ]
+    | _ -> Nxc_par.Pool.map ?pool (fun (job, k) -> compute_value job k) leaders
   in
   (* cache pass, on the calling domain, in job order: all cache reads
      and writes happen here, so hit/miss assignment is deterministic *)
@@ -462,12 +470,8 @@ let run_tagged ?pool ?cache tags =
               | Some value -> RVal (job, k, value, true)
               | None -> (
                   (* its leader failed to populate the key: compute here
-                     on the calling domain, like the serve loop would *)
-                  match
-                    Nxc_obs.Span.with_ ~name:"service.compute"
-                      ~attrs:(fun () -> [ ("kind", J.Str (Job.kind job)) ])
-                      (fun () -> timed m_lat_compute k.compute)
-                  with
+                     on the calling domain, like run_line would *)
+                  match compute_value job k with
                   | Ok value ->
                       Cache.add cache k.key value;
                       RVal (job, k, value, false)

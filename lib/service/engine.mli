@@ -38,7 +38,10 @@
     runs on the pool in job order; leader marking is sequential: the
     {e first} job of each key group (not already cached) becomes the
     group's single computing leader, and leaders' computes are
-    dispatched to the pool.  The cache pass then runs on the calling
+    dispatched to the pool — except a lone leader, which computes on
+    the calling domain and lends the pool to its Monte-Carlo driver
+    (unless the job carries its own [budget_steps]), so a one-job
+    batch still spreads its trials.  The cache pass then runs on the calling
     domain in job order — every read and write happens there, so which
     job computes and which job hits is a function of the job list and
     the cache contents, never of scheduling.  Finally rendering (a pure
@@ -55,7 +58,10 @@ type outcome = {
 val run_jobs :
   ?pool:Nxc_par.Pool.t -> ?cache:Cache.t -> Job.t list -> outcome list
 (** Process a batch, one outcome per job in order.  Without [?cache] a
-    fresh in-memory cache still deduplicates within the batch. *)
+    fresh in-memory cache still deduplicates within the batch.  The
+    CLI's simulation subcommands are one-job batches through here.
+    Must not be called from inside a batch already running on [pool]
+    (a pool runs one batch at a time). *)
 
 val run_lines :
   ?pool:Nxc_par.Pool.t -> ?cache:Cache.t -> string list -> outcome list
@@ -64,7 +70,9 @@ val run_lines :
     batch. *)
 
 val run_line : ?cache:Cache.t -> string -> outcome
-(** Resolve a single line on the calling domain — the [serve] loop. *)
+(** Resolve a single line on the calling domain, without a pool: the
+    sequential reference that {!Stream} and {!run_lines} must match
+    byte for byte. *)
 
 val batch_exit : outcome list -> int
 (** The batch's process exit code: [0] when every job's ["exit"] is

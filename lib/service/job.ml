@@ -89,6 +89,17 @@ let density_d kvs key default =
   if v < 0.0 || v > 1.0 then bad "job spec: %S must be in [0, 1]" key;
   v
 
+let one_of kvs key ~default allowed ~what =
+  match get kvs key with
+  | None -> default
+  | Some (J.Str s) when List.mem s allowed -> s
+  | Some (J.Str s) -> bad "job spec: unknown %s %S" what s
+  | Some _ -> bad "job spec: %S must be a string" key
+
+let cover_backends = [ "bnb"; "sat" ]
+let schemes = [ "blind"; "greedy"; "hybrid"; "sat" ]
+let repair_modes = [ "exact"; "greedy" ]
+
 let check_known kvs allowed =
   List.iter
     (fun (k, _) ->
@@ -116,11 +127,8 @@ let of_json json =
       | "synth" ->
           check_known kvs ("expr" :: "cover_backend" :: common);
           let cover_backend =
-            match get kvs "cover_backend" with
-            | None -> "bnb"
-            | Some (J.Str (("bnb" | "sat") as s)) -> s
-            | Some (J.Str s) -> bad "job spec: unknown cover backend %S" s
-            | Some _ -> bad "job spec: \"cover_backend\" must be a string"
+            one_of kvs "cover_backend" ~default:"bnb" cover_backends
+              ~what:"cover backend"
           in
           Synth { expr = str kvs "expr"; cover_backend }
       | "flow" ->
@@ -137,12 +145,7 @@ let of_json json =
             ("n" :: "k" :: "density" :: "seed" :: "trials" :: "scheme"
             :: common);
           let scheme =
-            match get kvs "scheme" with
-            | None -> "hybrid"
-            | Some (J.Str ("blind" | "greedy" | "hybrid" | "sat") as s) ->
-                (match s with J.Str s -> s | _ -> assert false)
-            | Some (J.Str s) -> bad "job spec: unknown scheme %S" s
-            | Some _ -> bad "job spec: \"scheme\" must be a string"
+            one_of kvs "scheme" ~default:"hybrid" schemes ~what:"scheme"
           in
           Bism
             { n = pos_int_d kvs "n" 32; k = pos_int_d kvs "k" 12;
@@ -160,11 +163,7 @@ let of_json json =
             ("rows" :: "cols" :: "spare_rows" :: "spare_cols" :: "density"
             :: "seed" :: "trials" :: "mode" :: common);
           let mode =
-            match get kvs "mode" with
-            | None -> "exact"
-            | Some (J.Str (("exact" | "greedy") as s)) -> s
-            | Some (J.Str s) -> bad "job spec: unknown repair mode %S" s
-            | Some _ -> bad "job spec: \"mode\" must be a string"
+            one_of kvs "mode" ~default:"exact" repair_modes ~what:"repair mode"
           in
           Repair
             { rows = pos_int_d kvs "rows" 12; cols = pos_int_d kvs "cols" 12;
@@ -179,6 +178,12 @@ let of_json json =
              repair)"
             k
     in
+    (* checks across fields, after every field passed its own *)
+    (match spec with
+    | Bist { cols; _ } when cols < 2 ->
+        bad "job spec: \"cols\" must be at least 2"
+    | Bism { n; k; _ } when k > n -> bad "job spec: \"k\" must not exceed \"n\""
+    | _ -> ());
     Ok { id; budget_steps; spec }
   with Bad e -> Error e
 

@@ -23,7 +23,10 @@
 
     Parsing is strict — unknown fields, wrong types and out-of-range
     values are [`Invalid_input] errors (CLI exit-code 3), pinned by
-    [test/cram/service.t]. *)
+    [test/cram/service.t].  Beyond each field's own range, a [bist]
+    array needs [cols >= 2] and a [bism] logical side must fit the
+    chip ([k <= n]), so every accepted spec runs.  The CLI's simulation
+    subcommands build their jobs through {!of_json} too. *)
 
 type spec =
   | Synth of {
@@ -58,6 +61,14 @@ type spec =
     }
 
 type t = { id : string option; budget_steps : int option; spec : spec }
+
+val schemes : string list
+(** Every ["scheme"] a [Bism] spec accepts (the CLI's [--scheme]
+    values). *)
+
+val repair_modes : string list
+(** Every ["mode"] a [Repair] spec accepts (the CLI's [--mode]
+    values). *)
 
 val kind : t -> string
 (** The spec's ["kind"] string. *)

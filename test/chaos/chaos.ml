@@ -13,6 +13,7 @@ module L = Nxc_logic
 module Tt = L.Truth_table
 module R = Nxc_reliability
 module C = Nxc_core
+module Svc = Nxc_service
 
 let seed =
   match Sys.getenv_opt "CHAOS_SEED" with
@@ -343,6 +344,71 @@ let sat_budget () =
     fail "sat-assign: guard.degrade.sat_to_greedy never moved"
 
 (* ------------------------------------------------------------------ *)
+(* Job specs: boundary fields for every kind through the engine        *)
+(* ------------------------------------------------------------------ *)
+
+(* Each case is a small batch of seeded boundary specs (0, 1 and
+   negative fields, k > n, one-column arrays, densities 0 and 1, tiny
+   trial counts).  The engine must answer every line with an envelope
+   whose exit code is in the 0-5 contract, and a 2-slot pool must give
+   the same bytes as the sequential run — a one-line batch takes the
+   lone-leader path that lends the pool to the Monte-Carlo drivers. *)
+let job_specs () =
+  let pick a = a.(Random.State.int rand (Array.length a)) in
+  let int_field key = Printf.sprintf {|"%s":%d|} key (pick [| -1; 0; 1; 2; 3; 5 |]) in
+  let density () =
+    Printf.sprintf {|"density":%s|} (pick [| "0"; "1"; "0.0"; "1.0"; "0.1"; "1.5"; "-0.2" |])
+  in
+  let seed () = Printf.sprintf {|"seed":%d|} (Random.State.int rand 1000) in
+  let str key values = Printf.sprintf {|"%s":"%s"|} key (pick values) in
+  let spec () =
+    let fields =
+      match Random.State.int rand 6 with
+      | 0 ->
+          [ {|"kind":"synth"|}; str "expr" [| "x1x2"; "x1 ^ x2"; "0"; "1"; "x1 +" |];
+            str "cover_backend" [| "bnb"; "sat"; "dpll" |] ]
+      | 1 ->
+          [ {|"kind":"flow"|}; str "expr" [| "x1x2"; "x1 ^ x2"; "1"; "x0" |];
+            int_field "n"; density (); seed () ]
+      | 2 -> [ {|"kind":"bist"|}; int_field "rows"; int_field "cols" ]
+      | 3 ->
+          [ {|"kind":"bism"|}; int_field "n"; int_field "k"; density ();
+            seed (); int_field "trials";
+            str "scheme" [| "blind"; "greedy"; "hybrid"; "sat"; "psychic" |] ]
+      | 4 -> [ {|"kind":"yield"|}; int_field "n"; density (); seed (); int_field "trials" ]
+      | _ ->
+          [ {|"kind":"repair"|}; int_field "rows"; int_field "cols";
+            int_field "spare_rows"; int_field "spare_cols"; density (); seed ();
+            int_field "trials"; str "mode" [| "exact"; "greedy"; "psychic" |] ]
+    in
+    let fields =
+      if Random.State.int rand 4 = 0 then
+        fields @ [ Printf.sprintf {|"budget_steps":%d|} (Random.State.int rand 40 - 5) ]
+      else fields
+    in
+    "{" ^ String.concat "," fields ^ "}"
+  in
+  let envelopes outs =
+    List.map (fun o -> Nxc_obs.Json.to_string o.Svc.Engine.envelope) outs
+  in
+  Nxc_par.Pool.with_pool ~workers:1 @@ fun pool ->
+  for _ = 1 to 30 * factor do
+    let lines = List.init (1 + Random.State.int rand 3) (fun _ -> spec ()) in
+    let batch = String.concat " " lines in
+    case "job-specs" (fun () ->
+        let seq = Svc.Engine.run_lines lines in
+        let par = Svc.Engine.run_lines ~pool lines in
+        List.iter
+          (fun o ->
+            let code = o.Svc.Engine.exit_code in
+            if code < 0 || code > 5 then
+              fail "job-specs: exit %d outside 0-5 in %s" code batch)
+          (seq @ par);
+        if envelopes seq <> envelopes par then
+          fail "job-specs: pool changed the envelopes of %s" batch)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Determinism: same seed + same budget -> identical outcome           *)
 (* ------------------------------------------------------------------ *)
 
@@ -387,6 +453,7 @@ let () =
   extraction ();
   repair ();
   sat_budget ();
+  job_specs ();
   determinism ();
   adversarial_qm ();
   let dt = Unix.gettimeofday () -. t0 in

@@ -326,6 +326,9 @@ let test_job_parse_bad () =
       {|{"kind":"synth","expr":"x1","bogus":1}|};
       {|{"kind":"bism","n":24,"k":10,"scheme":"psychic"}|};
       {|{"kind":"bist","rows":0,"cols":4}|};
+      {|{"kind":"bist","rows":1,"cols":1}|};
+      {|{"kind":"bism","n":4,"k":12,"scheme":"greedy"}|};
+      {|{"kind":"bism","n":4,"k":5,"scheme":"sat"}|};
       {|{"kind":"yield","n":16,"density":1.5}|} ]
 
 (* ---------------- engine ------------------------------------------- *)
@@ -431,6 +434,32 @@ let test_engine_determinism () =
   Alcotest.(check (list string)) "cache never changes envelopes" seq cold;
   Alcotest.(check int) "bad line exits 3" 3
     (Svc.Engine.batch_exit (Svc.Engine.run_lines lines))
+
+(* a batch with one leader computes it on the calling domain and lends
+   the pool to its Monte-Carlo driver: the trials spread over the pool,
+   and the envelope is the one a run without a pool gives *)
+let test_engine_single_leader () =
+  let tasks = Nxc_obs.Metrics.counter "par.tasks" in
+  let trials = 12 in
+  List.iter
+    (fun line ->
+      let job =
+        match Svc.Job.of_line line with
+        | Ok job -> job
+        | Error e -> Alcotest.failf "%s: %s" line (G.Error.to_string e)
+      in
+      let seq = envelope_strings (Svc.Engine.run_jobs [ job ]) in
+      Nxc_par.Pool.with_pool ~workers:1 (fun pool ->
+          let t0 = Nxc_obs.Metrics.counter_value tasks in
+          let par = envelope_strings (Svc.Engine.run_jobs ~pool [ job ]) in
+          Alcotest.(check (list string)) line seq par;
+          let dt = Nxc_obs.Metrics.counter_value tasks - t0 in
+          if dt < trials then
+            Alcotest.failf "%s: %d pool tasks for %d trials" line dt trials))
+    [ Printf.sprintf
+        {|{"kind":"bism","n":16,"k":8,"trials":%d,"scheme":"greedy"}|} trials;
+      Printf.sprintf {|{"kind":"repair","rows":6,"cols":6,"trials":%d}|}
+        trials ]
 
 (* ---------------- stream ------------------------------------------- *)
 
@@ -570,7 +599,9 @@ let () =
       ( "engine",
         [ Alcotest.test_case "npn cache hit" `Quick test_engine_npn_hit;
           qcheck_engine_npn_equiv;
-          Alcotest.test_case "determinism" `Quick test_engine_determinism ] );
+          Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "single leader lends the pool" `Quick
+            test_engine_single_leader ] );
       ( "stream",
         [ Alcotest.test_case "determinism vs synchronous loop" `Quick
             test_stream_determinism;
