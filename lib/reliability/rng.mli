@@ -43,7 +43,7 @@ val map_trials :
   'a array
 (** [map_trials rng ~trials f] runs [f] once per Monte-Carlo trial, each
     call with its own stream, and returns the results in trial order.
-    Every trial driver of this library goes through it, and inherits
+    Every Monte-Carlo loop of this library goes through it, and inherits
     its contract: all [trials] streams are split off [rng] in trial
     order before any trial runs, so the result is bit-identical with
     and without [pool], for every [--jobs N].  {!Nxc_par.Pool.map_range}

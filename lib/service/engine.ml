@@ -41,8 +41,9 @@ type outcome = { envelope : J.t; exit_code : int; cached : bool }
 (* a planned job: either dead on arrival, or keyed with a way to
    compute the cache value and a way to render a value into the result
    payload (plus its exit-code equivalent).  [compute] hands its pool
-   argument to the Monte-Carlo drivers; it receives a pool only when it
-   runs on the calling domain, since a pool runs one batch at a time. *)
+   argument to the Monte-Carlo trial loops; it receives a pool only
+   when it runs on the calling domain, since a pool runs one batch at
+   a time. *)
 type keyed = {
   key : string;
   compute : Nxc_par.Pool.t option -> (J.t, Error.t) result;
@@ -434,9 +435,9 @@ let run_tagged ?pool ?cache tags =
     match leaders with
     | [ (job, k) ] ->
         (* a lone leader computes on the calling domain and lends the
-           pool to its Monte-Carlo driver, so its trials still spread;
-           a job with its own step budget keeps its trials sequential,
-           so that budget winds down the same way at every --jobs *)
+           pool to its Monte-Carlo trials; a job with its own step
+           budget keeps its trials sequential, so that budget winds
+           down the same way at every --jobs *)
         let pool = if job.Job.budget_steps = None then pool else None in
         [ compute_value ?pool job k ]
     | _ -> Nxc_par.Pool.map ?pool (fun (job, k) -> compute_value job k) leaders

@@ -39,12 +39,12 @@
     {e first} job of each key group (not already cached) becomes the
     group's single computing leader, and leaders' computes are
     dispatched to the pool — except a lone leader, which computes on
-    the calling domain and lends the pool to its Monte-Carlo driver
+    the calling domain and lends the pool to its Monte-Carlo trials
     (unless the job carries its own [budget_steps]), so a one-job
-    batch still spreads its trials.  The cache pass then runs on the calling
-    domain in job order — every read and write happens there, so which
-    job computes and which job hits is a function of the job list and
-    the cache contents, never of scheduling.  Finally rendering (a pure
+    batch still spreads its trials.  The cache pass then runs on the
+    calling domain in job order — every read and write happens there,
+    so which job computes and which job hits is a function of the job
+    list and the cache contents, never of scheduling.  Finally rendering (a pure
     function of the cache value and the request's own NPN transform,
     including the hit-path re-verification) runs on the pool, and
     envelopes are emitted sequentially in job order. *)

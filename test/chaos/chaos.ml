@@ -352,7 +352,7 @@ let sat_budget () =
    trial counts).  The engine must answer every line with an envelope
    whose exit code is in the 0-5 contract, and a 2-slot pool must give
    the same bytes as the sequential run — a one-line batch takes the
-   lone-leader path that lends the pool to the Monte-Carlo drivers. *)
+   lone-leader path that lends the pool to the Monte-Carlo trials. *)
 let job_specs () =
   let pick a = a.(Random.State.int rand (Array.length a)) in
   let int_field key = Printf.sprintf {|"%s":%d|} key (pick [| -1; 0; 1; 2; 3; 5 |]) in

@@ -436,7 +436,7 @@ let test_engine_determinism () =
     (Svc.Engine.batch_exit (Svc.Engine.run_lines lines))
 
 (* a batch with one leader computes it on the calling domain and lends
-   the pool to its Monte-Carlo driver: the trials spread over the pool,
+   the pool to its Monte-Carlo trials: they spread over the pool,
    and the envelope is the one a run without a pool gives *)
 let test_engine_single_leader () =
   let tasks = Nxc_obs.Metrics.counter "par.tasks" in
