@@ -1,4 +1,4 @@
-.PHONY: build test check doc bench bench-smoke smoke chaos clean
+.PHONY: build test check doc bench bench-smoke svcbench-smoke smoke chaos clean
 
 build:
 	dune build @all
@@ -45,6 +45,21 @@ bench:
 bench-smoke:
 	BENCH_OUT=bench_smoke.json dune exec bench/main.exe -- BITSLICE BISTSLICE E6 PAR SERVICE LOADGEN E17 E1 E11 E18
 	dune exec tools/bench_check.exe -- bench_smoke.json
+
+# one short traced run of each service-benchmark workload; fails unless
+# the run's last line reports "correct":true (every envelope checked,
+# stored simulation digests matched, and the traced replay's memo and
+# cache counts equal the engine's).  About a minute, mostly the
+# serve_npn replay.
+svcbench-smoke:
+	@for w in serve_npn batch_synth_cold batch_reliability; do \
+	  last=$$(bash svcbench/run.sh --workload $$w --seed 3 --seconds 1 \
+	    --trace 1 | tail -n 1); \
+	  case "$$last" in \
+	    *'"correct":true'*) echo "svcbench-smoke: $$w correct" ;; \
+	    *) echo "svcbench-smoke: $$w FAILED: $$last"; exit 1 ;; \
+	  esac; \
+	done
 
 # quick end-to-end exercise of the observability surface
 smoke:

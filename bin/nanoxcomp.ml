@@ -596,16 +596,22 @@ let shards_of_pool = function
 
 let with_disk_cache ?shards path f =
   let cache = Svc.Cache.create ?shards () in
-  (match path with
-  | None -> ()
-  | Some p -> (
-      match Svc.Cache.load cache p with
-      | Ok _ -> ()
-      | Error e ->
-          Format.eprintf "nanoxcomp: ignoring cache %s: %s@." p
-            (Guard.Error.to_string e)));
+  (* a file that fails to load is left as found: saving over it would
+     drop its valid entries *)
+  let save_to =
+    match path with
+    | None -> None
+    | Some p -> (
+        match Svc.Cache.load cache p with
+        | Ok _ -> Some p
+        | Error e ->
+            Format.eprintf
+              "nanoxcomp: ignoring cache %s: %s; leaving it unchanged@." p
+              (Guard.Error.to_string e);
+            None)
+  in
   let r = f cache in
-  (match path with
+  (match save_to with
   | None -> ()
   | Some p -> (
       match Svc.Cache.save cache p with

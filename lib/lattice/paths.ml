@@ -4,7 +4,7 @@ module Cover = L.Cover
 module Obs = Nxc_obs
 
 let m_paths = Obs.Metrics.counter "lattice.paths_enumerated"
-let h_paths = Obs.Metrics.histogram "lattice.paths_per_lattice"
+let h_paths = Obs.Metrics.hdr "lattice.paths_per_lattice"
 
 (* Depth-first enumeration of simple paths from each top-row site to
    the bottom row, accumulating the product of literals along the way.
@@ -51,7 +51,7 @@ let path_products ?(max_paths = 100_000) lattice =
     dfs 0 c (Cube.top n)
   done;
   Obs.Metrics.add m_paths !counted;
-  Obs.Metrics.observe h_paths !counted;
+  Obs.Metrics.hdr_observe h_paths !counted;
   Cover.cubes
     (Cover.single_cube_containment (Cover.make n !products))
 

@@ -13,20 +13,6 @@ type counter = { c_name : string; mutable c_value : int }
 
 type gauge = { g_name : string; mutable g_value : float }
 
-(* Log-scale (base-2) histogram over non-negative integers: bucket 0
-   holds exactly {0}; bucket i >= 1 holds [2^(i-1), 2^i - 1]; the top
-   bucket 62 therefore ends at max_int. *)
-let num_buckets = 63
-
-type histogram = {
-  h_name : string;
-  h_buckets : int array;
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_min : int;
-  mutable h_max : int;
-}
-
 (* Log-linear high-dynamic-range histogram: each power-of-two range is
    split into [hdr_sub] linear sub-buckets, so every bucket's width is
    at most 2^-hdr_precision of its lower bound — quantiles come out
@@ -53,7 +39,6 @@ type hdr = {
 type metric =
   | Counter of counter
   | Gauge of gauge
-  | Histogram of histogram
   | Hdr of hdr
 
 type buffer = (string, metric) Hashtbl.t
@@ -101,22 +86,6 @@ let gauge_in tbl name =
       Hashtbl.replace tbl name (Gauge g);
       g
 
-let histogram_in tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some (Histogram h) -> h
-  | Some _ -> kind_error name "histogram"
-  | None ->
-      let h =
-        { h_name = name;
-          h_buckets = Array.make num_buckets 0;
-          h_count = 0;
-          h_sum = 0;
-          h_min = max_int;
-          h_max = 0 }
-      in
-      Hashtbl.replace tbl name (Histogram h);
-      h
-
 let hdr_in tbl name =
   match Hashtbl.find_opt tbl name with
   | Some (Hdr h) -> h
@@ -135,7 +104,6 @@ let hdr_in tbl name =
 
 let counter name = counter_in (sink ()) name
 let gauge name = gauge_in (sink ()) name
-let histogram name = histogram_in (sink ()) name
 let hdr name = hdr_in (sink ()) name
 
 (* Recording through a pre-created handle must also honour the active
@@ -164,37 +132,6 @@ let set g v =
   | Some b -> (gauge_in b g.g_name).g_value <- v
 
 let gauge_value g = g.g_value
-
-let bucket_of v =
-  if v < 0 then invalid_arg "Nxc_obs.Metrics.bucket_of: negative value"
-  else begin
-    let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-    bits 0 v
-  end
-
-let bucket_range i =
-  (* for i = 62, [1 lsl 62] wraps to min_int and [- 1] wraps on to
-     max_int — exactly the top bucket's upper bound *)
-  if i = 0 then (0, 0) else (1 lsl (i - 1), (1 lsl i) - 1)
-
-let observe_cell h v =
-  h.h_buckets.(bucket_of v) <- h.h_buckets.(bucket_of v) + 1;
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum + v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
-
-let observe h v =
-  if v < 0 then invalid_arg "Nxc_obs.Metrics.observe: negative value";
-  match !(Domain.DLS.get active_key) with
-  | None -> observe_cell h v
-  | Some b -> observe_cell (histogram_in b h.h_name) v
-
-let hist_count h = h.h_count
-
-let hist_sum h = h.h_sum
-
-let hist_bucket h i = h.h_buckets.(i)
 
 (* ------------------------------------------------------------------ *)
 (* HDR buckets and quantiles                                           *)
@@ -241,34 +178,28 @@ let hdr_count h = h.x_count
 
 let hdr_sum h = h.x_sum
 
-(* Shared quantile walk: smallest bucket upper bound whose cumulative
-   count reaches the rank, clamped to the observed [min, max] so exact
+(* Quantile walk: smallest bucket upper bound whose cumulative count
+   reaches the rank, clamped to the observed [min, max] so exact
    extremes (p0/p100, single samples) come out exact. *)
-let quantile_over ~count ~vmin ~vmax ~buckets ~range q =
-  if count = 0 then 0
+let hdr_quantile h q =
+  if h.x_count = 0 then 0
   else begin
     let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
-    let rank = min count (max 1 (int_of_float (ceil (q *. float_of_int count)))) in
-    let acc = ref 0 and result = ref vmax in
+    let rank =
+      min h.x_count (max 1 (int_of_float (ceil (q *. float_of_int h.x_count))))
+    in
+    let acc = ref 0 and result = ref h.x_max in
     (try
-       for i = 0 to Array.length buckets - 1 do
-         acc := !acc + buckets.(i);
+       for i = 0 to hdr_num_buckets - 1 do
+         acc := !acc + h.x_buckets.(i);
          if !acc >= rank then begin
-           result := snd (range i);
+           result := snd (hdr_bucket_range i);
            raise Exit
          end
        done
      with Exit -> ());
-    min vmax (max vmin !result)
+    min h.x_max (max h.x_min !result)
   end
-
-let quantile h q =
-  quantile_over ~count:h.h_count ~vmin:h.h_min ~vmax:h.h_max
-    ~buckets:h.h_buckets ~range:bucket_range q
-
-let hdr_quantile h q =
-  quantile_over ~count:h.x_count ~vmin:h.x_min ~vmax:h.x_max
-    ~buckets:h.x_buckets ~range:hdr_bucket_range q
 
 let merge (b : buffer) =
   (* merge into the caller's current sink (normally the registry), so
@@ -285,15 +216,6 @@ let merge (b : buffer) =
           let dst = counter name in
           dst.c_value <- dst.c_value + c.c_value
       | Gauge g -> (gauge name).g_value <- g.g_value
-      | Histogram h ->
-          let dst = histogram name in
-          for i = 0 to num_buckets - 1 do
-            dst.h_buckets.(i) <- dst.h_buckets.(i) + h.h_buckets.(i)
-          done;
-          dst.h_count <- dst.h_count + h.h_count;
-          dst.h_sum <- dst.h_sum + h.h_sum;
-          if h.h_min < dst.h_min then dst.h_min <- h.h_min;
-          if h.h_max > dst.h_max then dst.h_max <- h.h_max
       | Hdr h ->
           let dst = hdr name in
           for i = 0 to hdr_num_buckets - 1 do
@@ -311,12 +233,6 @@ let reset () =
       match m with
       | Counter c -> c.c_value <- 0
       | Gauge g -> g.g_value <- 0.0
-      | Histogram h ->
-          Array.fill h.h_buckets 0 num_buckets 0;
-          h.h_count <- 0;
-          h.h_sum <- 0;
-          h.h_min <- max_int;
-          h.h_max <- 0
       | Hdr h ->
           Array.fill h.x_buckets 0 hdr_num_buckets 0;
           h.x_count <- 0;
@@ -360,37 +276,25 @@ let valid_name name =
 
 let quantile_points = [ ("p50", 0.50); ("p90", 0.90); ("p95", 0.95); ("p99", 0.99) ]
 
-let buckets_json ~buckets ~range ~n =
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if buckets.(i) <> 0 then begin
-      let lo, hi = range i in
-      out :=
+let hdr_json h =
+  let buckets = ref [] in
+  for i = hdr_num_buckets - 1 downto 0 do
+    if h.x_buckets.(i) <> 0 then begin
+      let lo, hi = hdr_bucket_range i in
+      buckets :=
         Json.Obj
           [ ("ge", Json.Int lo); ("le", Json.Int hi);
-            ("n", Json.Int buckets.(i)) ]
-        :: !out
+            ("n", Json.Int h.x_buckets.(i)) ]
+        :: !buckets
     end
   done;
-  Json.List !out
-
-let dist_json ~count ~sum ~vmin ~vmax ~buckets ~range ~n q_of =
   Json.Obj
-    ([ ("count", Json.Int count);
-       ("sum", Json.Int sum);
-       ("min", Json.Int (if count = 0 then 0 else vmin));
-       ("max", Json.Int vmax) ]
-    @ List.map (fun (key, q) -> (key, Json.Int (q_of q))) quantile_points
-    @ [ ("buckets", buckets_json ~buckets ~range ~n) ])
-
-let histogram_json h =
-  dist_json ~count:h.h_count ~sum:h.h_sum ~vmin:h.h_min ~vmax:h.h_max
-    ~buckets:h.h_buckets ~range:bucket_range ~n:num_buckets (quantile h)
-
-let hdr_json h =
-  dist_json ~count:h.x_count ~sum:h.x_sum ~vmin:h.x_min ~vmax:h.x_max
-    ~buckets:h.x_buckets ~range:hdr_bucket_range ~n:hdr_num_buckets
-    (hdr_quantile h)
+    ([ ("count", Json.Int h.x_count);
+       ("sum", Json.Int h.x_sum);
+       ("min", Json.Int (if h.x_count = 0 then 0 else h.x_min));
+       ("max", Json.Int h.x_max) ]
+    @ List.map (fun (key, q) -> (key, Json.Int (hdr_quantile h q))) quantile_points
+    @ [ ("buckets", Json.List !buckets) ])
 
 let dump_json () =
   let pick f =
@@ -410,31 +314,24 @@ let dump_json () =
       ( "histograms",
         Json.Obj
           (pick (fun name -> function
-             | Histogram h -> Some (name, histogram_json h)
              | Hdr h -> Some (name, hdr_json h)
              | _ -> None)) ) ]
 
 let dump_text () =
   let b = Buffer.create 512 in
-  let dist kind name ~count ~sum ~vmin ~vmax q_of =
-    Buffer.add_string b
-      (Printf.sprintf
-         "%-9s %-32s count=%d sum=%d min=%d max=%d p50=%d p95=%d p99=%d\n"
-         kind name count sum
-         (if count = 0 then 0 else vmin)
-         vmax (q_of 0.50) (q_of 0.95) (q_of 0.99))
-  in
   List.iter
     (fun (name, m) ->
       match m with
       | Counter c -> Buffer.add_string b (Printf.sprintf "counter   %-32s %d\n" name c.c_value)
       | Gauge g -> Buffer.add_string b (Printf.sprintf "gauge     %-32s %g\n" name g.g_value)
-      | Histogram h ->
-          dist "histogram" name ~count:h.h_count ~sum:h.h_sum ~vmin:h.h_min
-            ~vmax:h.h_max (quantile h)
       | Hdr h ->
-          dist "hdr" name ~count:h.x_count ~sum:h.x_sum ~vmin:h.x_min
-            ~vmax:h.x_max (hdr_quantile h))
+          Buffer.add_string b
+            (Printf.sprintf
+               "hdr       %-32s count=%d sum=%d min=%d max=%d p50=%d p95=%d p99=%d\n"
+               name h.x_count h.x_sum
+               (if h.x_count = 0 then 0 else h.x_min)
+               h.x_max (hdr_quantile h 0.50) (hdr_quantile h 0.95)
+               (hdr_quantile h 0.99)))
     (sorted_metrics ());
   Buffer.contents b
 
@@ -452,21 +349,6 @@ let dump_prometheus () =
   let header name kind =
     Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name kind)
   in
-  let dist name ~count ~sum ~buckets ~range ~n =
-    let pn = prom_name name in
-    header pn "histogram";
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      if buckets.(i) <> 0 then begin
-        acc := !acc + buckets.(i);
-        Buffer.add_string b
-          (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" pn (snd (range i)) !acc)
-      end
-    done;
-    Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" pn count);
-    Buffer.add_string b (Printf.sprintf "%s_sum %d\n" pn sum);
-    Buffer.add_string b (Printf.sprintf "%s_count %d\n" pn count)
-  in
   List.iter
     (fun (name, m) ->
       match m with
@@ -478,11 +360,21 @@ let dump_prometheus () =
           let pn = prom_name name in
           header pn "gauge";
           Buffer.add_string b (Printf.sprintf "%s %g\n" pn g.g_value)
-      | Histogram h ->
-          dist name ~count:h.h_count ~sum:h.h_sum ~buckets:h.h_buckets
-            ~range:bucket_range ~n:num_buckets
       | Hdr h ->
-          dist name ~count:h.x_count ~sum:h.x_sum ~buckets:h.x_buckets
-            ~range:hdr_bucket_range ~n:hdr_num_buckets)
+          let pn = prom_name name in
+          header pn "histogram";
+          let acc = ref 0 in
+          for i = 0 to hdr_num_buckets - 1 do
+            if h.x_buckets.(i) <> 0 then begin
+              acc := !acc + h.x_buckets.(i);
+              Buffer.add_string b
+                (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" pn
+                   (snd (hdr_bucket_range i)) !acc)
+            end
+          done;
+          Buffer.add_string b
+            (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" pn h.x_count);
+          Buffer.add_string b (Printf.sprintf "%s_sum %d\n" pn h.x_sum);
+          Buffer.add_string b (Printf.sprintf "%s_count %d\n" pn h.x_count))
     (sorted_metrics ());
   Buffer.contents b

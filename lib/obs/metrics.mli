@@ -1,4 +1,4 @@
-(** Process-global registry of named counters, gauges and log-scale
+(** Process-global registry of named counters, gauges and HDR
     histograms.
 
     Naming scheme: ["<namespace>.<metric>"] — all segments lowercase
@@ -27,16 +27,14 @@
 
 type counter
 type gauge
-type histogram
 
 type hdr
 (** Log-linear high-dynamic-range histogram: each power-of-two octave
     is split into 16 linear sub-buckets, so any bucket's width is at
     most 1/16 of its lower bound and quantiles carry a bounded relative
     error of at most 6.25% over the whole non-negative [int] range.
-    Values below 16 get exact single-value buckets.  Use this (rather
-    than {!histogram}) for latencies and anything else that feeds SLO
-    quantiles. *)
+    Values below 16 get exact single-value buckets.  Latencies and
+    size distributions alike use this one kind. *)
 
 (** [counter name] returns the counter registered under [name],
     creating it on first use.
@@ -46,11 +44,6 @@ val counter : string -> counter
 val gauge : string -> gauge
 (** [gauge name] returns the gauge registered under [name], creating it
     on first use.
-    @raise Invalid_argument if [name] is registered as another kind. *)
-
-val histogram : string -> histogram
-(** [histogram name] returns the histogram registered under [name],
-    creating it on first use.
     @raise Invalid_argument if [name] is registered as another kind. *)
 
 val hdr : string -> hdr
@@ -74,34 +67,6 @@ val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 (** Current value recorded in the global registry. *)
 
-(** [observe h v] records [v >= 0] into its base-2 log-scale bucket:
-    bucket 0 holds exactly 0, bucket [i >= 1] holds [2^(i-1) .. 2^i-1],
-    and the top bucket 62 ends at [max_int].
-    @raise Invalid_argument when [v < 0]. *)
-val observe : histogram -> int -> unit
-
-(** [bucket_of v] is the bucket index [observe] files [v] under.
-    @raise Invalid_argument when [v < 0]. *)
-val bucket_of : int -> int
-
-(** [bucket_range i] is the inclusive [(lo, hi)] range of bucket [i]. *)
-val bucket_range : int -> int * int
-
-val hist_count : histogram -> int
-(** Number of values observed. *)
-
-val hist_sum : histogram -> int
-(** Sum of all observed values. *)
-
-val hist_bucket : histogram -> int -> int
-(** [hist_bucket h i] is the number of observations in bucket [i]. *)
-
-val quantile : histogram -> float -> int
-(** [quantile h q] for [q] in [[0, 1]] (clamped) is the smallest bucket
-    upper bound whose cumulative count reaches rank
-    [ceil (q * count)], clamped to the observed [[min, max]]; [0] when
-    nothing was observed.  Deterministic for deterministic inputs. *)
-
 (** {2 HDR histograms} *)
 
 val hdr_observe : hdr -> int -> unit
@@ -115,9 +80,12 @@ val hdr_sum : hdr -> int
 (** Sum of all observed values. *)
 
 val hdr_quantile : hdr -> float -> int
-(** Like {!quantile}, over the log-linear buckets: relative error is
-    bounded by the 6.25% bucket width (exact below 16 and at the
-    observed extremes). *)
+(** [hdr_quantile h q] for [q] in [[0, 1]] (clamped) is the smallest
+    bucket upper bound whose cumulative count reaches rank
+    [ceil (q * count)], clamped to the observed [[min, max]]; [0] when
+    nothing was observed.  Relative error is bounded by the 6.25%
+    bucket width (exact below 16 and at the observed extremes), and the
+    result is deterministic for deterministic inputs. *)
 
 val hdr_bucket_of : int -> int
 (** [hdr_bucket_of v] is the bucket index [hdr_observe] files [v]
@@ -150,7 +118,7 @@ val with_buffer : buffer -> (unit -> 'a) -> 'a
 val merge : buffer -> unit
 (** [merge b] folds the deltas of [b] into the caller's current sink —
     normally the global registry — creating instruments as needed.
-    Counters and histograms (both kinds) are added; a gauge present in
+    Counters and histograms are added; a gauge present in
     [b] overwrites the sink's value.
     @raise Invalid_argument on an instrument-kind clash with the sink. *)
 
@@ -176,8 +144,8 @@ val valid_name : string -> bool
 (** {2 Reporting} *)
 
 (** Snapshot of every registered metric, keys sorted, as
-    [{"counters": {...}, "gauges": {...}, "histograms": {...}}].  Both
-    histogram kinds appear under ["histograms"] with [count], [sum],
+    [{"counters": {...}, "gauges": {...}, "histograms": {...}}].  HDR
+    histograms appear under ["histograms"] with [count], [sum],
     [min], [max], quantiles [p50]/[p90]/[p95]/[p99] and the non-empty
     [buckets]. *)
 val dump_json : unit -> Json.t

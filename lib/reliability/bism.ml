@@ -10,7 +10,7 @@ let m_successes = Obs.Metrics.counter "bism.successes"
 let m_configurations = Obs.Metrics.counter "bism.configurations"
 let m_remap_attempts = Obs.Metrics.counter "bism.remap_attempts"
 let m_test_applications = Obs.Metrics.counter "bism.test_applications"
-let h_configs = Obs.Metrics.histogram "bism.configs_per_run"
+let h_configs = Obs.Metrics.hdr "bism.configs_per_run"
 
 type scheme = Blind | Greedy | Hybrid of int
 
@@ -190,7 +190,7 @@ let run ?guard rng scheme ~chip ~k_rows ~k_cols ~max_configs =
   Obs.Metrics.add m_configurations !configurations;
   Obs.Metrics.add m_remap_attempts !diagnoses;
   Obs.Metrics.add m_test_applications !test_applications;
-  Obs.Metrics.observe h_configs !configurations;
+  Obs.Metrics.hdr_observe h_configs !configurations;
   ( { success = result <> None;
       configurations = !configurations;
       test_applications = !test_applications;

@@ -1,13 +1,11 @@
 (* In-memory LRU store keyed by opaque strings, with JSONL persistence.
 
-   The store is split into N independent shards, each a hashtable plus
-   its own mutex and recency clock, selected by a stable hash of the
-   key.  Recency is a monotonic tick per entry; eviction scans its
-   shard for the minimum, which is fine at the capacities the service
-   uses.  With the default single shard the behavior is exactly the
-   historical one; the service's concurrent serve mode creates one
-   shard per runner slot so cache traffic from different jobs contends
-   on different locks. *)
+   The store is split into N independent shards, each an [Lru.t] (the
+   recency policy lives there) plus its own mutex and counters,
+   selected by a stable hash of the key.  With the default single shard
+   the behavior is exactly the historical one; the service's concurrent
+   serve mode creates one shard per runner slot so cache traffic from
+   different jobs contends on different locks. *)
 
 module J = Nxc_obs.Json
 module Error = Nxc_guard.Error
@@ -15,8 +13,6 @@ module Error = Nxc_guard.Error
 let m_hits = Nxc_obs.Metrics.counter "service.cache.hits"
 let m_misses = Nxc_obs.Metrics.counter "service.cache.misses"
 let m_evictions = Nxc_obs.Metrics.counter "service.cache.evictions"
-
-type entry = { mutable value : J.t; mutable stamp : int }
 
 (* Per-shard instruments ([service.cache.shard<i>.*]) are registered
    lazily, only for multi-shard caches, so single-shard runs (and the
@@ -28,21 +24,19 @@ type shard_metrics = {
 }
 
 type shard = {
-  tbl : (string, entry) Hashtbl.t;
+  lru : J.t Lru.t;
   lock : Mutex.t;
-  mutable tick : int;
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_evictions : int;
   metrics : shard_metrics option;
 }
 
-type t = { shards_arr : shard array; cap : int; shard_cap : int }
+type t = { shards_arr : shard array; cap : int }
 
-let make_shard metrics =
-  { tbl = Hashtbl.create 64;
+let make_shard cap metrics =
+  { lru = Lru.create cap;
     lock = Mutex.create ();
-    tick = 0;
     s_hits = 0;
     s_misses = 0;
     s_evictions = 0;
@@ -66,9 +60,8 @@ let create ?(capacity = 4096) ?(shards = 1) () =
             Nxc_obs.Metrics.counter
               (Printf.sprintf "service.cache.shard%d.evictions" i) }
   in
-  { shards_arr = Array.init shards (fun i -> make_shard (metrics i));
-    cap = capacity;
-    shard_cap }
+  { shards_arr = Array.init shards (fun i -> make_shard shard_cap (metrics i));
+    cap = capacity }
 
 let capacity t = t.cap
 let shards t = Array.length t.shards_arr
@@ -84,7 +77,7 @@ let locked sh f =
 
 let size t =
   Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> Hashtbl.length sh.tbl))
+    (fun acc sh -> acc + locked sh (fun () -> Lru.length sh.lru))
     0 t.shards_arr
 
 let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards_arr
@@ -95,31 +88,23 @@ let evictions t = sum (fun sh -> sh.s_evictions) t
 let shard_stats t i =
   let sh = t.shards_arr.(i) in
   locked sh (fun () ->
-      (Hashtbl.length sh.tbl, sh.s_hits, sh.s_misses, sh.s_evictions))
+      (Lru.length sh.lru, sh.s_hits, sh.s_misses, sh.s_evictions))
 
 let peek t key =
   let sh = t.shards_arr.(shard_of t key) in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl key with
-      | Some e -> Some e.value
-      | None -> None)
-
-let touch sh e =
-  sh.tick <- sh.tick + 1;
-  e.stamp <- sh.tick
+  locked sh (fun () -> Lru.peek sh.lru key)
 
 let find t key =
   let sh = t.shards_arr.(shard_of t key) in
   locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl key with
-      | Some e ->
-          touch sh e;
+      match Lru.find sh.lru key with
+      | Some v ->
           sh.s_hits <- sh.s_hits + 1;
           Nxc_obs.Metrics.incr m_hits;
           (match sh.metrics with
           | Some m -> Nxc_obs.Metrics.incr m.sm_hits
           | None -> ());
-          Some e.value
+          Some v
       | None ->
           sh.s_misses <- sh.s_misses + 1;
           Nxc_obs.Metrics.incr m_misses;
@@ -128,37 +113,16 @@ let find t key =
           | None -> ());
           None)
 
-(* caller holds the shard lock *)
-let evict_lru sh =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key e ->
-      match !victim with
-      | Some (_, s) when s <= e.stamp -> ()
-      | _ -> victim := Some (key, e.stamp))
-    sh.tbl;
-  match !victim with
-  | Some (key, _) ->
-      Hashtbl.remove sh.tbl key;
-      sh.s_evictions <- sh.s_evictions + 1;
-      Nxc_obs.Metrics.incr m_evictions;
-      (match sh.metrics with
-      | Some m -> Nxc_obs.Metrics.incr m.sm_evictions
-      | None -> ())
-  | None -> ()
-
 let add t key value =
   let sh = t.shards_arr.(shard_of t key) in
   locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl key with
-      | Some e ->
-          e.value <- value;
-          touch sh e
-      | None ->
-          if Hashtbl.length sh.tbl >= t.shard_cap then evict_lru sh;
-          let e = { value; stamp = 0 } in
-          touch sh e;
-          Hashtbl.add sh.tbl key e)
+      if Lru.add sh.lru key value then begin
+        sh.s_evictions <- sh.s_evictions + 1;
+        Nxc_obs.Metrics.incr m_evictions;
+        match sh.metrics with
+        | Some m -> Nxc_obs.Metrics.incr m.sm_evictions
+        | None -> ()
+      end)
 
 let default_path = ".nxc-cache"
 
@@ -170,7 +134,7 @@ let save t path =
     Array.fold_left
       (fun acc sh ->
         locked sh (fun () ->
-            Hashtbl.fold (fun k e acc -> (k, e.value) :: acc) sh.tbl acc))
+            Lru.fold (fun k v acc -> (k, v) :: acc) sh.lru acc))
       [] t.shards_arr
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
@@ -185,10 +149,11 @@ let save t path =
       close_out oc;
       Ok (List.length entries)
 
-(* Replayed entries go through [add]: a key already present (replay
-   into a warm cache) refreshes its recency exactly like a [find] hit
-   would, so a warmed-from-disk cache evicts in true LRU order with
-   respect to everything that happened after the load. *)
+(* Every line is parsed before any is added, so a malformed file adds
+   nothing.  Replayed entries go through [add]: a key already present
+   (replay into a warm cache) refreshes its recency exactly like a
+   [find] hit would, so a warmed-from-disk cache evicts in true LRU
+   order with respect to everything that happened after the load. *)
 let load t path =
   if not (Sys.file_exists path) then Ok 0
   else
@@ -199,12 +164,14 @@ let load t path =
           close_in ic;
           Error (Error.invalid_input ~line reason)
         in
-        let rec go line count =
+        let rec go line rev_entries =
           match input_line ic with
           | exception End_of_file ->
               close_in ic;
-              Ok count
-          | "" -> go (line + 1) count
+              let entries = List.rev rev_entries in
+              List.iter (fun (k, v) -> add t k v) entries;
+              Ok (List.length entries)
+          | "" -> go (line + 1) rev_entries
           | s -> (
               match J.of_string s with
               | exception J.Parse_error msg ->
@@ -212,8 +179,7 @@ let load t path =
               | j -> (
                   match (J.member "k" j, J.member "v" j) with
                   | Some (J.Str k), Some v ->
-                      add t k v;
-                      go (line + 1) (count + 1)
+                      go (line + 1) ((k, v) :: rev_entries)
                   | _ -> bad line "cache entry: expected {\"k\": ..., \"v\": ...}"))
         in
-        go 1 0
+        go 1 []

@@ -7,8 +7,8 @@
     NPN-symmetric requests resolve here instead of re-running
     QM/Espresso/lattice search or a seeded simulation.
 
-    {b Sharding.}  The table is split into [shards] independent LRU
-    shards (default 1), each with its own mutex and recency clock,
+    {b Sharding.}  The table is split into [shards] independent
+    {!Lru} shards (default 1), each with its own mutex and counters,
     selected by a stable hash of the key ({!shard_of}).  The concurrent
     serve mode creates one shard per runner slot so cache traffic from
     different jobs contends on different locks; a single-shard cache
@@ -86,4 +86,5 @@ val load : t -> string -> (int, Nxc_guard.Error.t) result
     through {!add}, so re-loading over a warm cache refreshes recency
     like a hit and the warmed cache evicts in true LRU order.  A
     missing file is [Ok 0]; a malformed line is an [`Invalid_input]
-    carrying its line number. *)
+    carrying its line number, and then nothing is added: every line is
+    parsed before the first entry goes in. *)

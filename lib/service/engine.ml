@@ -584,12 +584,6 @@ module Stream = struct
   (* envelopes are deterministic functions of the request line, so a
      line-level response memo is sound: a repeat of a line the stream
      already answered is served without planning, keying or rendering *)
-  type memo_entry = {
-    mutable env : J.t;
-    mutable exit_c : int;
-    mutable stamp : int;
-  }
-
   type entry =
     | Queued of { line : string; t_enq : int }
     | Ready of { outcome : outcome; t_enq : int }
@@ -599,17 +593,13 @@ module Stream = struct
     cache : Cache.t;
     mutable window : int;
     deadline_ms : float option;
-    memo : (string, memo_entry) Hashtbl.t;
-    memo_cap : int;
-    mutable memo_tick : int;
+    memo : outcome Lru.t;
     mutable rev_pending : entry list;
     mutable queued : int;  (* Queued entries in rev_pending *)
     mutable ewma_ns : float;  (* smoothed per-job service time *)
   }
 
-  let create ?pool ?cache ?window ?deadline_ms ?(memo_capacity = 1024) () =
-    if memo_capacity <= 0 then
-      invalid_arg "Nxc_service.Engine.Stream.create: memo_capacity <= 0";
+  let create ?pool ?cache ?window ?deadline_ms () =
     let cache = match cache with Some c -> c | None -> Cache.create () in
     let slots =
       match pool with Some p -> Nxc_par.Pool.slots p | None -> 1
@@ -621,46 +611,13 @@ module Stream = struct
       cache;
       window;
       deadline_ms;
-      memo = Hashtbl.create 64;
-      memo_cap = memo_capacity;
-      memo_tick = 0;
+      memo = Lru.create 1024;
       rev_pending = [];
       queued = 0;
       ewma_ns = 0.0 }
 
   let window t = t.window
   let pending t = List.length t.rev_pending
-
-  let memo_find t line =
-    match Hashtbl.find_opt t.memo line with
-    | Some e ->
-        t.memo_tick <- t.memo_tick + 1;
-        e.stamp <- t.memo_tick;
-        Some (e.env, e.exit_c)
-    | None -> None
-
-  let memo_add t line env exit_c =
-    match Hashtbl.find_opt t.memo line with
-    | Some e ->
-        t.memo_tick <- t.memo_tick + 1;
-        e.stamp <- t.memo_tick;
-        e.env <- env;
-        e.exit_c <- exit_c
-    | None ->
-        if Hashtbl.length t.memo >= t.memo_cap then begin
-          let victim = ref None in
-          Hashtbl.iter
-            (fun k e ->
-              match !victim with
-              | Some (_, s) when s <= e.stamp -> ()
-              | _ -> victim := Some (k, e.stamp))
-            t.memo;
-          match !victim with
-          | Some (k, _) -> Hashtbl.remove t.memo k
-          | None -> ()
-        end;
-        t.memo_tick <- t.memo_tick + 1;
-        Hashtbl.add t.memo line { env; exit_c; stamp = t.memo_tick }
 
   let flush t =
     match List.rev t.rev_pending with
@@ -677,14 +634,12 @@ module Stream = struct
             (function
               | Ready { outcome; t_enq } -> (Some outcome, t_enq, None)
               | Queued { line; t_enq } -> (
-                  match memo_find t line with
-                  | Some (env, exit_c) ->
+                  match Lru.find t.memo line with
+                  | Some o ->
                       Nxc_obs.Metrics.incr m_memo_hits;
                       Nxc_obs.Metrics.incr m_jobs;
-                      if exit_c <> 0 then Nxc_obs.Metrics.incr m_errors;
-                      ( Some { envelope = env; exit_code = exit_c; cached = true },
-                        t_enq,
-                        None )
+                      if o.exit_code <> 0 then Nxc_obs.Metrics.incr m_errors;
+                      (Some { o with cached = true }, t_enq, None)
                   | None ->
                       Nxc_obs.Metrics.incr m_memo_misses;
                       (None, t_enq, Some line)))
@@ -693,7 +648,7 @@ module Stream = struct
         let miss_lines = List.filter_map (fun (_, _, l) -> l) slots in
         let miss_outs = run_lines ?pool:t.pool ~cache:t.cache miss_lines in
         List.iter2
-          (fun line out -> memo_add t line out.envelope out.exit_code)
+          (fun line out -> ignore (Lru.add t.memo line out))
           miss_lines miss_outs;
         let t_done = Nxc_obs.Clock.now_ns () in
         if miss_lines <> [] then begin

@@ -84,10 +84,11 @@ val batch_exit : outcome list -> int
     in input order.
 
     {b Response memo.}  Envelopes are deterministic functions of the
-    request line, so the stream keeps a line-level LRU memo of recent
-    responses: an exact repeat is answered without planning, keying or
-    rendering ([service.stream.memo_hits] / [memo_misses]); it still
-    counts under [service.jobs].
+    request line, so the stream keeps a line-level {!Lru} memo of the
+    1024 most recently used lines' responses: an exact repeat is
+    answered without planning, keying or rendering
+    ([service.stream.memo_hits] / [memo_misses]); it still counts under
+    [service.jobs].
 
     {b Deadline admission.}  With [?deadline_ms] set, each pushed job
     is admitted only if the queue ahead of it is expected to drain in
@@ -111,12 +112,11 @@ module Stream : sig
     ?cache:Cache.t ->
     ?window:int ->
     ?deadline_ms:float ->
-    ?memo_capacity:int ->
     unit ->
     t
   (** [window] defaults to [4 × slots] of [pool] (4 without a pool) and
-      is clamped to [>= 1]; [memo_capacity] (default 1024) bounds the
-      response memo.  Without [?deadline_ms] every job is admitted. *)
+      is clamped to [>= 1].  Without [?deadline_ms] every job is
+      admitted. *)
 
   val window : t -> int
 

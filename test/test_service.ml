@@ -143,14 +143,17 @@ let test_cache_save_load () =
   | Ok 0 -> ()
   | Ok n -> Alcotest.failf "missing file loaded %d entries" n
   | Error e -> Alcotest.failf "missing file: %s" (G.Error.to_string e));
-  (* a malformed line reports its position *)
+  (* a malformed line reports its position, and since every line is
+     parsed before any is added, the valid line before it is not loaded *)
   let oc = open_out path in
   output_string oc "{\"k\":\"a\",\"v\":1}\nnot json\n";
   close_out oc;
-  (match Svc.Cache.load (Svc.Cache.create ()) path with
+  let bad = Svc.Cache.create () in
+  (match Svc.Cache.load bad path with
   | Error (`Invalid_input { G.Error.line = Some 2; _ }) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (G.Error.to_string e)
   | Ok _ -> Alcotest.fail "malformed line accepted");
+  Alcotest.(check int) "failed load adds nothing" 0 (Svc.Cache.size bad);
   Sys.remove path
 
 let test_cache_warm_from_disk_lru () =
@@ -517,6 +520,26 @@ let test_stream_memo () =
     [ List.hd (envelope_strings first) ]
     [ List.nth (envelope_strings first) 1 ]
 
+let test_stream_memo_eviction () =
+  (* the memo holds the 1024 most recently used lines: after 1024
+     distinct lines, re-using line 0 leaves line 1 as the victim of the
+     1025th *)
+  let line i = Printf.sprintf {|{"id":"m%d","kind":"bist","rows":2,"cols":2}|} i in
+  let stream = Svc.Engine.Stream.create ~window:1 () in
+  let counter name = Nxc_obs.Metrics.(counter_value (counter name)) in
+  let hits0 = counter "service.stream.memo_hits"
+  and misses0 = counter "service.stream.memo_misses" in
+  let lines =
+    List.init 1024 line @ [ line 0; line 1024; line 0; line 1 ]
+  in
+  let outs = push_all stream lines in
+  Alcotest.(check int) "every line answered" (List.length lines)
+    (List.length outs);
+  Alcotest.(check int) "memo hits: line 0 twice" 2
+    (counter "service.stream.memo_hits" - hits0);
+  Alcotest.(check int) "memo misses: line 1 was evicted" 1026
+    (counter "service.stream.memo_misses" - misses0)
+
 let test_stream_admission () =
   (* a 0ms deadline deterministically rejects everything with the
      budget-exhaustion contract, immediately (nothing queued) *)
@@ -606,6 +629,8 @@ let () =
         [ Alcotest.test_case "determinism vs synchronous loop" `Quick
             test_stream_determinism;
           Alcotest.test_case "response memo" `Quick test_stream_memo;
+          Alcotest.test_case "memo evicts the least recently used line"
+            `Quick test_stream_memo_eviction;
           Alcotest.test_case "deadline admission" `Quick test_stream_admission;
           Alcotest.test_case "budget backpressure" `Quick
             test_stream_backpressure ] ) ]
