@@ -36,21 +36,21 @@ bench:
 
 # small-N perf-regression pass: run the kernel + service experiments
 # with the determinism headline flags and gate on them (identical:true
-# must hold, the bit-sliced lattice and BIST kernels keep their >= 4x
-# margins over the scalar paths, E6 stays under its 8s wall-clock
+# must hold, the bit-sliced lattice and BIST kernels and the packed-key
+# NPN search keep their >= 4x margins over the scalar paths, E6 stays
+# under its 8s wall-clock
 # floor, SERVICE keeps its warm hit rate, LOADGEN publishes finite
 # quantiles, E1/E11 publish their covering provenance, and E18 proves
 # the SAT backends agree with bnb and rescue chips hybrid BISM missed);
 # the gate table lives in docs/PERFORMANCE.md
 bench-smoke:
-	BENCH_OUT=bench_smoke.json dune exec bench/main.exe -- BITSLICE BISTSLICE E6 PAR SERVICE LOADGEN E17 E1 E11 E18
+	BENCH_OUT=bench_smoke.json dune exec bench/main.exe -- BITSLICE BISTSLICE NPNKEY E6 PAR SERVICE LOADGEN E17 E1 E11 E18
 	dune exec tools/bench_check.exe -- bench_smoke.json
 
 # one short traced run of each service-benchmark workload; fails unless
 # the run's last line reports "correct":true (every envelope checked,
 # stored simulation digests matched, and the traced replay's memo and
-# cache counts equal the engine's).  About a minute, mostly the
-# serve_npn replay.
+# cache counts equal the engine's).  About 15 seconds on two cores.
 svcbench-smoke:
 	@for w in serve_npn batch_synth_cold batch_reliability; do \
 	  last=$$(bash svcbench/run.sh --workload $$w --seed 3 --seconds 1 \

@@ -1267,7 +1267,10 @@ let e_loadgen () =
       in
       (outs, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t_start))
     in
-    (* cold fill (unmeasured), then one measured pass per offered load *)
+    (* cold fill (unmeasured), then five measured passes per offered
+       load, timed by their median: a warm pass at --jobs >= 2 takes
+       tens of microseconds, so a single GC or scheduling hiccup can
+       cut one pass's rate tenfold *)
     ignore (run_pass lines : Svc.Engine.outcome list * float);
     List.map
       (fun (load_name, k) ->
@@ -1276,8 +1279,9 @@ let e_loadgen () =
             (Printf.sprintf "loadgen.latency.jobs%d.%s" level load_name)
         in
         let load_lines = repeat k lines in
-        let outs, ms = run_pass ~hdr load_lines in
-        (load_name, load_lines, outs, ms, hdr))
+        let passes = List.init 5 (fun _ -> run_pass ~hdr load_lines) in
+        let ms = List.nth (List.sort Float.compare (List.map snd passes)) 2 in
+        (load_name, load_lines, List.map fst passes, ms, hdr))
       loads
   in
   let results = List.map (fun level -> (level, sweep_level level)) levels in
@@ -1291,11 +1295,14 @@ let e_loadgen () =
   let identical_across_jobs =
     List.for_all
       (fun (load_name, _) ->
-        let _, base_outs, _, _ = find_pass 1 load_name in
+        let _, base_passes, _, _ = find_pass 1 load_name in
+        let base_outs = List.hd base_passes in
         List.for_all
           (fun level ->
-            let _, outs, _, _ = find_pass level load_name in
-            List.for_all2 (fun a b -> env a = env b) base_outs outs)
+            let _, passes, _, _ = find_pass level load_name in
+            List.for_all
+              (List.for_all2 (fun a b -> env a = env b) base_outs)
+              passes)
           levels)
       loads
   in
@@ -1492,13 +1499,103 @@ let e_bistslice () =
        per_shape
 
 (* ------------------------------------------------------------------ *)
+(* NPNKEY: packed-key NPN search vs per-transform apply + compare      *)
+(* ------------------------------------------------------------------ *)
+
+let e_npnkey () =
+  section "NPNKEY" "packed-key NPN canonicalization vs scalar transform scan";
+  let time f =
+    let t0 = Obs.Clock.now_ns () in
+    let v = f () in
+    (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
+  in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x ->
+            List.map (fun p -> x :: p)
+              (permutations (List.filter (( <> ) x) xs)))
+          xs
+  in
+  (* the scalar oracle: apply every transform in Npn's enumeration order
+     (permutation, negation mask, output phase) and keep the least image
+     under Truth_table.compare, ties going to no output negation *)
+  let oracle f =
+    let n = Truth_table.n_vars f in
+    let best = ref (Npn.identity n, f) in
+    List.iter
+      (fun perm ->
+        let perm = Array.of_list perm in
+        for mask = 0 to (1 lsl n) - 1 do
+          let input_neg = Array.init n (fun i -> (mask lsr i) land 1 = 1) in
+          List.iter
+            (fun output_neg ->
+              let t = { Npn.perm; input_neg; output_neg } in
+              let g = Npn.apply t f in
+              let bt, bg = !best in
+              let c = Truth_table.compare g bg in
+              if c < 0 || (c = 0 && bt.Npn.output_neg && not output_neg) then
+                best := (t, g))
+            [ false; true ]
+        done)
+      (permutations (List.init n Fun.id));
+    !best
+  in
+  Format.printf
+    "canonical transform and table of a fixed seeded set of tables \
+     (scalar apply + compare over every transform vs Npn.canonical):@.@.";
+  Format.printf "%-4s %7s %12s %12s %9s@." "n" "tables" "oracle ms"
+    "kernel ms" "speedup";
+  let identical = ref true in
+  let per_n =
+    List.map
+      (fun (n, count) ->
+        let tables =
+          List.init count (fun i -> Truth_table.random n ~seed:(7919 * (i + 1)))
+        in
+        let expect, oracle_ms = time (fun () -> List.map oracle tables) in
+        let got, kernel_ms =
+          time (fun () -> List.map (fun f -> Npn.canonical f) tables)
+        in
+        let ok =
+          List.for_all2
+            (fun (t, g) (t', g') -> t = t' && Truth_table.equal g g')
+            expect got
+        in
+        identical := !identical && ok;
+        Format.printf "%-4d %7d %12.1f %12.2f %8.0fx@." n count oracle_ms
+          kernel_ms (oracle_ms /. kernel_ms);
+        (n, oracle_ms, kernel_ms))
+      [ (4, 200); (5, 40) ]
+  in
+  let oracle_ms = List.fold_left (fun a (_, o, _) -> a +. o) 0.0 per_n
+  and kernel_ms = List.fold_left (fun a (_, _, k) -> a +. k) 0.0 per_n in
+  let speedup = oracle_ms /. kernel_ms in
+  Format.printf "@.same transform and table from both paths: %b; %.0fx overall@."
+    !identical speedup;
+  (* both halves of the contract: identical keys, real speedup *)
+  assert !identical;
+  assert (speedup >= 4.0);
+  [ ("identical", J.Bool !identical);
+    ("oracle_ms", J.Float oracle_ms);
+    ("kernel_ms", J.Float kernel_ms);
+    ("speedup", J.Float speedup) ]
+  @ List.concat_map
+      (fun (n, o_ms, k_ms) ->
+        let tag suffix = Printf.sprintf "n%d_%s" n suffix in
+        [ (tag "oracle_ms", J.Float o_ms); (tag "kernel_ms", J.Float k_ms) ])
+      per_n
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
     ("E17", e17); ("E18", e18); ("PAR", e_par); ("SERVICE", e_service); ("LOADGEN", e_loadgen);
-    ("BITSLICE", e_bitslice); ("BISTSLICE", e_bistslice); ("TIMING", timing) ]
+    ("BITSLICE", e_bitslice); ("BISTSLICE", e_bistslice); ("NPNKEY", e_npnkey);
+    ("TIMING", timing) ]
 
 (* Run one experiment under a wall-clock timer with a fresh metrics
    registry, and capture the headline numbers plus the metric snapshot. *)

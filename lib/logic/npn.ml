@@ -1,6 +1,6 @@
-(* NPN canonicalization: exhaustive transform search for small arities,
-   output-phase-only ("semi") fallback above the limit or when the
-   budget runs out. *)
+(* NPN canonicalization: exhaustive transform search on packed keys for
+   small arities, output-phase-only ("semi") fallback above the limit or
+   when the budget runs out. *)
 
 module Tt = Truth_table
 module Budget = Nxc_guard.Budget
@@ -57,50 +57,92 @@ let semi f =
     ({ (identity (Tt.n_vars f)) with output_neg = true }, nf)
   else (identity (Tt.n_vars f), f)
 
+(* The exhaustive search runs on packed keys: a candidate's table is at
+   most 64 bits, so minterm [m] goes to bit [31 - m mod 32] of word
+   [m / 32] and numeric order on the pair of words is exactly
+   [Tt.compare] order (the lowest differing minterm decides, 0 before
+   1).  [src.(m)] is the source minterm that candidate minterm [m] reads
+   under the current permutation before input negation, so the
+   candidate for negation mask [mask] reads [fb.(src.(m) lxor mask)];
+   negating the output flips every used bit.  Only the winner is turned
+   into a transform record and applied.  [None] when [guard] runs out. *)
+let search guard f =
+  let n = Tt.n_vars f in
+  let size = 1 lsl n in
+  let fb = Array.init size (fun m -> Bool.to_int (Tt.eval_int f m)) in
+  let src = Array.init size Fun.id in
+  (* minterms [lo .. hi] of the candidate for [mask], packed; unchecked
+     reads are safe: [src] permutes [0, size) and [mask < size] *)
+  let pack lo hi mask =
+    let k = ref 0 in
+    for m = lo to hi do
+      let b = Array.unsafe_get fb (Array.unsafe_get src m lxor mask) in
+      k := !k lor (b lsl (31 - (m land 31)))
+    done;
+    !k
+  in
+  let used = min size 32 in
+  let pack0 = pack 0 (used - 1) and pack1 = pack 32 (size - 1) in
+  let full0 = ((1 lsl used) - 1) lsl (32 - used)
+  and full1 = if size > 32 then (1 lsl 32) - 1 else 0 in
+  let less (a0 : int) (a1 : int) b0 b1 = a0 < b0 || (a0 = b0 && a1 < b1) in
+  (* the starting best is the identity on [f] *)
+  let best0 = ref (pack0 0) and best1 = ref (pack1 0) in
+  let best_perm = ref (Array.init n Fun.id)
+  and best_mask = ref 0
+  and best_neg = ref false in
+  let take perm mask neg k0 k1 =
+    best0 := k0;
+    best1 := k1;
+    best_perm := perm;
+    best_mask := mask;
+    best_neg := neg
+  in
+  match
+    List.iter
+      (fun perm ->
+        for m = 0 to size - 1 do
+          let s = ref 0 in
+          for i = 0 to n - 1 do
+            s := !s lor (((m lsr perm.(i)) land 1) lsl i)
+          done;
+          src.(m) <- !s
+        done;
+        for mask = 0 to size - 1 do
+          if not (Budget.step guard) then raise Exit;
+          let k0 = pack0 mask and k1 = pack1 mask in
+          (* ties prefer no output negation, so the output phase is a
+             property of the NP-subclass, not of which transform the
+             enumeration met first *)
+          if
+            less k0 k1 !best0 !best1
+            || (!best_neg && k0 = !best0 && k1 = !best1)
+          then take perm mask false k0 k1;
+          let k0 = k0 lxor full0 and k1 = k1 lxor full1 in
+          if less k0 k1 !best0 !best1 then take perm mask true k0 k1
+        done)
+      (permutations n)
+  with
+  | () ->
+      Some
+        { perm = !best_perm;
+          input_neg = Array.init n (fun i -> (!best_mask lsr i) land 1 = 1);
+          output_neg = !best_neg }
+  | exception Exit -> None
+
 let canonical ?guard f =
   Nxc_obs.Metrics.incr m_canon;
-  let n = Tt.n_vars f in
-  if n > exhaustive_limit then begin
+  if Tt.n_vars f > exhaustive_limit then begin
     Nxc_obs.Metrics.incr m_semi;
     semi f
   end
-  else begin
-    let guard = Budget.resolve guard in
-    let best_t = ref (identity n) and best = ref f in
-    let exhausted = ref false in
-    (try
-       List.iter
-         (fun perm ->
-           for mask = 0 to (1 lsl n) - 1 do
-             if not (Budget.step guard) then begin
-               exhausted := true;
-               raise Exit
-             end;
-             let input_neg = Array.init n (fun i -> (mask lsr i) land 1 = 1) in
-             List.iter
-               (fun output_neg ->
-                 let t = { perm; input_neg; output_neg } in
-                 let cand = apply t f in
-                 let c = Tt.compare cand !best in
-                 (* ties prefer no output negation, so the output phase
-                    is a property of the NP-subclass, not of which
-                    transform the enumeration met first *)
-                 if c < 0 || (c = 0 && !best_t.output_neg && not output_neg)
-                 then begin
-                   best_t := t;
-                   best := cand
-                 end)
-               [ false; true ]
-           done)
-         (permutations n)
-     with Exit -> ());
-    if !exhausted then begin
-      Budget.degrade "npn_semi";
-      Nxc_obs.Metrics.incr m_semi;
-      semi f
-    end
-    else (!best_t, !best)
-  end
+  else
+    match search (Budget.resolve guard) f with
+    | Some t -> (t, apply t f)
+    | None ->
+        Budget.degrade "npn_semi";
+        Nxc_obs.Metrics.incr m_semi;
+        semi f
 
 let table_key f =
   let n = Tt.n_vars f in

@@ -53,8 +53,12 @@ val canonical :
   ?guard:Nxc_guard.Budget.t -> Truth_table.t -> transform * Truth_table.t
 (** [canonical f] is [(t, g)] with [apply t f = g] and [g] minimal over
     the class (see the module preamble for the semi-canonical
-    fallbacks).  One step of [guard] (default: the ambient budget) is
-    charged per candidate transform. *)
+    fallbacks).  The search runs on packed keys: each candidate table
+    is at most two native ints whose numeric order is
+    {!Truth_table.compare} order, and only the winner is built with
+    {!apply}.  One step of [guard] (default: the ambient budget) is
+    charged per (permutation, input-negation) pair, [2{^n}·n!] =
+    [num_transforms n / 2] steps for a full search. *)
 
 val table_key : Truth_table.t -> string
 (** Exact content key of a table: arity plus the table bits in hex.

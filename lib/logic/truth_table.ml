@@ -60,14 +60,12 @@ let first_diff a b =
   Bitvec.first_diff a.bits b.bits
 
 let compare a b =
-  let c = Stdlib.compare a.n b.n in
+  let c = Int.compare a.n b.n in
   if c <> 0 then c
   else
-    Stdlib.compare
-      (Format.asprintf "%a" Bitvec.pp a.bits)
-      (Format.asprintf "%a" Bitvec.pp b.bits)
-
-let hash f = Hashtbl.hash (f.n, Format.asprintf "%a" Bitvec.pp f.bits)
+    match Bitvec.first_diff a.bits b.bits with
+    | None -> 0
+    | Some m -> if Bitvec.get a.bits m then 1 else -1
 
 let count_ones f = Bitvec.popcount f.bits
 

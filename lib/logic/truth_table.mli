@@ -46,8 +46,9 @@ val first_diff : t -> t -> int option
     equal.  Word-level scan; the counterexample probe of [Checker]. *)
 
 val compare : t -> t -> int
-
-val hash : t -> int
+(** Arity first; at equal arity the table with 0 at the lowest
+    minterm where the two differ is smaller, which is the order of the
+    ['0'/'1'] strings {!pp} prints.  Word-level, no formatting. *)
 
 val count_ones : t -> int
 

@@ -261,6 +261,32 @@ let table_tests =
     U.qtest "cofactor kills dependence" QCheck.(triple (U.arb_table 4) (int_bound 3) bool)
       (fun (f, v, b) ->
         not (Truth_table.depends_on (Truth_table.cofactor f v b) v));
+    (* compare is the order of the printed tables: arity 0-9 keeps the
+       "ttN:" prefix one digit, so it orders arities numerically too *)
+    U.qtest ~count:500 "compare has the sign of the pp string compare"
+      (let gen =
+         QCheck.Gen.(
+           U.gen_table_sized 9 >>= fun f ->
+           let n = Truth_table.n_vars f in
+           oneof
+             [ return f;
+               (* f with one minterm flipped: equal up to that minterm *)
+               map
+                 (fun m ->
+                   Truth_table.of_fun_int n (fun x ->
+                       Truth_table.eval_int f x <> (x = m)))
+                 (int_bound (Truth_table.size f - 1));
+               U.gen_table_sized 9 ]
+           >|= fun g -> (f, g))
+       in
+       QCheck.make
+         ~print:(fun (f, g) ->
+           Format.asprintf "%a vs %a" Truth_table.pp f Truth_table.pp g)
+         gen)
+      (fun (f, g) ->
+        let pp = Format.asprintf "%a" Truth_table.pp in
+        Int.compare (Truth_table.compare f g) 0
+        = Int.compare (String.compare (pp f) (pp g)) 0);
   ]
 
 let () =

@@ -71,6 +71,79 @@ let test_npn_canonical_transform () =
       Alcotest.(check bool) "apply t f = g" true (Tt.equal (Npn.apply t f) g))
     [ 1; 2; 3; 4; 5 ]
 
+(* brute-force reference for the chosen transform: the smallest image
+   under [Tt.compare]; among the transforms reaching it, the first
+   (enumeration order) without output negation, else the first *)
+let reference_canonical f =
+  let images =
+    List.map (fun t -> (t, Npn.apply t f)) (all_transforms (Tt.n_vars f))
+  in
+  let least =
+    List.fold_left
+      (fun best (_, g) -> if Tt.compare g best < 0 then g else best)
+      (snd (List.hd images)) images
+  in
+  let reaching = List.filter (fun (_, g) -> Tt.equal g least) images in
+  match List.find_opt (fun (t, _) -> not t.Npn.output_neg) reaching with
+  | Some r -> r
+  | None -> List.hd reaching
+
+let same_canonical f =
+  let t, g = Npn.canonical f and rt, rg = reference_canonical f in
+  t.Npn.perm = rt.Npn.perm
+  && t.Npn.input_neg = rt.Npn.input_neg
+  && t.Npn.output_neg = rt.Npn.output_neg
+  && Tt.equal g rg
+
+let check_reference f =
+  if not (same_canonical f) then
+    Alcotest.failf "canonical differs from the reference on %a" Tt.pp f
+
+let test_npn_reference_small () =
+  for n = 0 to 3 do
+    for code = 0 to (1 lsl (1 lsl n)) - 1 do
+      check_reference (Tt.of_fun_int n (fun m -> (code lsr m) land 1 = 1))
+    done
+  done
+
+(* every totally symmetric n=5 function (a value per input weight):
+   their classes are small and ties between transforms are everywhere *)
+let test_npn_reference_symmetric () =
+  for code = 0 to 63 do
+    check_reference
+      (Tt.of_fun_int 5 (fun m ->
+           let w = ref 0 in
+           for i = 0 to 4 do
+             w := !w + ((m lsr i) land 1)
+           done;
+           (code lsr !w) land 1 = 1))
+  done
+
+(* one step per (permutation, input-negation) pair: 3!·2^3 = 48 at n=3 *)
+let test_npn_budget_charge () =
+  let f = Tt.random 3 ~seed:11 in
+  let exact_t, exact_g = Npn.canonical f in
+  let semi_g = if Tt.compare (Tt.bnot f) f < 0 then Tt.bnot f else f in
+  (* the witness must tell the two forms apart *)
+  Alcotest.(check bool) "exact form is not the semi form" false
+    (Tt.equal exact_g semi_g);
+  let b = G.Budget.create ~steps:48 () in
+  let t, g = Npn.canonical ~guard:b f in
+  Alcotest.(check int) "48 steps" 48 (G.Budget.steps_used b);
+  Alcotest.(check bool) "exact within 48 steps" true
+    (t = exact_t && Tt.equal g exact_g);
+  let counter name = Nxc_obs.Metrics.(counter_value (counter name)) in
+  let degrade0 = counter "guard.degrade.npn_semi"
+  and semi0 = counter "npn.semi" in
+  let t, g = Npn.canonical ~guard:(G.Budget.create ~steps:47 ()) f in
+  Alcotest.(check bool) "semi form at 47 steps" true
+    (t.Npn.perm = [| 0; 1; 2 |]
+    && t.Npn.input_neg = [| false; false; false |]
+    && Tt.equal g semi_g);
+  Alcotest.(check int) "guard.degrade.npn_semi +1" (degrade0 + 1)
+    (counter "guard.degrade.npn_semi");
+  Alcotest.(check int) "npn.semi +1" (semi0 + 1) (counter "npn.semi")
+
 let test_npn_semi_above_limit () =
   let n = Npn.exhaustive_limit + 1 in
   let f = Tt.random n ~seed:3 in
@@ -602,7 +675,16 @@ let () =
           Alcotest.test_case "canonical witness" `Quick
             test_npn_canonical_transform;
           Alcotest.test_case "semi-canonical above limit" `Quick
-            test_npn_semi_above_limit ] );
+            test_npn_semi_above_limit;
+          Alcotest.test_case "reference transform, every n<=3 function"
+            `Quick test_npn_reference_small;
+          Testutil.qtest ~count:100 "reference transform (n=4)"
+            (Testutil.arb_table 4) same_canonical;
+          Testutil.qtest ~count:20 "reference transform (n=5)"
+            (Testutil.arb_table 5) same_canonical;
+          Alcotest.test_case "reference transform, symmetric n=5" `Quick
+            test_npn_reference_symmetric;
+          Alcotest.test_case "budget charge" `Quick test_npn_budget_charge ] );
       ( "covers",
         [ Testutil.qtest ~count:100 "cover_to_canon semantics"
             (arb_cover_transform 3) cover_semantics_prop;

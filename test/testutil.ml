@@ -18,9 +18,11 @@ let arb_table n =
   QCheck.make ~print:(Format.asprintf "%a" Tt.pp) (gen_table n)
 
 (* a table whose arity itself varies in [0, max_n] *)
+let gen_table_sized max_n =
+  QCheck.Gen.(int_range 0 max_n >>= fun n -> gen_table n)
+
 let arb_table_sized max_n =
-  let gen = QCheck.Gen.(int_range 0 max_n >>= fun n -> gen_table n) in
-  QCheck.make ~print:(Format.asprintf "%a" Tt.pp) gen
+  QCheck.make ~print:(Format.asprintf "%a" Tt.pp) (gen_table_sized max_n)
 
 let gen_polarity = QCheck.Gen.map (fun b -> if b then Cube.Pos else Cube.Neg) QCheck.Gen.bool
 

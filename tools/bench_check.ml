@@ -5,12 +5,15 @@
    contract regresses:
 
    - every experiment publishing an ["identical"] headline flag (PAR,
-     SERVICE, LOADGEN, BITSLICE, BISTSLICE) must report [true] — seeded
-     runs must stay bit-identical whatever --jobs was;
+     SERVICE, LOADGEN, BITSLICE, BISTSLICE, NPNKEY) must report [true] —
+     seeded runs must stay bit-identical whatever --jobs was;
    - a BITSLICE or BISTSLICE experiment must report [min_speedup >= 4]
      — the word-parallel kernels must actually beat their scalar
      reference paths — and BISTSLICE must publish both fields (a silent
      drop of the differential test may not pass the gate);
+   - an NPNKEY experiment must publish [identical] and [speedup >= 4]
+     — the packed-key NPN search must return the scalar oracle's
+     transform and table, and beat it at least 4x;
    - an E6 experiment must finish within its wall-clock floor
      (8 s; the batched BIST kernels hold it around half a second) —
      the coverage/diagnosis sweep may not regress to scalar speed;
@@ -103,6 +106,20 @@ let () =
          match field "min_speedup" with
          | Some _ -> ()
          | None -> fail "BISTSLICE: no min_speedup in headline"
+       end);
+      (if id = "NPNKEY" then begin
+         (match field "identical" with
+         | Some (J.Bool true) -> ()
+         | _ -> fail "NPNKEY: no identical flag in headline");
+         match field "speedup" with
+         | None -> fail "NPNKEY: no speedup in headline"
+         | Some v ->
+             let s = num v in
+             if s >= 4.0 then
+               Printf.printf "bench_check: %-9s speedup %.1fx\n" id s
+             else
+               fail "NPNKEY: NPN key speedup regressed (speedup = %s)"
+                 (J.to_string v)
        end);
       (if id = "E6" then
          match J.member "wall_ms" exp with
