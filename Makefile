@@ -1,4 +1,5 @@
-.PHONY: build test check doc bench bench-smoke svcbench-smoke smoke chaos clean
+.PHONY: build test check doc bench bench-smoke svcbench-smoke smoke chaos \
+  unused-exports clean
 
 build:
 	dune build @all
@@ -60,6 +61,12 @@ svcbench-smoke:
 	    *) echo "svcbench-smoke: $$w FAILED: $$last"; exit 1 ;; \
 	  esac; \
 	done
+
+# report, not a gate: for every val in lib/**/*.mli, how many files use
+# the name in bin/ lib/ examples/ and in test/ bench/ tools/ svcbench/
+# (a rough word match; check each hit by hand before deleting anything)
+unused-exports:
+	dune exec tools/unused_exports.exe
 
 # quick end-to-end exercise of the observability surface
 smoke:

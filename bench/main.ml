@@ -670,7 +670,8 @@ let timing () =
   let tests =
     Test.make_grouped ~name:"kernels"
       [ Test.make ~name:"qm_exact_maj5"
-          (Staged.stage (fun () -> ignore (Qm.minimize_func maj5)));
+          (Staged.stage (fun () ->
+               ignore (Qm.minimize_table (Boolfunc.table maj5))));
         Test.make ~name:"isop_rnd6"
           (Staged.stage (fun () -> ignore (Isop.isop tt6)));
         Test.make ~name:"ar_synthesis_maj5"
@@ -1464,7 +1465,10 @@ let e_bistslice () =
         let plan = R.Bist.plan ~rows:m ~cols:n in
         let universe = R.Fault_model.universe ~rows:m ~cols:n in
         let scalar, scalar_ms =
-          time (fun () -> List.map (R.Bist.syndrome_scalar plan) universe)
+          time (fun () ->
+              List.map
+                (fun f -> Nxc_oracle.Bist_ref.syndrome_scalar plan [ f ])
+                universe)
         in
         let packed, packed_ms =
           time (fun () ->
@@ -1509,39 +1513,6 @@ let e_npnkey () =
     let v = f () in
     (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
   in
-  let rec permutations = function
-    | [] -> [ [] ]
-    | xs ->
-        List.concat_map
-          (fun x ->
-            List.map (fun p -> x :: p)
-              (permutations (List.filter (( <> ) x) xs)))
-          xs
-  in
-  (* the scalar oracle: apply every transform in Npn's enumeration order
-     (permutation, negation mask, output phase) and keep the least image
-     under Truth_table.compare, ties going to no output negation *)
-  let oracle f =
-    let n = Truth_table.n_vars f in
-    let best = ref (Npn.identity n, f) in
-    List.iter
-      (fun perm ->
-        let perm = Array.of_list perm in
-        for mask = 0 to (1 lsl n) - 1 do
-          let input_neg = Array.init n (fun i -> (mask lsr i) land 1 = 1) in
-          List.iter
-            (fun output_neg ->
-              let t = { Npn.perm; input_neg; output_neg } in
-              let g = Npn.apply t f in
-              let bt, bg = !best in
-              let c = Truth_table.compare g bg in
-              if c < 0 || (c = 0 && bt.Npn.output_neg && not output_neg) then
-                best := (t, g))
-            [ false; true ]
-        done)
-      (permutations (List.init n Fun.id));
-    !best
-  in
   Format.printf
     "canonical transform and table of a fixed seeded set of tables \
      (scalar apply + compare over every transform vs Npn.canonical):@.@.";
@@ -1554,7 +1525,10 @@ let e_npnkey () =
         let tables =
           List.init count (fun i -> Truth_table.random n ~seed:(7919 * (i + 1)))
         in
-        let expect, oracle_ms = time (fun () -> List.map oracle tables) in
+        let expect, oracle_ms =
+          time (fun () ->
+              List.map Nxc_oracle.Npn_ref.reference_canonical tables)
+        in
         let got, kernel_ms =
           time (fun () -> List.map (fun f -> Npn.canonical f) tables)
         in

@@ -24,7 +24,8 @@ val lattice_with_defects :
   Nxc_lattice.Lattice.t
 (** Apply the chip's defects to the mapped sites: a stuck-open
     crosspoint forces the site to constant 0, a stuck-closed or bridge
-    crosspoint to constant 1 (conservative). *)
+    crosspoint to constant 1 (conservative).
+    Test-only: tests build faulty lattices with it. *)
 
 val run :
   ?scheme:Nxc_reliability.Bism.scheme ->
@@ -75,4 +76,5 @@ val run_defect_aware :
   Nxc_logic.Boolfunc.t ->
   aware_result
 (** An oversized lattice or exhausted guard yields
-    [{ placed = false; _ }] cleanly. *)
+    [{ placed = false; _ }] cleanly.
+    Test-only: tests compare it with the defect-unaware flow. *)

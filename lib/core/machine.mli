@@ -56,8 +56,6 @@ val state : t -> state
 val peek : t -> int -> int
 (** Data-memory word. *)
 
-val poke : t -> int -> int -> unit
-
 val step : t -> unit
 (** One fetch-decode-execute cycle; no-op once halted. *)
 

@@ -11,6 +11,5 @@ val size_table : Synth.sizes list -> string
 
 val comparison_summary : Synth.sizes list -> string
 (** The Section III headline: on how many benchmarks the four-terminal
-    lattice beats the diode / FET arrays, and the mean area ratios. *)
-
-val pp_dims : Format.formatter -> int * int -> unit
+    lattice beats the diode / FET arrays, and the mean area ratios.
+    Test-only: tests check the Section III summary with it. *)

@@ -22,6 +22,8 @@ val make :
 
 val n_inputs : t -> int
 val state_bits : t -> int
+(** Test-only, with {!n_inputs}: tests check machine shapes with them. *)
+
 val num_outputs : t -> int
 
 val logic_area : t -> int
@@ -45,4 +47,5 @@ val sequence_detector : pattern:bool list -> t
 val equivalent_to :
   t -> reference:(state:int -> input:int -> int * int) -> bool
 (** Exhaustive equivalence of {!step} against a functional reference
-    over all states and inputs. *)
+    over all states and inputs.
+    Test-only: tests and the bench check machines with it. *)

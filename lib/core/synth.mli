@@ -74,7 +74,8 @@ type choice =
 
 val lattice_report : Nxc_lattice.Lattice.t -> Nxc_crossbar.Metrics.report
 (** First-order metrics for a lattice: programmed = non-constant-0
-    sites, worst path = one traversal per row. *)
+    sites, worst path = one traversal per row.
+    Test-only: tests check lattice metrics with it. *)
 
 val select : ?objective:objective -> t -> choice * Nxc_crossbar.Metrics.report
 (** The implementation minimizing the chosen metric (area by default)

@@ -39,7 +39,8 @@ val literal_columns : t -> (int * Nxc_logic.Cube.polarity) array
 
 val row_value : t -> int -> int -> bool
 (** [row_value xbar m r]: wired-AND value of row [r] under assignment
-    [m], computed from the placement. *)
+    [m], computed from the placement.
+    Test-only: tests check the wired-AND rows with it. *)
 
 val eval_int : t -> int -> bool
 

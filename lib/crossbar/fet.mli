@@ -40,18 +40,17 @@ val placement : t -> Model.placement
     pull-up columns come first. *)
 
 val num_pullup : t -> int
-
 val num_pulldown : t -> int
+(** Test-only, with {!num_pullup}: tests check the Fig. 3 sizes with them. *)
 
 val row_literals : t -> (int * Nxc_logic.Cube.polarity) array
-(** Gate line of each row. *)
-
-val pullup_conducts : t -> int -> bool
-val pulldown_conducts : t -> int -> bool
+(** Gate line of each row.
+    Test-only: tests check row contents with it. *)
 
 val is_complementary : t -> bool
 (** Exactly one network conducts on every assignment.  Always true for
-    a function/dual cover pair. *)
+    a function/dual cover pair.
+    Test-only: tests check the pull-up/pull-down claim with it. *)
 
 val eval_int : t -> int -> bool
 

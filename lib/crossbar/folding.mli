@@ -23,10 +23,12 @@ type t = {
 }
 
 val fold_columns : Diode.t -> t
-(** Greedy maximum pairing of conflict-free literal columns. *)
+(** Greedy maximum pairing of conflict-free literal columns.
+    Test-only: tests and the bench measure folding with it. *)
 
 val folded_dims : Diode.t -> Model.dims
-(** Dimensions after folding (output column included). *)
+(** Dimensions after folding (output column included).
+    Test-only: tests and the bench measure folding with it. *)
 
 val valid : Diode.t -> t -> bool
 (** Every fold pair is conflict-free: no product row uses both

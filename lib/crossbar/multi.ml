@@ -115,13 +115,6 @@ let eval_int x m =
     x.products;
   out
 
-let separate_crosspoints ?method_ fs =
-  List.fold_left
-    (fun acc f ->
-      let d = Diode.size_formula ?method_ f in
-      acc + Model.crosspoints d)
-    0 fs
-
 let pp ppf x =
   let d = dims x in
   Format.fprintf ppf "multi-output crossbar %dx%d (%d products, %d outputs)@."

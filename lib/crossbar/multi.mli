@@ -32,14 +32,10 @@ val crosspoints : t -> int
 val products : t -> Nxc_logic.Cube.t array
 
 val connected_outputs : t -> int -> bool array
-(** [connected_outputs x r]: which outputs row [r] drives. *)
+(** [connected_outputs x r]: which outputs row [r] drives.
+    Test-only: tests check product sharing with it. *)
 
 val eval_int : t -> int -> bool array
 (** All outputs under one assignment. *)
-
-val separate_crosspoints :
-  ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t list -> int
-(** Total crosspoints of per-output single-function diode crossbars —
-    the sharing baseline. *)
 
 val pp : Format.formatter -> t -> unit

@@ -49,6 +49,7 @@ val alive : t -> bool
 val exhausted : t -> bool
 
 val steps_used : t -> int
+(** Test-only: tests, chaos and the bench read budget use through it. *)
 
 val policy : t -> policy
 

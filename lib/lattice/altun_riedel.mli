@@ -4,8 +4,9 @@
     dual [f{^D}] with products [Q1..Qr], the synthesized lattice has
     [r] rows and [c] columns — the size formula of Fig. 5 — and site
     [(i, j)] carries any literal shared by [Pj] and [Qi].  The sharing
-    lemma (see {!Nxc_logic.Dual.check_sharing}) guarantees such a
-    literal exists.  The lattice computes [f] top-to-bottom and [f{^D}]
+    lemma (every product of an SOP of [f] shares a literal with every
+    product of an SOP of [f{^D}]; checked by the tests) guarantees such
+    a literal exists.  The lattice computes [f] top-to-bottom and [f{^D}]
     left-to-right.
 
     Constant functions degenerate to a single constant site. *)
@@ -18,7 +19,8 @@ val synthesize_from_covers :
 (** Build from explicit covers.  Raises [Invalid_argument] when some
     product pair shares no literal (i.e. the covers are not a
     function/dual pair) or when a cover is degenerate (use
-    {!synthesize} for constants). *)
+    {!synthesize} for constants).
+    Test-only: tests build lattices from chosen covers. *)
 
 val size_formula :
   ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> int * int

@@ -3,9 +3,6 @@
 val equivalent : Lattice.t -> Nxc_logic.Boolfunc.t -> bool
 (** Exhaustive check over all [2{^n}] assignments. *)
 
-val counterexample : Lattice.t -> Nxc_logic.Boolfunc.t -> int option
-(** A distinguishing minterm, if any. *)
-
 val computes_dual_lr : Lattice.t -> Nxc_logic.Boolfunc.t -> bool
 (** Whether left-to-right connectivity computes [f{^D}] — the duality
     property of Altun–Riedel lattices. *)

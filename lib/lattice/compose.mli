@@ -11,14 +11,17 @@
     - appending all-0 columns at the right (never conducting). *)
 
 val pad_to_rows : Lattice.t -> int -> Lattice.t
-(** Append all-[One] rows at the bottom up to the requested height. *)
+(** Append all-[One] rows at the bottom up to the requested height.
+    Test-only: tests build padded lattices with it. *)
 
 val pad_to_cols : Lattice.t -> int -> Lattice.t
-(** Append all-[Zero] columns at the right up to the requested width. *)
+(** Append all-[Zero] columns at the right up to the requested width.
+    Test-only: tests build padded lattices with it. *)
 
 val disjunction : Lattice.t -> Lattice.t -> Lattice.t
 (** OR of two lattices over the same variable set.
-    Size: [max r1 r2] x [c1 + c2 + 1]. *)
+    Size: [max r1 r2] x [c1 + c2 + 1].
+    Test-only: tests compose lattices with it. *)
 
 val conjunction : Lattice.t -> Lattice.t -> Lattice.t
 (** AND of two lattices over the same variable set.
@@ -35,7 +38,8 @@ val of_literal : int -> int -> Nxc_logic.Cube.polarity -> Lattice.t
 val of_const : int -> bool -> Lattice.t
 
 val of_cube : int -> Nxc_logic.Cube.t -> Lattice.t
-(** Vertical chain of the cube's literals (a single column). *)
+(** Vertical chain of the cube's literals (a single column).
+    Test-only: tests check single-cube lattices with it. *)
 
 val of_cover : int -> Nxc_logic.Cover.t -> Lattice.t
 (** Naive SOP lattice: disjunction of cube columns — the baseline the

@@ -18,7 +18,8 @@ val synthesize_with :
   pol:bool ->
   Nxc_logic.Boolfunc.t ->
   Lattice.t
-(** Decompose around the given variable/polarity and compose. *)
+(** Decompose around the given variable/polarity and compose.
+    Test-only: tests pin the split variable with it. *)
 
 val synthesize :
   ?strategy:Nxc_logic.Pcircuit.strategy -> Nxc_logic.Boolfunc.t -> Lattice.t
@@ -32,7 +33,8 @@ val synthesize_recursive :
     decomposed (up to [depth] levels, default 2) when that shrinks
     their lattices — the natural extension of Bernasconi et al.'s
     scheme.  Every branch falls back to direct Altun–Riedel synthesis
-    when decomposition does not pay. *)
+    when decomposition does not pay.
+    Test-only: tests and the bench compare it with one-level decomposition. *)
 
 val best_of : Nxc_logic.Boolfunc.t -> Lattice.t
 (** The smaller of direct Altun–Riedel synthesis and the best

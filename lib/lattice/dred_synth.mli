@@ -11,7 +11,8 @@ val synthesize : Nxc_logic.Boolfunc.t -> Lattice.t option
 (** [None] when [f] is not D-reducible (or constant 0). *)
 
 val chi_lattice : n:int -> Nxc_logic.Affine.space -> Lattice.t
-(** Conjunction of the per-constraint parity lattices. *)
+(** Conjunction of the per-constraint parity lattices.
+    Test-only: tests check affine-space lattices with it. *)
 
 val best_of : Nxc_logic.Boolfunc.t -> Lattice.t
 (** The smaller of direct Altun–Riedel synthesis and the D-reduction

@@ -1,5 +1,4 @@
 module Cube = Nxc_logic.Cube
-module Boolfunc = Nxc_logic.Boolfunc
 module Truth_table = Nxc_logic.Truth_table
 module Bitvec = Nxc_logic.Bitvec
 module Bitslice = Nxc_logic.Bitslice
@@ -243,24 +242,6 @@ let eval_all ?scratch:sc ?n_vars l =
   Truth_table.of_bitvec nv (Bitvec.of_words len (Array.sub out 0 nw))
 
 let eval_all_lr ?scratch ?n_vars l = eval_all ?scratch ?n_vars (transpose l)
-
-let to_function ?(name = "lattice") l = Boolfunc.make ~name (eval_all l)
-
-let conducting_sites l m =
-  let acc = ref [] in
-  for r = l.rows - 1 downto 0 do
-    for c = l.cols - 1 downto 0 do
-      if site_conducts l.sites.(r).(c) m then acc := (r, c) :: !acc
-    done
-  done;
-  !acc
-
-let paths_exist_through l m (r0, c0) =
-  site_conducts l.sites.(r0).(c0) m
-  && connected l m
-       ~starts:(List.init l.cols (fun c -> (0, c)))
-       ~finished:(fun (r, c) -> r = r0 && c = c0)
-  && connected l m ~starts:[ (r0, c0) ] ~finished:(fun (r, _) -> r = l.rows - 1)
 
 let site_to_string = function
   | Zero -> "0"

@@ -38,9 +38,6 @@ val sites : t -> site array array
 
 val map : (int -> int -> site -> site) -> t -> t
 
-val site_conducts : site -> int -> bool
-(** Whether a site conducts under the assignment encoded in the int. *)
-
 val eval_int : t -> int -> bool
 (** Top-to-bottom connectivity under an assignment. *)
 
@@ -48,9 +45,8 @@ val eval : t -> bool array -> bool
 
 val eval_lr : t -> int -> bool
 (** Left-to-right connectivity — for lattices built by
-    {!Altun_riedel.synthesize} this computes the dual function. *)
-
-val to_function : ?name:string -> t -> Nxc_logic.Boolfunc.t
+    {!Altun_riedel.synthesize} this computes the dual function.
+    Test-only: tests check the left-to-right dual reading with it. *)
 
 (** {1 Bit-sliced evaluation}
 
@@ -88,14 +84,8 @@ val eval_all_lr : ?scratch:scratch -> ?n_vars:int -> t -> Nxc_logic.Truth_table.
 (** Same for left-to-right connectivity (the dual function on
     Altun–Riedel lattices); equivalent to [eval_all] of {!transpose}. *)
 
-val conducting_sites : t -> int -> (int * int) list
-(** Sites that conduct under an assignment (row, col). *)
-
-val paths_exist_through : t -> int -> (int * int) -> bool
-(** Whether some top-bottom conducting path passes through the given
-    site under the assignment. *)
-
 val transpose : t -> t
+(** Test-only: tests check the dual reading with it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Grid rendering, one row per line, e.g.

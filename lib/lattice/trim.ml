@@ -78,7 +78,3 @@ let trim lattice f =
     if Lattice.area l' < Lattice.area l then fixpoint l' else l'
   in
   fixpoint lattice
-
-let trim_stats lattice f =
-  let trimmed = trim lattice f in
-  (trimmed, Lattice.area lattice - Lattice.area trimmed)

@@ -8,14 +8,10 @@
     re-checking functional equivalence after every candidate edit. *)
 
 val drop_row : Lattice.t -> int -> Lattice.t option
-(** [None] when the lattice has a single row. *)
-
-val drop_col : Lattice.t -> int -> Lattice.t option
+(** [None] when the lattice has a single row.
+    Test-only: tests check single-row trimming with it. *)
 
 val trim : Lattice.t -> Nxc_logic.Boolfunc.t -> Lattice.t
 (** Greedy fixpoint of function-preserving row/column deletions and
     site-to-constant weakenings.  The result is equivalent to [f]
     (assuming the input was) and never larger. *)
-
-val trim_stats : Lattice.t -> Nxc_logic.Boolfunc.t -> Lattice.t * int
-(** Trimmed lattice and the number of sites removed. *)

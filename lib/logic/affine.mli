@@ -23,6 +23,7 @@ val dimension : space -> int
 (** Number of free variables: [log2] of the space's cardinality. *)
 
 val full_space : int -> space
+(** Test-only: tests use it as the whole-space corner case. *)
 
 val mem : space -> int -> bool
 
@@ -30,7 +31,8 @@ val points : space -> int list
 (** All members, encoded as minterms; exponential in [dimension]. *)
 
 val affine_hull : n:int -> int list -> space
-(** Smallest affine space containing the given nonempty point set. *)
+(** Smallest affine space containing the given nonempty point set.
+    Test-only: tests use it to check D-reduction's affine spaces. *)
 
 val chi : space -> Truth_table.t
 (** Characteristic function of the space (over [n] variables). *)

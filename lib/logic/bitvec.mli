@@ -33,7 +33,8 @@ val fold_true : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over the indices of set bits, in increasing order. *)
 
 val map2 : (bool -> bool -> bool) -> t -> t -> t
-(** Pointwise combination; the vectors must have equal length. *)
+(** Pointwise combination; the vectors must have equal length.
+    Test-only: tests use it as the bitwise reference for the word ops. *)
 
 val lnot : t -> t
 
@@ -57,10 +58,12 @@ val word_bits : int
 (** Bits per word ([Bitslice.word_bits]). *)
 
 val num_words : t -> int
+(** Test-only: tests check the word layout through it. *)
 
 val get_word : t -> int -> int
 (** [get_word v w] is the [w]-th backing word.  No bounds check beyond
-    the array's own. *)
+    the array's own.
+    Test-only: tests check the word layout through it. *)
 
 val of_words : int -> int array -> t
 (** [of_words len ws] builds a [len]-bit vector from a word array of
@@ -68,7 +71,8 @@ val of_words : int -> int array -> t
     normalized).  @raise Invalid_argument on a size mismatch. *)
 
 val first_set : t -> int option
-(** Index of the lowest set bit, if any. *)
+(** Index of the lowest set bit, if any.
+    Test-only: tests check the word layout through it. *)
 
 val first_diff : t -> t -> int option
 (** Index of the lowest bit where the two vectors differ; [None] when

@@ -21,7 +21,6 @@ let distinct_literals f =
 
 let bottom n = { n; cubes = [] }
 let top n = { n; cubes = [ Cube.top n ] }
-let is_bottom f = f.cubes = []
 
 let eval_int f m = List.exists (fun c -> Cube.eval_int c m) f.cubes
 

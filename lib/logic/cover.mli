@@ -33,8 +33,6 @@ val bottom : int -> t
 val top : int -> t
 (** Cover containing the universal cube: constant 1. *)
 
-val is_bottom : t -> bool
-
 val eval : t -> bool array -> bool
 
 val eval_int : t -> int -> bool
@@ -53,7 +51,8 @@ val cube_cofactor : t -> Cube.t -> t
 (** Generalized cofactor of the cover with respect to a cube. *)
 
 val is_tautology : t -> bool
-(** Unate-reduction + Shannon recursion tautology check. *)
+(** Unate-reduction + Shannon recursion tautology check.
+    Test-only: tests check cover constants with it. *)
 
 val covers_cube : t -> Cube.t -> bool
 (** [covers_cube f c] is true when every minterm of [c] satisfies [f]. *)

@@ -65,7 +65,8 @@ val intersect : t -> t -> t option
 val shares_literal : t -> t -> bool
 (** True when some variable is constrained to the same polarity in both
     cubes.  By the Altun–Riedel duality lemma this always holds between a
-    product of [f] and a product of [f{^D}]. *)
+    product of [f] and a product of [f{^D}].
+    Test-only: the duality-lemma oracle is built on it. *)
 
 val common_literals : t -> t -> (int * polarity) list
 

@@ -10,9 +10,11 @@
 type cost = { cubes : int; literals : int }
 
 val cost_of : Cover.t -> cost
+(** Test-only: tests pin the cost order with it. *)
 
 val compare_cost : cost -> cost -> int
-(** Lexicographic: fewer cubes first, then fewer literals. *)
+(** Lexicographic: fewer cubes first, then fewer literals.
+    Test-only: tests pin the cost order with it. *)
 
 val expand : ?dc:Cover.t -> Cover.t -> Cover.t
 (** Grow each cube to a prime within [on + dc]; drops cubes that become

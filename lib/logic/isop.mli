@@ -9,8 +9,3 @@ val isop : ?lower:Truth_table.t -> Truth_table.t -> Cover.t
 (** [isop f] is an irredundant cover of [f].
     [isop ~lower u] covers any function in the interval [lower <= g <= u]
     (don't-cares are [u AND NOT lower]). *)
-
-val isop_func : Boolfunc.t -> Cover.t
-
-val cover_table : Cover.t -> Truth_table.t
-(** Semantic value of a cover (alias of {!Truth_table.of_cover}). *)

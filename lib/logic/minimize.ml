@@ -67,11 +67,9 @@ let sop_table_with guard ~method_ ?cover_backend tt =
       assert (Truth_table.equal (Truth_table.of_cover r.cover) tt);
       Ok r
 
-let sop_table_result ?(method_ = Auto) ?guard ?cover_backend tt =
-  sop_table_with (Guard.Budget.resolve guard) ~method_ ?cover_backend tt
-
-let sop_result ?method_ ?guard ?cover_backend f =
-  sop_table_result ?method_ ?guard ?cover_backend (Boolfunc.table f)
+let sop_result ?(method_ = Auto) ?guard ?cover_backend f =
+  sop_table_with (Guard.Budget.resolve guard) ~method_ ?cover_backend
+    (Boolfunc.table f)
 
 (* Total variants: never fail on budget — force the degradation path
    regardless of the guard's policy by running the core under an
@@ -92,6 +90,3 @@ let verify cover f =
   Truth_table.equal (Truth_table.of_cover cover) (Boolfunc.table f)
 
 let num_products ?method_ f = Cover.num_cubes (sop ?method_ f)
-
-let num_distinct_literals ?method_ f =
-  List.length (Cover.distinct_literals (sop ?method_ f))

@@ -27,12 +27,10 @@ type outcome = {
 
 val sop : ?method_:method_ -> ?guard:Nxc_guard.Budget.t -> Boolfunc.t -> Cover.t
 (** A (near-)minimal SOP cover of the function.  With [Auto] (default),
-    functions with at most {!exact_threshold_vars} variables go through
+    functions with at most 8 variables go through
     the exact minimizer, the rest through ISOP.  The result always
     satisfies [Cover ≡ f] (checked internally in debug builds via
     assertions), budget exhaustion included. *)
-
-val exact_threshold_vars : int
 
 val sop_table :
   ?method_:method_ -> ?guard:Nxc_guard.Budget.t -> Truth_table.t -> Cover.t
@@ -50,13 +48,6 @@ val sop_result :
     the explicit parameter is what lets batch jobs pin their backend
     independently of worker-domain state. *)
 
-val sop_table_result :
-  ?method_:method_ ->
-  ?guard:Nxc_guard.Budget.t ->
-  ?cover_backend:Qm.cover_backend ->
-  Truth_table.t ->
-  (outcome, Nxc_guard.Error.t) result
-
 val dual_sop :
   ?method_:method_ -> ?guard:Nxc_guard.Budget.t -> Boolfunc.t -> Cover.t
 (** SOP of the dual f{^D}: the second ingredient of the FET-array and
@@ -66,5 +57,3 @@ val verify : Cover.t -> Boolfunc.t -> bool
 (** Exhaustive equivalence between a cover and a function. *)
 
 val num_products : ?method_:method_ -> Boolfunc.t -> int
-
-val num_distinct_literals : ?method_:method_ -> Boolfunc.t -> int

@@ -39,15 +39,18 @@ val apply : transform -> Truth_table.t -> Truth_table.t
 (** [apply t f] is the function [g] with
     [g(x) = t.output_neg XOR f(y)] where
     [y{_i} = x{_t.perm.(i)} XOR t.input_neg.(i)].
+    Test-only: the NPN oracle and tests apply transforms with it.
     @raise Invalid_argument on an arity mismatch. *)
 
 val exhaustive_limit : int
 (** Largest arity (6) searched exhaustively; above it {!canonical}
-    returns the semi-canonical form. *)
+    returns the semi-canonical form.
+    Test-only: tests probe the semi-canonical arities with it. *)
 
 val num_transforms : int -> int
 (** [num_transforms n] is [2{^n+1}·n!], the size of the search space
-    {!canonical} covers below {!exhaustive_limit}. *)
+    {!canonical} covers below {!exhaustive_limit}.
+    Test-only: tests check the transform enumeration with it. *)
 
 val canonical :
   ?guard:Nxc_guard.Budget.t -> Truth_table.t -> transform * Truth_table.t
@@ -66,7 +69,8 @@ val table_key : Truth_table.t -> string
 
 val canonical_key : ?guard:Nxc_guard.Budget.t -> Truth_table.t -> string
 (** [table_key (snd (canonical f))]: all members of an NPN class map to
-    this one key (below {!exhaustive_limit}). *)
+    this one key (below {!exhaustive_limit}).
+    Test-only: tests check NPN class keys with it. *)
 
 val cover_to_canon : transform -> Cover.t -> Cover.t
 (** [cover_to_canon t c] relabels a cover of [f] into the input

@@ -284,8 +284,8 @@ let pla_of_string_impl text =
     | ".i" :: v :: _ ->
         inputs :=
           Some
-            (int_directive ln ".i" v ~min:1 ~max_:Cube.max_vars
-               ~limit_what:"cube-width")
+            (int_directive ln ".i" v ~min:1 ~max_:Truth_table.max_vars
+               ~limit_what:"truth-table")
     | ".o" :: v :: _ ->
         outputs :=
           Some
@@ -371,10 +371,8 @@ let legacy f =
 
 let expr_result ?n s = wrap (fun () -> expr_impl ?n s)
 let expr ?n s = legacy (fun () -> expr_impl ?n s)
-let expr_cover_result ?n s = wrap (fun () -> expr_cover_impl ?n s)
 let expr_cover ?n s = legacy (fun () -> expr_cover_impl ?n s)
 let pla_of_string_result text = wrap (fun () -> pla_of_string_impl text)
-let pla_of_string text = legacy (fun () -> pla_of_string_impl text)
 
 let cube_to_pla_input n c =
   String.init n (fun i ->

@@ -13,7 +13,9 @@
     The Berkeley [.pla] subset: [.i], [.o], [.p] (optional), [.ilb],
     [.ob], [.e]/[.end]; cube lines over [0 1 -] with output parts over
     [0 1 ~ -].  Output value [-] / [~] is treated as don't-care and [~]
-    rows are ignored (type fr semantics for the care set).
+    rows are ignored (type fr semantics for the care set).  [.i] is
+    capped at [Truth_table.max_vars], since every consumer tabulates
+    the outputs.
 
     {2 Robustness}
 
@@ -39,10 +41,8 @@ val expr_result :
 val expr_cover : ?n:int -> string -> Cover.t
 (** Parse an expression that is syntactically a sum of products (no
     parentheses or XOR) directly into a cover, preserving its products
-    verbatim. *)
-
-val expr_cover_result :
-  ?n:int -> string -> (Cover.t, Nxc_guard.Error.t) result
+    verbatim.
+    Test-only: tests write covers verbatim with it. *)
 
 type pla = {
   inputs : int;
@@ -53,13 +53,11 @@ type pla = {
   dc_sets : Cover.t array;   (** per-output don't-care cover *)
 }
 
-val pla_of_string : string -> pla
-(** Raises {!Parse_error} on malformed input. *)
-
 val pla_of_string_result : string -> (pla, Nxc_guard.Error.t) result
 
 val pla_to_string : pla -> string
 
 val pla_of_functions : Boolfunc.t list -> pla
 (** Exact (minterm-level) PLA of a function vector; all functions must
-    share an arity. *)
+    share an arity.
+    Test-only: tests round-trip PLA text with it. *)

@@ -37,11 +37,8 @@ val best : ?strategy:strategy -> Boolfunc.t -> t
     SOP product counts of the three components — the proxy the lattice
     synthesizer cares about. *)
 
-val recompose : Boolfunc.t -> t -> Truth_table.t
-(** Rebuild the right-hand side of the decomposition (used to validate:
-    it must equal [f]'s table). *)
-
 val is_valid : Boolfunc.t -> t -> bool
+(** Test-only: tests check decompositions with it. *)
 
 val cost : t -> int
 (** Summed product counts of the three components' minimized SOPs. *)

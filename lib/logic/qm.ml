@@ -267,6 +267,3 @@ let minimize ?(dc = []) ?(budget = 200_000) ?guard ?cover_backend ~n on =
 let minimize_table ?budget ?guard ?cover_backend tt =
   let n = Truth_table.n_vars tt in
   minimize ?budget ?guard ?cover_backend ~n (Truth_table.minterms tt)
-
-let minimize_func ?budget ?guard ?cover_backend f =
-  minimize_table ?budget ?guard ?cover_backend (Boolfunc.table f)

@@ -87,10 +87,3 @@ val minimize_table :
   ?cover_backend:cover_backend ->
   Truth_table.t ->
   Cover.t * stats
-
-val minimize_func :
-  ?budget:int ->
-  ?guard:Nxc_guard.Budget.t ->
-  ?cover_backend:cover_backend ->
-  Boolfunc.t ->
-  Cover.t * stats

@@ -34,7 +34,8 @@ val min_cover :
     [covered_by.(e)].  Errors: [`Unsat] when an element has no
     covering set, [`Budget_exhausted] when the budget tripped before
     {e any} certificate was found.  Deterministic for a fixed [seed]
-    (default 0), independent of any pool. *)
+    (default 0), independent of any pool.
+    Test-only: tests and svcbench call the SAT cover directly. *)
 
 val min_cube_cover :
   ?guard:Nxc_guard.Budget.t ->

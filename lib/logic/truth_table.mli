@@ -75,6 +75,7 @@ val dual : t -> t
     formulas (Figures 3 and 5 of the paper). *)
 
 val is_self_dual : t -> bool
+(** Test-only: tests check self-duality with it. *)
 
 val cofactor : t -> int -> bool -> t
 (** [cofactor f v b] fixes variable [v] to [b]; the result keeps arity
@@ -86,10 +87,12 @@ val exists : t -> int -> t
 val depends_on : t -> int -> bool
 
 val support : t -> int list
+(** Test-only: tests check supports with it. *)
 
 val restrict_to_support : t -> t * int list
 (** Drop non-support variables; returns the compacted table and the list
-    mapping new variable indices to original ones. *)
+    mapping new variable indices to original ones.
+    Test-only: tests check support compaction with it. *)
 
 val lift : t -> int -> int array -> t
 (** [lift f n map] re-expresses [f] (arity [Array.length map]) as a

@@ -59,13 +59,15 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 (** Current value recorded {e in the global registry} (buffered deltas
-    from unmerged parallel sections are not visible here). *)
+    from unmerged parallel sections are not visible here).
+    Test-only: tests, chaos and the benchmarks read counters with it. *)
 
 val set : gauge -> float -> unit
 (** [set g v] overwrites the gauge's value. *)
 
 val gauge_value : gauge -> float
-(** Current value recorded in the global registry. *)
+(** Current value recorded in the global registry.
+    Test-only: tests and svcbench read gauges with it. *)
 
 (** {2 HDR histograms} *)
 
@@ -74,10 +76,12 @@ val hdr_observe : hdr -> int -> unit
     @raise Invalid_argument when [v < 0]. *)
 
 val hdr_count : hdr -> int
-(** Number of values observed. *)
+(** Number of values observed.
+    Test-only: tests read histogram state with it. *)
 
 val hdr_sum : hdr -> int
-(** Sum of all observed values. *)
+(** Sum of all observed values.
+    Test-only: tests read histogram state with it. *)
 
 val hdr_quantile : hdr -> float -> int
 (** [hdr_quantile h q] for [q] in [[0, 1]] (clamped) is the smallest
@@ -85,19 +89,23 @@ val hdr_quantile : hdr -> float -> int
     [ceil (q * count)], clamped to the observed [[min, max]]; [0] when
     nothing was observed.  Relative error is bounded by the 6.25%
     bucket width (exact below 16 and at the observed extremes), and the
-    result is deterministic for deterministic inputs. *)
+    result is deterministic for deterministic inputs.
+    Test-only: tests and the bench read quantiles with it. *)
 
 val hdr_bucket_of : int -> int
 (** [hdr_bucket_of v] is the bucket index [hdr_observe] files [v]
     under.
+    Test-only: tests check the HDR bucket layout with it.
     @raise Invalid_argument when [v < 0]. *)
 
 val hdr_bucket_range : int -> int * int
 (** [hdr_bucket_range i] is the inclusive [(lo, hi)] range of HDR
-    bucket [i]. *)
+    bucket [i].
+    Test-only: tests check the HDR bucket layout with it. *)
 
 val hdr_num_buckets : int
-(** Total number of HDR buckets. *)
+(** Total number of HDR buckets.
+    Test-only: tests check the HDR bucket layout with it. *)
 
 (** {2 Parallel-section buffers}
 
@@ -131,15 +139,12 @@ val names : unit -> string list
 (** Sorted names of every instrument currently registered in the
     caller's sink. *)
 
-val namespaces : string list
-(** The allowed [<namespace>] prefixes of the naming scheme (see the
-    module preamble). *)
-
 val valid_name : string -> bool
 (** [valid_name n] is true iff [n] follows the documented
     ["<namespace>.<metric>"] scheme: a known namespace, at least one
     further segment, all segments lowercase [a-z0-9_] starting with a
-    letter. *)
+    letter.
+    Test-only: the namespace-lint test checks every name with it. *)
 
 (** {2 Reporting} *)
 

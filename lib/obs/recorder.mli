@@ -32,7 +32,8 @@ val entries : unit -> entry list
 (** The calling domain's retained entries, oldest first. *)
 
 val clear : unit -> unit
-(** Drop the calling domain's entries and reset its sequence counter. *)
+(** Drop the calling domain's entries and reset its sequence counter.
+    Test-only: tests reset the flight recorder with it. *)
 
 val collect : (unit -> 'a) -> 'a * entry list
 (** [collect f] runs [f] with a fresh ring and returns the entries it

@@ -40,6 +40,7 @@ val reset : unit -> unit
 
 (** Completed spans of the calling domain, earliest finish first. *)
 val completed : unit -> t list
+(** Test-only: tests and svcbench read finished spans with it. *)
 
 val collect : (unit -> 'a) -> 'a * t list
 (** [collect f] runs [f] and returns the spans it completed, earliest

@@ -54,11 +54,13 @@ val create : ?workers:int -> unit -> t
 
 val shutdown : t -> unit
 (** Ask the workers to exit and join them.  Idempotent.  A pool must
-    not be used after shutdown. *)
+    not be used after shutdown.
+    Test-only: tests and the bench own pools directly. *)
 
 val with_pool : ?workers:int -> (t -> 'a) -> 'a
 (** [with_pool f] is [f (create ())] with a guaranteed {!shutdown},
-    exception-safe. *)
+    exception-safe.
+    Test-only: tests and chaos run pools with it. *)
 
 val workers : t -> int
 (** Number of worker domains (which may be [0]). *)
@@ -122,6 +124,7 @@ val of_jobs : int -> t option
     sequential ([None]); [0] means one slot per recommended domain;
     [n >= 2] means a pool with [n - 1] workers (so [n] runner slots
     in total).  The caller owns the pool and must {!shutdown} it.
+    Test-only: tests check the --jobs mapping with it.
     @raise Invalid_argument if the value is negative. *)
 
 val with_jobs : int -> (t option -> 'a) -> 'a

@@ -376,10 +376,3 @@ let monte_carlo ?pool ?guard ?(mode = Exact) rng ~trials ~rows ~cols
       mc_degraded = sum (fun s -> if s.degraded then 1 else 0) },
     per )
 
-let pp_solution ppf s =
-  let ints l = String.concat "," (List.map string_of_int l) in
-  Format.fprintf ppf
-    "repair rows [%s] cols [%s] (must: [%s]/[%s])%s"
-    (ints s.repair_rows) (ints s.repair_cols) (ints s.must_rows)
-    (ints s.must_cols)
-    (if s.degraded then " [degraded]" else "")

@@ -44,9 +44,6 @@ type solution = {
   degraded : bool;  (** exact allocation fell back to greedy *)
 }
 
-val spares_used : solution -> int
-(** Total lines replaced, [|repair_rows| + |repair_cols|]. *)
-
 val analyze :
   ?guard:Nxc_guard.Budget.t ->
   ?node_budget:int ->
@@ -112,5 +109,3 @@ val monte_carlo :
     appear in the stats.
     @raise Invalid_argument when [trials <= 0], a dimension is
     non-positive, or a spare count is negative. *)
-
-val pp_solution : Format.formatter -> solution -> unit

@@ -92,7 +92,3 @@ let num_group_configs plan =
     (List.filter
        (fun tc -> match tc.Bist.kind with Bist.Group _ -> true | _ -> false)
        plan.Bist.configs)
-
-let distinguishable plan f1 f2 =
-  let pd = Bist.pack plan in
-  Bist.syndrome_packed pd f1 <> Bist.syndrome_packed pd f2

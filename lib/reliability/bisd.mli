@@ -20,14 +20,6 @@ type location = {
   cand_cols : int list;  (** physical columns implicated *)
 }
 
-val diagnose :
-  Bist.plan -> universe:Fault_model.fault list -> syndrome:(int * int) list ->
-  Fault_model.fault list
-(** Faults of the universe whose syndrome matches exactly — the
-    equivalence class of the observed behaviour.  Empty means the
-    syndrome matches no single modelled fault (e.g. multiple
-    simultaneous defects). *)
-
 val locate :
   Bist.plan -> universe:Fault_model.fault list -> syndrome:(int * int) list ->
   location
@@ -44,5 +36,3 @@ val decode_row_code : Bist.plan -> (int * int) list -> int option
 val num_group_configs : Bist.plan -> int
 (** The logarithmic part of the plan — reported by the benches against
     the total fault count. *)
-
-val distinguishable : Bist.plan -> Fault_model.fault -> Fault_model.fault -> bool

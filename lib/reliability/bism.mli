@@ -36,10 +36,6 @@ val mapping_defect_free : Defect.t -> mapping -> bool
 (** Application-dependent BIST oracle: every used crosspoint is
     defect-free. *)
 
-val defective_cells : Defect.t -> mapping -> (int * int) list
-(** Logical coordinates of defective used crosspoints — what BISD
-    reports to the greedy scheme. *)
-
 val run :
   ?guard:Nxc_guard.Budget.t ->
   Rng.t -> scheme -> chip:Defect.t -> k_rows:int -> k_cols:int ->

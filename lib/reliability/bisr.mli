@@ -44,7 +44,8 @@ val col : t -> int -> int
 
 val to_mapping : t -> Bism.mapping
 (** The remap table as a BISM placement of the full logical array onto
-    the physical chip — feed it to {!Bism.mapping_defect_free}. *)
+    the physical chip — feed it to {!Bism.mapping_defect_free}.
+    Test-only: tests check remaps through BISM's defect-free check. *)
 
 val defect_free : Defect.t -> t -> bool
 (** BIST oracle over the remap: every crosspoint the logical array can

@@ -126,25 +126,6 @@ let num_configs p = List.length p.configs
 let num_vectors p =
   List.fold_left (fun acc tc -> acc + List.length tc.tests) 0 p.configs
 
-(* Scalar reference path: one [Fm.eval] per (configuration, vector,
-   fault) triple, re-asserting plan soundness on every visit.  Kept
-   verbatim as the differential-testing oracle for the packed kernel
-   (the BISTSLICE bench and the qcheck suite both replay it). *)
-let syndrome_scalar p fault =
-  Obs.Metrics.incr m_syndromes;
-  let acc = ref [] in
-  List.iteri
-    (fun ci tc ->
-      List.iteri
-        (fun vi t ->
-          (* the plan itself must be sound on a fault-free array *)
-          assert (Fm.eval tc.config t.vector = t.expected);
-          if Fm.eval ~fault tc.config t.vector <> t.expected then
-            acc := (ci, vi) :: !acc)
-        tc.tests)
-    p.configs;
-  List.rev !acc
-
 (* ------------------------------------------------------------------ *)
 (* Packed plans: the word-parallel hot path.                           *)
 (*                                                                     *)
@@ -168,7 +149,6 @@ type packed_config = {
 }
 
 type packed = {
-  pk_plan : plan;
   pk_configs : packed_config array;
   pk_max_words : int;
 }
@@ -210,12 +190,9 @@ let pack p =
       pk_words = nw }
   in
   let configs = Array.of_list (List.map pack_config p.configs) in
-  { pk_plan = p;
-    pk_configs = configs;
+  { pk_configs = configs;
     pk_max_words =
       Array.fold_left (fun acc pc -> max acc pc.pk_words) 1 configs }
-
-let packed_plan pd = pd.pk_plan
 
 let syndrome_multi_packed pd faults =
   Obs.Metrics.incr m_syndromes;
@@ -255,8 +232,6 @@ let detects_multi_packed pd faults =
 let detects_packed pd fault = detects_multi_packed pd [ fault ]
 
 let syndrome p fault = syndrome_packed (pack p) fault
-
-let detects p fault = detects_packed (pack p) fault
 
 let coverage p faults =
   Obs.Span.with_ ~name:"bist.coverage"
@@ -322,8 +297,6 @@ let minimize_vectors p faults =
   (p', before - num_vectors p')
 
 let syndrome_multi p faults = syndrome_multi_packed (pack p) faults
-
-let detects_multi p faults = detects_multi_packed (pack p) faults
 
 let application_universe (cfg : Fm.config) =
   let used_rows = Array.make cfg.Fm.rows false in

@@ -61,22 +61,14 @@ val syndrome : plan -> Fault_model.fault -> (int * int) list
     [syndrome_packed (pack p)]; sweeps over many faults should {!pack}
     once and reuse the packed plan. *)
 
-val syndrome_scalar : plan -> Fault_model.fault -> (int * int) list
-(** The scalar reference implementation: one {!Fault_model.eval} per
-    (configuration, vector) pair, re-asserting fault-free soundness at
-    every visit.  Bit-identical to {!syndrome}; kept as the
-    differential-testing oracle for the word-parallel path (the
-    BISTSLICE bench and the property tests replay it). *)
-
-val detects : plan -> Fault_model.fault -> bool
-
 val coverage : plan -> Fault_model.fault list -> float * Fault_model.fault list
 (** Fraction detected and the undetected remainder. *)
 
 val passes : plan -> (Fault_model.config -> bool array -> bool) -> bool
 (** Run the plan against an oracle evaluation function (e.g. a chip with
     a hidden defect map) and report pass/fail.  Used by BISM as its
-    application-independent go/no-go test. *)
+    application-independent go/no-go test.
+    Test-only: tests run plans against a hidden-defect oracle. *)
 
 val minimize_vectors : plan -> Fault_model.fault list -> plan * int
 (** Greedy test-set compaction (the paper's "minimality of test vector
@@ -84,13 +76,13 @@ val minimize_vectors : plan -> Fault_model.fault list -> plan * int
     full plan detects, preferring high-coverage vectors.  Returns the
     compacted plan (configurations left without vectors are dropped)
     and the number of vectors removed.  Coverage of the given fault
-    list is preserved exactly. *)
+    list is preserved exactly.
+    Test-only: tests check the paper's minimal test-set claim. *)
 
 val syndrome_multi : plan -> Fault_model.fault list -> (int * int) list
 (** Failing pairs under several simultaneous faults
-    ({!Fault_model.eval_multi}). *)
-
-val detects_multi : plan -> Fault_model.fault list -> bool
+    ({!Fault_model.eval_multi}).
+    Test-only: tests check the multi-fault detection claims with it. *)
 
 (** {2 Packed plans}
 
@@ -102,7 +94,8 @@ val detects_multi : plan -> Fault_model.fault list -> bool
     [Bitslice.word_bits] vectors per word operation — and failing pairs
     are recovered by XOR-ing observed against expected words and
     walking set bits in ascending lane order.  Results are bit-identical
-    to the scalar path, including pair ordering.
+    to one {!Fault_model.eval_multi} per (configuration, vector) pair,
+    including pair ordering.
 
     A packed plan is immutable and safe to share across domains
     (syndrome collection uses per-domain scratch), which is what keeps
@@ -116,20 +109,8 @@ val pack : plan -> packed
 (** Raises [Assert_failure] if the plan is unsound on a fault-free
     array (a fault-free evaluation must match every expectation). *)
 
-val packed_plan : packed -> plan
-(** The plan [pack] was applied to. *)
-
 val syndrome_packed : packed -> Fault_model.fault -> (int * int) list
 (** Bit-identical to {!syndrome}, without the per-call packing cost. *)
-
-val detects_packed : packed -> Fault_model.fault -> bool
-
-val syndrome_multi_packed :
-  packed -> Fault_model.fault list -> (int * int) list
-(** Bit-identical to {!syndrome_multi}. *)
-
-val detects_multi_packed : packed -> Fault_model.fault list -> bool
-(** Short-circuits on the first failing word. *)
 
 (** {2 Application-dependent testing}
 
@@ -141,9 +122,11 @@ val detects_multi_packed : packed -> Fault_model.fault list -> bool
 
 val application_universe : Fault_model.config -> Fault_model.fault list
 (** Faults touching the configuration's used rows, used columns, or
-    their adjacent bridges. *)
+    their adjacent bridges.
+    Test-only: tests check the application-dependent BIST claim. *)
 
 val plan_for : Fault_model.config -> plan
 (** The full-array plan compacted against {!application_universe} —
     still 100% coverage of the application's faults (asserted in the
-    tests), usually far fewer vectors. *)
+    tests), usually far fewer vectors.
+    Test-only: tests check its 100% application coverage claim. *)

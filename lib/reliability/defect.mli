@@ -41,7 +41,8 @@ val validate_profile : profile -> (profile, Nxc_guard.Error.t) result
     [clusters] and [cluster_radius] must be non-negative.  A profile
     outside these ranges would not crash {!generate} — it would
     silently produce a nonsense map — so fallible callers (service
-    jobs, the CLI) reject it here with an [`Invalid_input] instead. *)
+    jobs, the CLI) reject it here with an [`Invalid_input] instead.
+    Test-only: tests check profile validation with it. *)
 
 val generate : Rng.t -> rows:int -> cols:int -> profile -> t
 (** @raise Invalid_argument on non-positive dimensions or a profile
@@ -50,7 +51,8 @@ val generate : Rng.t -> rows:int -> cols:int -> profile -> t
 val generate_result :
   Rng.t -> rows:int -> cols:int -> profile -> (t, Nxc_guard.Error.t) result
 (** Total variant of {!generate}: bad dimensions and bad profiles come
-    back as [`Invalid_input]. *)
+    back as [`Invalid_input].
+    Test-only: tests check its typed rejection of bad inputs. *)
 
 val rows : t -> int
 val cols : t -> int

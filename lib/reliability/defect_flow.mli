@@ -16,6 +16,7 @@
 type selection = { sel_rows : int array; sel_cols : int array }
 
 val is_defect_free : Defect.t -> selection -> bool
+(** Test-only: tests and chaos check selections with it. *)
 
 val greedy_max : Defect.t -> selection
 (** Repeatedly delete the row or column containing the most defects
@@ -51,7 +52,8 @@ val repair_then_extract :
     flow degrades to plain {!extract} over the {e full} physical array,
     counting a [guard.degrade.repair_to_extract].
     @raise Invalid_argument when the spare counts are negative, leave
-    no logical array, or [k] exceeds the logical dimensions. *)
+    no logical array, or [k] exceeds the logical dimensions.
+    Test-only: tests check repair before extraction. *)
 
 (** {2 Flow cost model (Fig. 6)}
 
@@ -91,8 +93,6 @@ val pp_cost : Format.formatter -> cost -> unit
     the cost of redoing the search for every application and chip,
     which is exactly the trade-off Fig. 6 illustrates. *)
 
-val site_compatible : Defect.kind option -> Nxc_lattice.Lattice.site -> bool
-
 val place_lattice :
   ?guard:Nxc_guard.Budget.t ->
   Rng.t -> Defect.t -> Nxc_lattice.Lattice.t -> attempts:int ->
@@ -106,6 +106,7 @@ val place_lattice :
 
 val placement_compatible :
   Defect.t -> Nxc_lattice.Lattice.t -> int array -> int array -> bool
+(** Test-only: tests check placements with it. *)
 
 (** {2 Monte-Carlo placement sweep}
 
@@ -134,4 +135,5 @@ val placement_sweep :
     fabricates [chips] random [n x n] chips and tries both flows on
     each, one chip per trial of {!Rng.map_trials} (determinism and
     budget contract there).
+    Test-only: tests and the bench run the Fig. 6 sweep.
     @raise Invalid_argument when [chips <= 0]. *)

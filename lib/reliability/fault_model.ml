@@ -189,8 +189,6 @@ let pack_vectors ~cols vectors =
     vectors;
   { b_count = count; b_cols = cols; b_inputs = inputs }
 
-let block_size blk = blk.b_count
-
 let block_words blk = Bitslice.words_for blk.b_count
 
 let eval_block ~faults cfg blk ~into =

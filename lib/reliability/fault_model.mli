@@ -28,7 +28,8 @@ val empty_config : rows:int -> cols:int -> config
 
 val single_term : rows:int -> cols:int -> int -> config
 (** [single_term ~rows ~cols r]: row [r] fully programmed and solely
-    observed — the paper's single-term test function. *)
+    observed — the paper's single-term test function.
+    Test-only: tests and the bench build BIST configs with it. *)
 
 type fault =
   | Xpoint_stuck_open of int * int
@@ -52,7 +53,8 @@ val eval_multi : faults:fault list -> config -> bool array -> bool
 (** Simultaneous faults: line stucks override bridge values, which
     override device-level effects — the same layering {!eval} uses for
     a single fault.  Used to study masking between coincident
-    defects. *)
+    defects.
+    Test-only: the scalar BIST oracle and tests evaluate with it. *)
 
 (** {2 Batched test-vector application}
 
@@ -74,11 +76,8 @@ val pack_vectors : cols:int -> bool array array -> block
     [cols]) into column words; vector [j] occupies bit lane [j].
     Raises [Invalid_argument] on a length mismatch or [cols <= 0]. *)
 
-val block_size : block -> int
-(** Number of packed vectors. *)
-
 val block_words : block -> int
-(** Words per column line ([Bitslice.words_for (block_size blk)]) —
+(** Words per column line ([Bitslice.words_for] of the vector count) —
     the number of output words {!eval_block} writes. *)
 
 val eval_block : faults:fault list -> config -> block -> into:int array -> unit
@@ -86,7 +85,7 @@ val eval_block : faults:fault list -> config -> block -> into:int array -> unit
     every packed vector into the first [block_words blk] words of
     [into]: bit lane [j] of the output is
     [eval_multi ~faults cfg vector_j].  Output words are normalized
-    (lanes at or beyond [block_size blk] are zero), so callers may
+    (lanes at or beyond the vector count are zero), so callers may
     XOR them against expectation words and popcount/scan the result
     directly.  Uses the per-domain scratch — no allocation, and safe
     under [Nxc_par].  Raises [Invalid_argument] when the block width
@@ -96,7 +95,8 @@ val of_defect : Defect.t -> int -> int -> fault option
 (** The logic-level fault a fabrication defect at [(r, c)] induces:
     stuck-open / stuck-closed crosspoints map directly, a bridge maps to
     [Bridge_cols]/[Bridge_rows] at that position (clamped to the array
-    edge). *)
+    edge).
+    Test-only: tests map defects to faults with it. *)
 
 val fault_row : fault -> int option
 val fault_col : fault -> int option

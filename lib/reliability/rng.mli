@@ -28,7 +28,8 @@ val gaussian : t -> float
 (** Standard normal variate (Box–Muller). *)
 
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
+(** In-place Fisher–Yates shuffle.
+    Test-only: svcbench shuffles its request mix with it. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n]: [k] distinct values from

@@ -16,12 +16,8 @@
 val flip_sites : Rng.t -> epsilon:float -> Nxc_lattice.Lattice.t -> Nxc_lattice.Lattice.t
 (** A one-shot faulty instance: each site inverted (literal polarity
     flipped, constants toggled) independently with probability
-    [epsilon]. *)
-
-val faulty_eval :
-  Rng.t -> epsilon:float -> Nxc_lattice.Lattice.t -> int -> bool
-(** Evaluate one assignment through a freshly sampled faulty
-    instance. *)
+    [epsilon].
+    Test-only: tests sample faulty lattices with it. *)
 
 val module_error_rate :
   Rng.t -> trials:int -> epsilon:float -> Nxc_lattice.Lattice.t ->
@@ -38,4 +34,5 @@ val nmr_error_rate :
 
 val tmr_prediction : float -> float
 (** First-order analytic TMR module error: [3p^2 - 2p^3] for a module
-    error rate [p]. *)
+    error rate [p].
+    Test-only: tests and the bench compare TMR with it. *)

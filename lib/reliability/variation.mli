@@ -19,11 +19,13 @@ val sample : Rng.t -> rows:int -> cols:int -> sigma:float -> delays
 (** Per-crosspoint log-normal delay factors, median 1.0. *)
 
 val config_delay : delays -> Fault_model.config -> float
-(** Worst observed-row sum of programmed-device delays. *)
+(** Worst observed-row sum of programmed-device delays.
+    Test-only: tests check configuration delays with it. *)
 
 val selection_delay : delays -> Defect_flow.selection -> float
 (** Delay of the fully programmed sub-crossbar given by a selection —
-    the pessimistic application-independent figure. *)
+    the pessimistic application-independent figure.
+    Test-only: tests and the bench time selections with it. *)
 
 type stats = { mean : float; std : float; p95 : float; worst : float }
 
@@ -34,6 +36,7 @@ val monte_carlo :
 val pick_fastest :
   delays -> Defect_flow.selection list -> Defect_flow.selection * float
 (** Variation-aware mapping: the candidate with the smallest
-    {!selection_delay}.  Raises [Invalid_argument] on []. *)
+    {!selection_delay}.  Raises [Invalid_argument] on [].
+    Test-only: tests and the bench select fast chips with it. *)
 
 val pp_stats : Format.formatter -> stats -> unit

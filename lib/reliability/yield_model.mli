@@ -12,6 +12,7 @@ val recovery_rate :
 (** Fraction of random chips from which a [k x k] defect-free array is
     recovered.  Trials run through {!Rng.map_trials} (determinism
     contract there).
+    Test-only: tests and the bench read recovery with it.
     @raise Invalid_argument when [trials <= 0]. *)
 
 val expected_max_k :

@@ -85,11 +85,6 @@ let hits t = sum (fun sh -> sh.s_hits) t
 let misses t = sum (fun sh -> sh.s_misses) t
 let evictions t = sum (fun sh -> sh.s_evictions) t
 
-let shard_stats t i =
-  let sh = t.shards_arr.(i) in
-  locked sh (fun () ->
-      (Lru.length sh.lru, sh.s_hits, sh.s_misses, sh.s_evictions))
-
 let peek t key =
   let sh = t.shards_arr.(shard_of t key) in
   locked sh (fun () -> Lru.peek sh.lru key)

@@ -41,11 +41,8 @@ val shards : t -> int
 val shard_of : t -> string -> int
 (** [shard_of t key] is the shard index [key] routes to: a fixed
     polynomial hash of the key modulo {!shards}, stable across calls,
-    runs and domains. *)
-
-val shard_stats : t -> int -> int * int * int * int
-(** [shard_stats t i] is [(size, hits, misses, evictions)] of shard
-    [i] — the per-shard slice of the instance totals below. *)
+    runs and domains.
+    Test-only: tests pin the key-to-shard routing through it. *)
 
 val size : t -> int
 (** Entries currently stored (over all shards). *)
@@ -66,6 +63,7 @@ val hits : t -> int
 val misses : t -> int
 
 val evictions : t -> int
+(** Test-only: tests read cache state through it. *)
 
 val default_path : string
 (** [".nxc-cache"] — the CLI's default persistence file (gitignored). *)

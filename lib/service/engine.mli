@@ -72,7 +72,11 @@ val run_lines :
 val run_line : ?cache:Cache.t -> string -> outcome
 (** Resolve a single line on the calling domain, without a pool: the
     sequential reference that {!Stream} and {!run_lines} must match
-    byte for byte. *)
+    byte for byte.  No product path calls it.  It stays here, not with
+    the test oracles, because the stream-equivalence and telemetry
+    tests compare against it and the bench's LOADGEN [--jobs 1] arm
+    times it, and moving it out would mean exporting the engine's
+    planning and sequential resolution. *)
 
 val batch_exit : outcome list -> int
 (** The batch's process exit code: [0] when every job's ["exit"] is

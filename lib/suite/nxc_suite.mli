@@ -31,12 +31,15 @@ val d_reducible : unit -> benchmark list
 (** Members constructed to be D-reducible (for experiment E5). *)
 
 val multi_output : unit -> multi list
-(** rd53, rd73, adders, multiplier — as output vectors. *)
+(** rd53, rd73, adders, multiplier — as output vectors.
+    Test-only: tests and the bench use its multi-output set. *)
 
 val by_name : string -> benchmark option
 
 val parity : int -> benchmark
 val majority : int -> benchmark
-(** [majority n] requires odd [n]. *)
+(** [majority n] requires odd [n].
+    Test-only: tests and the bench use it as a fixed benchmark. *)
 
 val random_function : n:int -> seed:int -> density:float -> benchmark
+(** Test-only: the bench draws random functions with it. *)

@@ -1,15 +1,21 @@
-module L = Nxc_logic
-module Cube = L.Cube
-module Cover = L.Cover
-module Obs = Nxc_obs
+(* Conduction-path semantics of a lattice.
 
-let m_paths = Obs.Metrics.counter "lattice.paths_enumerated"
-let h_paths = Obs.Metrics.hdr "lattice.paths_per_lattice"
+   A lattice computes the OR over its top-to-bottom paths of the AND of
+   the path's literals (Fig. 4).  This module makes that reading
+   executable: it enumerates the simple top-to-bottom paths, turns each
+   into a product cube, and rebuilds the SOP the lattice implements.
+   It is a second semantics, independent of the connectivity
+   evaluators in [Lattice], that the tests check them against. *)
 
-(* Depth-first enumeration of simple paths from each top-row site to
-   the bottom row, accumulating the product of literals along the way.
-   A path dies when its product becomes contradictory or it steps on a
-   constant-0 site. *)
+open Nxc_logic
+module Lattice = Nxc_lattice.Lattice
+
+(** Products of the simple top-to-bottom paths, single-cube-irredundant
+    (absorbed paths dropped).  Paths through a constant-0 site or
+    carrying contradictory literals are dropped; constant-1 sites
+    contribute no literal.  Stops with [Failure] after [max_paths]
+    simple paths (default 100_000) to bound the exponential worst
+    case. *)
 let path_products ?(max_paths = 100_000) lattice =
   let n = Lattice.n_vars lattice in
   let rows = Lattice.rows lattice and cols = Lattice.cols lattice in
@@ -50,14 +56,14 @@ let path_products ?(max_paths = 100_000) lattice =
   for c = 0 to cols - 1 do
     dfs 0 c (Cube.top n)
   done;
-  Obs.Metrics.add m_paths !counted;
-  Obs.Metrics.hdr_observe h_paths !counted;
   Cover.cubes
     (Cover.single_cube_containment (Cover.make n !products))
 
+(** The SOP the lattice implements, by path enumeration. *)
 let to_cover ?max_paths lattice =
   Cover.make (Lattice.n_vars lattice) (path_products ?max_paths lattice)
 
+(** Path semantics equals connectivity semantics on every assignment. *)
 let consistent ?max_paths lattice =
   let cover = to_cover ?max_paths lattice in
   let n = Lattice.n_vars lattice in

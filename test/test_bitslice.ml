@@ -82,35 +82,6 @@ let bitvec_tests =
 (* Bucketed QM prime scan vs the historical full pair scan             *)
 (* ------------------------------------------------------------------ *)
 
-(* the pre-bucketing reference: merge every i < j pair per round *)
-let primes_reference ~n ~on ~dc =
-  let care = List.sort_uniq compare (on @ dc) in
-  let current = ref (List.map (Cube.of_minterm n) care) in
-  let prime_acc = ref [] in
-  while !current <> [] do
-    let merged = Hashtbl.create 64 in
-    let next = Hashtbl.create 64 in
-    let arr = Array.of_list !current in
-    let k = Array.length arr in
-    for i = 0 to k - 1 do
-      for j = i + 1 to k - 1 do
-        match Cube.merge arr.(i) arr.(j) with
-        | Some m ->
-            Hashtbl.replace next m ();
-            Hashtbl.replace merged (Cube.hash arr.(i), arr.(i)) ();
-            Hashtbl.replace merged (Cube.hash arr.(j), arr.(j)) ()
-        | None -> ()
-      done
-    done;
-    Array.iter
-      (fun c ->
-        if not (Hashtbl.mem merged (Cube.hash c, c)) then
-          prime_acc := c :: !prime_acc)
-      arr;
-    current := Hashtbl.fold (fun c () acc -> c :: acc) next []
-  done;
-  List.sort_uniq Cube.compare !prime_acc
-
 let arb_minterm_sets n =
   QCheck.make
     ~print:(fun (on, dc) ->
@@ -128,13 +99,13 @@ let qm_tests =
         let dc = List.filter (fun m -> not (List.mem m on)) dc in
         List.equal Cube.equal
           (Qm.primes ~n:4 ~on ~dc)
-          (primes_reference ~n:4 ~on ~dc));
+          (Nxc_oracle.Logic_ref.primes_reference ~n:4 ~on ~dc));
     qtest ~count:100 "bucketed primes = full-scan primes (n=5)"
       (arb_minterm_sets 5) (fun (on, dc) ->
         let dc = List.filter (fun m -> not (List.mem m on)) dc in
         List.equal Cube.equal
           (Qm.primes ~n:5 ~on ~dc)
-          (primes_reference ~n:5 ~on ~dc)) ]
+          (Nxc_oracle.Logic_ref.primes_reference ~n:5 ~on ~dc)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bit-sliced lattice kernel vs scalar BFS                             *)

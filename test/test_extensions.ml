@@ -7,6 +7,7 @@ module Lt = Nxc_lattice
 module X = Nxc_crossbar
 module R = Nxc_reliability
 module U = Testutil
+module Paths = Nxc_oracle.Paths
 module Tt = Truth_table
 
 let check = Alcotest.(check bool)
@@ -119,7 +120,8 @@ let trim_tests =
         let f = Parse.expr "x1x2 + x1'x2'" in
         let l = Lt.Altun_riedel.synthesize f in
         let padded = Lt.Compose.pad_to_rows (Lt.Compose.pad_to_cols l 5) 6 in
-        let trimmed, removed = Lt.Trim.trim_stats padded f in
+        let trimmed = Lt.Trim.trim padded f in
+        let removed = Lt.Lattice.area padded - Lt.Lattice.area trimmed in
         check "still equivalent" true (Lt.Checker.equivalent trimmed f);
         check "all slack gone" true
           (Lt.Lattice.area trimmed <= Lt.Lattice.area l);
@@ -502,7 +504,7 @@ let paths_tests =
     Alcotest.test_case "Fig. 4 lattice yields exactly its four products"
       `Quick (fun () ->
         let _, l = Lt.Altun_riedel.paper_example () in
-        let products = Lt.Paths.path_products l in
+        let products = Paths.path_products l in
         check_int "four products" 4 (List.length products);
         let strings = List.map Cube.to_string products |> List.sort compare in
         Alcotest.(check (list string))
@@ -511,7 +513,7 @@ let paths_tests =
           strings);
     Alcotest.test_case "zero lattice has no paths" `Quick (fun () ->
         let l = Lt.Compose.of_const 2 false in
-        check_int "none" 0 (List.length (Lt.Paths.path_products l)));
+        check_int "none" 0 (List.length (Paths.path_products l)));
     Alcotest.test_case "path budget enforced" `Quick (fun () ->
         (* an all-One 5x5 grid has a huge number of simple paths *)
         let l =
@@ -519,23 +521,23 @@ let paths_tests =
             (Array.make_matrix 5 5 Lt.Lattice.One)
         in
         check "fails fast" true
-          (match Lt.Paths.path_products ~max_paths:10 l with
+          (match Paths.path_products ~max_paths:10 l with
           | exception Failure _ -> true
           | _ -> false));
     U.qtest ~count:100 "path semantics equals connectivity semantics"
       (arb_nonconst 4)
-      (fun f -> Lt.Paths.consistent (Lt.Altun_riedel.synthesize f));
+      (fun f -> Paths.consistent (Lt.Altun_riedel.synthesize f));
     U.qtest ~count:40 "holds for composed lattices too"
       QCheck.(pair (arb_nonconst 3) (arb_nonconst 3))
       (fun (f, g) ->
-        Lt.Paths.consistent
+        Paths.consistent
           (Lt.Compose.conjunction
              (Lt.Altun_riedel.synthesize f)
              (Lt.Altun_riedel.synthesize g)));
     U.qtest ~count:60 "extracted cover equals the function" (arb_nonconst 4)
       (fun f ->
         let l = Lt.Altun_riedel.synthesize f in
-        Tt.equal (Tt.of_cover (Lt.Paths.to_cover l)) (Boolfunc.table f));
+        Tt.equal (Tt.of_cover (Paths.to_cover l)) (Boolfunc.table f));
   ]
 
 (* ------------------------------------------------------------------ *)

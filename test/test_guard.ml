@@ -99,7 +99,9 @@ let test_minimize_result_fail_policy () =
   (* an exhausted Fail-policy guard must surface as a typed error *)
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~policy:G.Budget.Fail ~steps:5 () in
-  match L.Minimize.sop_table_result ~method_:L.Minimize.Exact ~guard tt with
+  match
+    L.Minimize.sop_result ~method_:L.Minimize.Exact ~guard (L.Boolfunc.make tt)
+  with
   | Error (`Budget_exhausted _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %s" (G.Error.to_string e)
   | Ok _ -> Alcotest.fail "expected budget exhaustion"
@@ -107,7 +109,9 @@ let test_minimize_result_fail_policy () =
 let test_minimize_result_degrade_policy () =
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~steps:5 () in
-  match L.Minimize.sop_table_result ~method_:L.Minimize.Exact ~guard tt with
+  match
+    L.Minimize.sop_result ~method_:L.Minimize.Exact ~guard (L.Boolfunc.make tt)
+  with
   | Ok { L.Minimize.cover; degraded } ->
       Alcotest.(check bool) "degraded" true degraded;
       Alcotest.(check bool) "equivalent" true (Tt.equal (tt_of_cover cover) tt)
@@ -162,11 +166,11 @@ let test_parse_legacy_exception () =
   (match L.Parse.expr "x1 +" with
   | exception L.Parse.Parse_error _ -> ()
   | _ -> Alcotest.fail "legacy API must raise Parse_error");
-  match L.Parse.pla_of_string ".i 2\n.o 1\nzz 1\n.e\n" with
-  | exception L.Parse.Parse_error msg ->
+  match L.Parse.pla_of_string_result ".i 2\n.o 1\nzz 1\n.e\n" with
+  | Error e ->
       Alcotest.(check bool) "message carries the line" true
-        (contains msg "line 3")
-  | _ -> Alcotest.fail "legacy PLA API must raise Parse_error"
+        (contains (G.Error.to_string e) "line 3")
+  | Ok _ -> Alcotest.fail "malformed PLA must be rejected"
 
 let test_pla_rejects () =
   let bad = [
@@ -174,6 +178,9 @@ let test_pla_rejects () =
     ("missing .o", ".i 1\n1 1\n.e\n");
     ("bad .i value", ".i lots\n.o 1\n1 1\n.e\n");
     ("zero inputs", ".i 0\n.o 1\n 1\n.e\n");
+    ("wider than a truth table",
+     Printf.sprintf ".i %d\n.o 1\n%s 1\n.e\n" (Tt.max_vars + 1)
+       (String.make (Tt.max_vars + 1) '-'));
     ("width mismatch", ".i 3\n.o 1\n10 1\n.e\n");
     ("output width", ".i 2\n.o 2\n10 1\n.e\n");
     ("bad output char", ".i 2\n.o 1\n10 x\n.e\n");

@@ -79,17 +79,6 @@ let eval_tests =
           check "transpose eval_lr = eval top-bottom" (Lattice.eval_int l m)
             (Lattice.eval_lr t m)
         done);
-    U.qtest ~count:100 "paths_exist_through implies eval"
-      QCheck.(pair (U.arb_table 3) (int_bound 7))
-      (fun (tt, m) ->
-        let f = Boolfunc.make tt in
-        let l = Altun_riedel.synthesize f in
-        let through =
-          List.exists
-            (fun (r, c) -> Lattice.paths_exist_through l m (r, c))
-            (Lattice.conducting_sites l m)
-        in
-        through = Lattice.eval_int l m);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,79 +1,13 @@
 (* Tests for the algorithmic layer of Nxc_logic:
-   Bdd, Parse, Qm, Isop, Minimize, Dual, Affine, Pcircuit. *)
+   Parse, Qm, Isop, Minimize, duality, Affine, Pcircuit. *)
 
 open Nxc_logic
 module U = Testutil
+module Logic_ref = Nxc_oracle.Logic_ref
 module Tt = Truth_table
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Bdd                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let bdd_tests =
-  [
-    Alcotest.test_case "constants" `Quick (fun () ->
-        let man = Bdd.manager () in
-        check "zero" true (Bdd.is_const (Bdd.zero man) = Some false);
-        check "one" true (Bdd.is_const (Bdd.one man) = Some true);
-        check "not zero = one" true
-          (Bdd.equal (Bdd.bnot man (Bdd.zero man)) (Bdd.one man)));
-    Alcotest.test_case "x and not x" `Quick (fun () ->
-        let man = Bdd.manager () in
-        let x = Bdd.var man 0 in
-        check "contradiction" true
-          (Bdd.equal (Bdd.band man x (Bdd.bnot man x)) (Bdd.zero man));
-        check "tautology" true
-          (Bdd.equal (Bdd.bor man x (Bdd.bnot man x)) (Bdd.one man)));
-    Alcotest.test_case "satcount of xor" `Quick (fun () ->
-        let man = Bdd.manager () in
-        let f = Bdd.bxor man (Bdd.var man 0) (Bdd.var man 1) in
-        check_int "two satisfying rows" 2 (Bdd.satcount man f ~n:2);
-        check_int "four rows over three vars" 4 (Bdd.satcount man f ~n:3));
-    Alcotest.test_case "any_sat" `Quick (fun () ->
-        let man = Bdd.manager () in
-        let f = Bdd.band man (Bdd.var man 0) (Bdd.bnot man (Bdd.var man 2)) in
-        (match Bdd.any_sat f ~n:3 with
-        | Some m -> check "satisfies" true (m land 1 <> 0 && m land 4 = 0)
-        | None -> Alcotest.fail "expected sat");
-        check "unsat" true (Bdd.any_sat (Bdd.zero man) ~n:3 = None));
-    Alcotest.test_case "support" `Quick (fun () ->
-        let man = Bdd.manager () in
-        let f = Bdd.band man (Bdd.var man 1) (Bdd.var man 3) in
-        Alcotest.(check (list int)) "vars" [ 1; 3 ] (Bdd.support f));
-    U.qtest "truth table roundtrip" (U.arb_table 5) (fun tt ->
-        let man = Bdd.manager () in
-        let b = Bdd.of_truth_table man tt in
-        Tt.equal (Bdd.to_truth_table b ~n:5) tt);
-    U.qtest ~count:60 "ops agree with tables"
-      QCheck.(pair (U.arb_table 5) (U.arb_table 5))
-      (fun (f, g) ->
-        let man = Bdd.manager () in
-        let bf = Bdd.of_truth_table man f and bg = Bdd.of_truth_table man g in
-        Tt.equal (Bdd.to_truth_table (Bdd.band man bf bg) ~n:5) (Tt.band f g)
-        && Tt.equal (Bdd.to_truth_table (Bdd.bor man bf bg) ~n:5) (Tt.bor f g)
-        && Tt.equal (Bdd.to_truth_table (Bdd.bxor man bf bg) ~n:5) (Tt.bxor f g));
-    U.qtest "hash consing canonicity" QCheck.(pair (U.arb_table 5) (U.arb_table 5))
-      (fun (f, g) ->
-        let man = Bdd.manager () in
-        let bf = Bdd.of_truth_table man f and bg = Bdd.of_truth_table man g in
-        Bdd.equal bf bg = Tt.equal f g);
-    U.qtest "satcount equals count_ones" (U.arb_table 6) (fun f ->
-        let man = Bdd.manager () in
-        Bdd.satcount man (Bdd.of_truth_table man f) ~n:6 = Tt.count_ones f);
-    U.qtest "restrict is cofactor" QCheck.(triple (U.arb_table 5) (int_bound 4) bool)
-      (fun (f, v, b) ->
-        let man = Bdd.manager () in
-        Tt.equal
-          (Bdd.to_truth_table (Bdd.restrict man (Bdd.of_truth_table man f) v b) ~n:5)
-          (Tt.cofactor f v b));
-    U.qtest ~count:60 "of_cover agrees with table of cover" (U.arb_cover 5)
-      (fun c ->
-        let man = Bdd.manager () in
-        Tt.equal (Bdd.to_truth_table (Bdd.of_cover man c) ~n:5) (Tt.of_cover c));
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Parse                                                               *)
@@ -125,7 +59,9 @@ let parse_tests =
           | _ -> false));
     Alcotest.test_case "pla parse" `Quick (fun () ->
         let p =
-          Parse.pla_of_string ".i 3\n.o 2\n.p 3\n1-0 10\n011 11\n--1 01\n.e\n"
+          Result.get_ok
+            (Parse.pla_of_string_result
+               ".i 3\n.o 2\n.p 3\n1-0 10\n011 11\n--1 01\n.e\n")
         in
         check_int "inputs" 3 p.Parse.inputs;
         check_int "outputs" 2 p.Parse.outputs;
@@ -143,7 +79,7 @@ let parse_tests =
             on_sets = [| c1; c2 |];
             dc_sets = [| Cover.bottom 4; Cover.bottom 4 |] }
         in
-        let p' = Parse.pla_of_string (Parse.pla_to_string p) in
+        let p' = Result.get_ok (Parse.pla_of_string_result (Parse.pla_to_string p)) in
         Tt.equal (Tt.of_cover p'.Parse.on_sets.(0)) (Tt.of_cover c1)
         && Tt.equal (Tt.of_cover p'.Parse.on_sets.(1)) (Tt.of_cover c2));
   ]
@@ -156,17 +92,17 @@ let sop_tests =
   [
     Alcotest.test_case "xor2 needs two products" `Quick (fun () ->
         let f = Parse.expr "x1x2' + x1'x2" in
-        let c, st = Qm.minimize_func f in
+        let c, st = Qm.minimize_table (Boolfunc.table f) in
         check_int "products" 2 (Cover.num_cubes c);
         check "exact" true st.Qm.exact;
         check "verified" true (Minimize.verify c f));
     Alcotest.test_case "maj3 needs three products" `Quick (fun () ->
         let f = Parse.expr "x1x2 + x1x3 + x2x3" in
-        let c, _ = Qm.minimize_func f in
+        let c, _ = Qm.minimize_table (Boolfunc.table f) in
         check_int "products" 3 (Cover.num_cubes c));
     Alcotest.test_case "merging collapses a full cube" `Quick (fun () ->
         let f = Boolfunc.of_fun_int 4 (fun _ -> true) in
-        let c, _ = Qm.minimize_func f in
+        let c, _ = Qm.minimize_table (Boolfunc.table f) in
         check_int "single universal cube" 1 (Cover.num_cubes c);
         check "it is top" true (Cube.is_top (List.nth (Cover.cubes c) 0)));
     Alcotest.test_case "don't cares shrink the cover" `Quick (fun () ->
@@ -275,14 +211,14 @@ let espresso_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Dual                                                                *)
+(* Duality                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let dual_tests =
   [
     Alcotest.test_case "paper example: dual of xnor is xor" `Quick (fun () ->
         let f = Parse.expr "x1x2 + x1'x2'" in
-        let d = Dual.func f in
+        let d = Boolfunc.dual f in
         let xor = Parse.expr "x1x2' + x1'x2" in
         check "dual" true (Boolfunc.equal d xor);
         (* both have exactly 2 products, as the paper notes *)
@@ -290,21 +226,23 @@ let dual_tests =
         check_int "products of fD" 2 (Cover.num_cubes (Minimize.sop d)));
     Alcotest.test_case "dual cover of AND" `Quick (fun () ->
         let c = Parse.expr_cover "x1x2" in
-        let d = Dual.cover c in
+        let d = Minimize.sop_table (Tt.dual (Tt.of_cover c)) in
         check_int "two products (x1 + x2)" 2 (Cover.num_cubes d);
         check "semantics" true
           (Tt.equal (Tt.of_cover d) (Tt.dual (Tt.of_cover c))));
     U.qtest ~count:80 "dual cover denotes the dual" (U.arb_table 5) (fun tt ->
         let c = Minimize.sop_table tt in
-        Tt.equal (Tt.of_cover (Dual.cover c)) (Tt.dual tt));
+        let d = Minimize.sop_table (Tt.dual (Tt.of_cover c)) in
+        Tt.equal (Tt.of_cover d) (Tt.dual tt));
     U.qtest ~count:200 "sharing lemma: products of f and fD always intersect"
       (U.arb_table 5)
       (fun tt ->
         let cf = Minimize.sop_table tt in
         let cd = Minimize.sop_table (Tt.dual tt) in
-        Dual.check_sharing cf cd);
+        Logic_ref.check_sharing cf cd);
     U.qtest ~count:100 "sharing lemma holds for ISOP covers too" (U.arb_table 6)
-      (fun tt -> Dual.check_sharing (Isop.isop tt) (Isop.isop (Tt.dual tt)));
+      (fun tt ->
+        Logic_ref.check_sharing (Isop.isop tt) (Isop.isop (Tt.dual tt)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -443,7 +381,7 @@ let edge_tests =
         check "flagged inexact" false st.Qm.exact);
     Alcotest.test_case "QM on the empty on-set" `Quick (fun () ->
         let c, st = Qm.minimize ~n:4 [] in
-        check "bottom" true (Cover.is_bottom c);
+        check_int "bottom" 0 (Cover.num_cubes c);
         check "exact" true st.Qm.exact);
     Alcotest.test_case "isop rejects inverted intervals" `Quick (fun () ->
         let upper = Tt.create 3 false and lower = Tt.create 3 true in
@@ -461,7 +399,7 @@ let edge_tests =
       (fun () ->
         let fs = [ Parse.expr ~n:3 "x1x2 + x3'"; Parse.expr ~n:3 "x2 ^ x3" ] in
         let p = Parse.pla_of_functions fs in
-        let p' = Parse.pla_of_string (Parse.pla_to_string p) in
+        let p' = Result.get_ok (Parse.pla_of_string_result (Parse.pla_to_string p)) in
         List.iteri
           (fun o f ->
             check "same function" true
@@ -481,19 +419,11 @@ let edge_tests =
         check "complement" true
           (Boolfunc.eval_int (Boolfunc.complement a) 0b10);
         check "named" true (Boolfunc.name (Boolfunc.with_name "g" a) = "g"));
-    Alcotest.test_case "bdd ite" `Quick (fun () ->
-        let man = Bdd.manager () in
-        let c = Bdd.var man 0 and t = Bdd.var man 1 and e = Bdd.var man 2 in
-        let f = Bdd.ite man c t e in
-        check "c=1 takes t" true (Bdd.eval f [| true; true; false |]);
-        check "c=0 takes e" true (Bdd.eval f [| false; false; true |]);
-        check "c=0, e=0" false (Bdd.eval f [| false; true; false |]));
   ]
 
 let () =
   Alcotest.run "logic-algs"
     [
-      ("bdd", bdd_tests);
       ("parse", parse_tests);
       ("sop", sop_tests);
       ("espresso", espresso_tests);

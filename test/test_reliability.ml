@@ -4,6 +4,7 @@
 
 open Nxc_reliability
 module Fm = Fault_model
+module Bist_ref = Nxc_oracle.Bist_ref
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -425,31 +426,15 @@ let packed_tests =
         let universe = Array.of_list (Fm.universe ~rows ~cols) in
         fault_sample universe seed 8
         |> List.for_all (fun f ->
-               Bist.syndrome_packed pd f = Bist.syndrome_scalar plan f
-               && Bist.detects_packed pd f = (Bist.syndrome_scalar plan f <> [])));
+               Bist.syndrome_packed pd f
+               = Bist_ref.syndrome_scalar plan [ f ]));
     qtest ~count:30 "packed multi-fault syndrome ≡ inline scalar"
       QCheck.(triple (int_range 1 6) (int_range 2 7) (int_bound 10_000))
       (fun (rows, cols, seed) ->
         let plan = Bist.plan ~rows ~cols in
         let universe = Array.of_list (Fm.universe ~rows ~cols) in
         let faults = fault_sample universe seed (1 + (seed mod 4)) in
-        let scalar =
-          (* the pre-kernel implementation, replayed inline *)
-          let acc = ref [] in
-          List.iteri
-            (fun ci tc ->
-              List.iteri
-                (fun vi t ->
-                  if
-                    Fm.eval_multi ~faults tc.Bist.config t.Bist.vector
-                    <> t.Bist.expected
-                  then acc := (ci, vi) :: !acc)
-                tc.Bist.tests)
-            plan.Bist.configs;
-          List.rev !acc
-        in
-        Bist.syndrome_multi plan faults = scalar
-        && Bist.detects_multi plan faults = (scalar <> []));
+        Bist.syndrome_multi plan faults = Bist_ref.syndrome_scalar plan faults);
     Alcotest.test_case "syndrome pair order is ascending" `Quick (fun () ->
         let plan = Bist.plan ~rows:6 ~cols:6 in
         let pd = Bist.pack plan in
@@ -473,7 +458,8 @@ let packed_tests =
               List.iter
                 (fun f ->
                   check "agree" true
-                    (Bist.syndrome_packed pd f = Bist.syndrome_scalar plan f))
+                    (Bist.syndrome_packed pd f
+                    = Bist_ref.syndrome_scalar plan [ f ]))
                 (Fm.universe ~rows:m ~cols:n))
             packs
         done);
@@ -513,9 +499,10 @@ let multi_fault_tests =
               for c2 = 0 to 4 do
                 if (r1, c1) < (r2, c2) then
                   check "detected" true
-                    (Bist.detects_multi plan
+                    (Bist.syndrome_multi plan
                        [ Fm.Xpoint_stuck_open (r1, c1);
-                         Fm.Xpoint_stuck_open (r2, c2) ])
+                         Fm.Xpoint_stuck_open (r2, c2) ]
+                    <> [])
               done
             done
           done
@@ -536,7 +523,7 @@ let multi_fault_tests =
           | Fm.Col_stuck (a, x), Fm.Col_stuck (b, y) -> a = b && x <> y
           | _ -> false
         in
-        contradictory || Bist.detects_multi plan [ f1; f2 ]);
+        contradictory || Bist.syndrome_multi plan [ f1; f2 ] <> []);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -598,15 +585,16 @@ let bisd_tests =
           universe);
     Alcotest.test_case "syndromes distinguish distinct stuck-opens" `Quick
       (fun () ->
-        let p = Bist.plan ~rows:4 ~cols:4 in
+        let pd = Bist.pack (Bist.plan ~rows:4 ~cols:4) in
+        let syndrome r c =
+          Bist.syndrome_packed pd (Fm.Xpoint_stuck_open (r, c))
+        in
         for r = 0 to 3 do
           for c = 0 to 3 do
             for r' = 0 to 3 do
               for c' = 0 to 3 do
                 if (r, c) < (r', c') then
-                  check "distinguishable" true
-                    (Bisd.distinguishable p (Fm.Xpoint_stuck_open (r, c))
-                       (Fm.Xpoint_stuck_open (r', c')))
+                  check "distinguishable" true (syndrome r c <> syndrome r' c')
               done
             done
           done

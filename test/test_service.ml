@@ -2,35 +2,11 @@
    parsing and the engine's determinism/cache-equivalence contracts. *)
 
 open Nxc_logic
+open Nxc_oracle.Npn_ref
 module Tt = Truth_table
 module Svc = Nxc_service
 module G = Nxc_guard
 module J = Nxc_obs.Json
-
-(* ---------------- NPN transform enumeration (test-local) ----------- *)
-
-let permutations n =
-  let rec go prefix remaining acc =
-    match remaining with
-    | [] -> Array.of_list (List.rev prefix) :: acc
-    | _ ->
-        List.fold_left
-          (fun acc x ->
-            go (x :: prefix) (List.filter (fun y -> y <> x) remaining) acc)
-          acc remaining
-  in
-  List.rev (go [] (List.init n (fun i -> i)) [])
-
-let all_transforms n =
-  List.concat_map
-    (fun perm ->
-      List.concat_map
-        (fun mask ->
-          let input_neg = Array.init n (fun i -> (mask lsr i) land 1 = 1) in
-          [ { Npn.perm; input_neg; output_neg = false };
-            { Npn.perm; input_neg; output_neg = true } ])
-        (List.init (1 lsl n) (fun m -> m)))
-    (permutations n)
 
 (* ---------------- NPN canonicalization ----------------------------- *)
 
@@ -45,7 +21,7 @@ let test_npn_num_transforms () =
     (fun n ->
       Alcotest.(check int)
         (Printf.sprintf "num_transforms %d" n)
-        (List.length (all_transforms n))
+        (Seq.length (transforms n))
         (Npn.num_transforms n))
     [ 1; 2; 3; 4 ]
 
@@ -53,9 +29,9 @@ let test_npn_num_transforms () =
    function lands on the same canonical key *)
 let npn_class_key_prop n f =
   let key = Npn.canonical_key f in
-  List.for_all
+  Seq.for_all
     (fun t -> String.equal key (Npn.canonical_key (Npn.apply t f)))
-    (all_transforms n)
+    (transforms n)
 
 let test_npn_class_n4 () =
   (* deterministic n = 4 witness: all 768 transforms, one key *)
@@ -70,23 +46,6 @@ let test_npn_canonical_transform () =
       let t, g = Npn.canonical f in
       Alcotest.(check bool) "apply t f = g" true (Tt.equal (Npn.apply t f) g))
     [ 1; 2; 3; 4; 5 ]
-
-(* brute-force reference for the chosen transform: the smallest image
-   under [Tt.compare]; among the transforms reaching it, the first
-   (enumeration order) without output negation, else the first *)
-let reference_canonical f =
-  let images =
-    List.map (fun t -> (t, Npn.apply t f)) (all_transforms (Tt.n_vars f))
-  in
-  let least =
-    List.fold_left
-      (fun best (_, g) -> if Tt.compare g best < 0 then g else best)
-      (snd (List.hd images)) images
-  in
-  let reaching = List.filter (fun (_, g) -> Tt.equal g least) images in
-  match List.find_opt (fun (t, _) -> not t.Npn.output_neg) reaching with
-  | Some r -> r
-  | None -> List.hd reaching
 
 let same_canonical f =
   let t, g = Npn.canonical f and rt, rg = reference_canonical f in
