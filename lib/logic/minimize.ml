@@ -1,5 +1,6 @@
 type method_ = Exact | Heuristic | Espresso_loop | Auto
 
+(* minimize.mli quotes this value in the [sop] doc *)
 let exact_threshold_vars = 8
 
 module Obs = Nxc_obs

@@ -212,13 +212,13 @@ let syndrome_multi_packed pd faults =
 
 let syndrome_packed pd fault = syndrome_multi_packed pd [ fault ]
 
-let detects_multi_packed pd faults =
+let detects_packed pd fault =
   let obs = obs_buffer pd.pk_max_words in
   let found = ref false in
   (try
      Array.iter
        (fun pc ->
-         Fm.eval_block ~faults pc.pk_cfg pc.pk_block ~into:obs;
+         Fm.eval_block ~faults:[ fault ] pc.pk_cfg pc.pk_block ~into:obs;
          for w = 0 to pc.pk_words - 1 do
            if obs.(w) <> pc.pk_expected.(w) then begin
              found := true;
@@ -228,8 +228,6 @@ let detects_multi_packed pd faults =
        pd.pk_configs
    with Exit -> ());
   !found
-
-let detects_packed pd fault = detects_multi_packed pd [ fault ]
 
 let syndrome p fault = syndrome_packed (pack p) fault
 

@@ -38,7 +38,7 @@ type profile = {
 (* A malformed profile would not crash generation — it would silently
    produce a nonsense map (negative Bernoulli probabilities never fire,
    fractions over 1 skew the kind split, ...).  Reject it up front with
-   a typed error so the service/CLI layers can answer exit 3. *)
+   a typed error; [generate] raises [Invalid_argument] on it. *)
 let validate_profile p =
   let module E = Nxc_guard.Error in
   let unit_interval name v =
@@ -124,16 +124,6 @@ let generate_unchecked rng ~rows ~cols p =
     done
   end;
   { rows; cols; map; bits = bits_of_map ~rows ~cols map }
-
-let generate_result rng ~rows ~cols p =
-  if rows <= 0 || cols <= 0 then
-    Error
-      (Nxc_guard.Error.invalid_inputf "defect map: %dx%d is not a chip" rows
-         cols)
-  else
-    match validate_profile p with
-    | Error e -> Error e
-    | Ok p -> Ok (generate_unchecked rng ~rows ~cols p)
 
 let generate rng ~rows ~cols p =
   if rows <= 0 || cols <= 0 then invalid_arg "Defect.generate";

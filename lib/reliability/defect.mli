@@ -39,20 +39,13 @@ val validate_profile : profile -> (profile, Nxc_guard.Error.t) result
 (** Typed sanity check: [density], [frac_open] and [frac_closed] must
     lie in [[0, 1]] (and sum at most 1 pairwise for the fractions),
     [clusters] and [cluster_radius] must be non-negative.  A profile
-    outside these ranges would not crash {!generate} — it would
-    silently produce a nonsense map — so fallible callers (service
-    jobs, the CLI) reject it here with an [`Invalid_input] instead.
-    Test-only: tests check profile validation with it. *)
+    outside these ranges would not crash generation — it would
+    silently produce a nonsense map — so {!generate} rejects it here.
+    Test-only: tests check the validation edges with it. *)
 
 val generate : Rng.t -> rows:int -> cols:int -> profile -> t
 (** @raise Invalid_argument on non-positive dimensions or a profile
     {!validate_profile} rejects. *)
-
-val generate_result :
-  Rng.t -> rows:int -> cols:int -> profile -> (t, Nxc_guard.Error.t) result
-(** Total variant of {!generate}: bad dimensions and bad profiles come
-    back as [`Invalid_input].
-    Test-only: tests check its typed rejection of bad inputs. *)
 
 val rows : t -> int
 val cols : t -> int

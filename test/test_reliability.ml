@@ -190,24 +190,15 @@ let defect_tests =
           (bad { (Defect.uniform 0.1) with Defect.cluster_radius = Float.nan }));
     Alcotest.test_case "generate rejects what validation rejects" `Quick
       (fun () ->
-        (match
-           Defect.generate_result (Rng.create 1) ~rows:8 ~cols:8
-             (Defect.uniform 2.0)
-         with
-        | Error (`Invalid_input _) -> ()
-        | Error _ | Ok _ -> Alcotest.fail "expected `Invalid_input");
-        (match
-           Defect.generate_result (Rng.create 1) ~rows:0 ~cols:8
-             (Defect.uniform 0.1)
-         with
-        | Error (`Invalid_input _) -> ()
-        | Error _ | Ok _ -> Alcotest.fail "expected `Invalid_input on dims");
-        check "raising variant raises" true
-          (match
-             Defect.generate (Rng.create 1) ~rows:8 ~cols:8 (Defect.uniform 2.0)
-           with
+        let raises ~rows ~cols p =
+          match Defect.generate (Rng.create 1) ~rows ~cols p with
           | exception Invalid_argument _ -> true
-          | _ -> false));
+          | _ -> false
+        in
+        check "bad profile" true (raises ~rows:8 ~cols:8 (Defect.uniform 2.0));
+        check "bad dims" true (raises ~rows:0 ~cols:8 (Defect.uniform 0.1));
+        check "good profile generates" false
+          (raises ~rows:8 ~cols:8 (Defect.uniform 0.1)));
     qtest ~count:80 "selection_defect_free ≡ probing the cross product"
       QCheck.(triple (int_range 1 20) (int_range 1 80) (int_bound 10_000))
       (fun (rows, cols, seed) ->
@@ -383,6 +374,20 @@ let fault_sample universe seed k =
   let n = Array.length universe in
   List.init k (fun i -> universe.(((seed * 31) + (i * 97)) mod n))
 
+(* A sound plan that no longer detects every fault: drop every third
+   configuration (by [seed]) and all but every other vector of the rest. *)
+let thin_plan (p : Bist.plan) seed =
+  let configs =
+    List.filteri (fun ci _ -> (ci + seed) mod 3 <> 0) p.Bist.configs
+    |> List.map (fun tc ->
+           { tc with
+             Bist.tests =
+               List.filteri (fun vi _ -> (vi + seed) mod 2 = 0) tc.Bist.tests
+           })
+    |> List.filter (fun tc -> tc.Bist.tests <> [])
+  in
+  { p with Bist.configs }
+
 let packed_tests =
   [
     qtest ~count:60 "eval_block ≡ eval_multi per vector"
@@ -435,6 +440,28 @@ let packed_tests =
         let universe = Array.of_list (Fm.universe ~rows ~cols) in
         let faults = fault_sample universe seed (1 + (seed mod 4)) in
         Bist.syndrome_multi plan faults = Bist_ref.syndrome_scalar plan faults);
+    qtest ~count:30 "coverage verdicts ≡ oracle on thinned plans"
+      QCheck.(triple (int_range 1 6) (int_range 2 7) (int_bound 10_000))
+      (fun (rows, cols, seed) ->
+        let plan = thin_plan (Bist.plan ~rows ~cols) seed in
+        let faults = Fm.universe ~rows ~cols in
+        let missed =
+          List.filter (fun f -> Bist_ref.syndrome_scalar plan [ f ] = []) faults
+        in
+        snd (Bist.coverage plan faults) = missed);
+    Alcotest.test_case "thinned plan misses some faults, catches others"
+      `Quick (fun () ->
+        (* pins that the thinned plans above exercise both verdicts *)
+        let plan = thin_plan (Bist.plan ~rows:4 ~cols:4) 1 in
+        let faults = Fm.universe ~rows:4 ~cols:4 in
+        let cov, missed = Bist.coverage plan faults in
+        check "some missed" true (missed <> []);
+        check "some caught" true (cov > 0.0);
+        check "oracle agrees" true
+          (missed
+          = List.filter
+              (fun f -> Bist_ref.syndrome_scalar plan [ f ] = [])
+              faults));
     Alcotest.test_case "syndrome pair order is ascending" `Quick (fun () ->
         let plan = Bist.plan ~rows:6 ~cols:6 in
         let pd = Bist.pack plan in

@@ -13,8 +13,7 @@
    another name is missed: check each hit by hand before deleting it.
    This is a report, not a gate; it always exits 0.
 
-   Usage: dune exec tools/unused_exports.exe [-- ROOT]   (ROOT defaults to .)
-   or `make unused-exports`. *)
+   Run from the repository root: `make unused-exports`. *)
 
 let prod_dirs = [ "bin"; "lib"; "examples" ]
 let test_dirs = [ "test"; "bench"; "tools"; "svcbench" ]
@@ -71,9 +70,8 @@ let vals_of_mli path =
          | _ -> None)
 
 let () =
-  let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   let ml_files dirs =
-    List.concat_map (fun d -> files_under (Filename.concat root d)) dirs
+    List.concat_map (fun d -> files_under d) dirs
     |> List.filter (fun p -> Filename.check_suffix p ".ml")
     |> List.map (fun p -> (p, words (read_file p)))
   in
@@ -85,7 +83,7 @@ let () =
          files)
   in
   let rows =
-    files_under (Filename.concat root "lib")
+    files_under "lib"
     |> List.filter (fun p -> Filename.check_suffix p ".mli")
     |> List.concat_map (fun mli ->
            let own = Filename.remove_extension mli ^ ".ml" in
