@@ -41,11 +41,12 @@ bench:
 # NPN search keep their >= 4x margins over the scalar paths, E6 stays
 # under its 8s wall-clock
 # floor, SERVICE keeps its warm hit rate, LOADGEN publishes finite
-# quantiles, E1/E11 publish their covering provenance, and E18 proves
-# the SAT backends agree with bnb and rescue chips hybrid BISM missed);
+# quantiles, E1/E11 publish their covering provenance, E3/E4 keep the
+# suite's lattice sizes, and E18 proves the SAT backends agree with bnb
+# and rescue chips hybrid BISM missed);
 # the gate table lives in docs/PERFORMANCE.md
 bench-smoke:
-	BENCH_OUT=bench_smoke.json dune exec bench/main.exe -- BITSLICE BISTSLICE NPNKEY E6 PAR SERVICE LOADGEN E17 E1 E11 E18
+	BENCH_OUT=bench_smoke.json dune exec bench/main.exe -- BITSLICE BISTSLICE NPNKEY E6 PAR SERVICE LOADGEN E17 E1 E3 E4 E11 E18
 	dune exec tools/bench_check.exe -- bench_smoke.json
 
 # one short traced run of each service-benchmark workload; fails unless

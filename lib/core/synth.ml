@@ -21,7 +21,7 @@ type t = {
   degraded : bool;
 }
 
-let synthesize ?method_ ?(decompose = true) ?guard func =
+let synthesize ?(decompose = true) ?guard func =
   let guard = Guard.Budget.resolve guard in
   let alive_before = Guard.Budget.alive guard in
   Obs.Metrics.incr m_functions;
@@ -34,22 +34,27 @@ let synthesize ?method_ ?(decompose = true) ?guard func =
      calls of the lattice synthesizers) charges this budget through the
      ambient mechanism; a Degrade view keeps every internal step total *)
   Guard.Budget.with_current (Guard.Budget.degrading guard) @@ fun () ->
+  let n = L.Boolfunc.n_vars func in
   let constant = L.Boolfunc.is_const func <> None in
   let f_cover =
-    Obs.Span.with_ ~name:"synth.sop" (fun () -> L.Minimize.sop ?method_ func)
+    Obs.Span.with_ ~name:"synth.sop" (fun () -> L.Minimize.sop func)
   in
   let dual_cover =
-    Obs.Span.with_ ~name:"synth.dual_sop" (fun () ->
-        L.Minimize.dual_sop ?method_ func)
+    Obs.Span.with_ ~name:"synth.dual_sop" (fun () -> L.Minimize.dual_sop func)
   in
+  (* the lattice of the covers just minimized: the one
+     [Altun_riedel.synthesize] would minimize again to build *)
   let ar_lattice =
     Obs.Span.with_ ~name:"synth.ar_lattice" (fun () ->
-        Lt.Altun_riedel.synthesize ?method_ func)
+        if constant then Lt.Altun_riedel.synthesize func
+        else Lt.Altun_riedel.synthesize_from_covers ~n ~f_cover ~dual_cover)
   in
   let dec_lattice =
     if decompose && not constant then
       Obs.Span.with_ ~name:"synth.decompose" (fun () ->
-          Lt.Decompose_synth.best_of func)
+          let dec = Lt.Decompose_synth.synthesize func in
+          if Lt.Lattice.area dec < Lt.Lattice.area ar_lattice then dec
+          else ar_lattice)
     else ar_lattice
   in
   { func;
@@ -61,7 +66,7 @@ let synthesize ?method_ ?(decompose = true) ?guard func =
       (if constant then None
        else
          Some
-           (X.Fet.of_covers ~n:(L.Boolfunc.n_vars func) ~f_cover ~dual_cover));
+           (X.Fet.of_covers ~n ~f_cover ~dual_cover));
     ar_lattice;
     dec_lattice;
     dred_lattice =
@@ -74,9 +79,9 @@ let synthesize ?method_ ?(decompose = true) ?guard func =
        if d then Obs.Metrics.incr m_degraded;
        d) }
 
-let synthesize_result ?method_ ?decompose ?guard func =
+let synthesize_result ?decompose ?guard func =
   let guard = Guard.Budget.resolve guard in
-  let impl = synthesize ?method_ ?decompose ~guard func in
+  let impl = synthesize ?decompose ~guard func in
   match Guard.Budget.policy guard with
   | Guard.Budget.Fail when impl.degraded -> Error (Guard.Budget.error guard)
   | _ -> Ok impl

@@ -14,7 +14,8 @@ type t = {
   fet : Nxc_crossbar.Fet.t option;
   ar_lattice : Nxc_lattice.Lattice.t;
   dec_lattice : Nxc_lattice.Lattice.t;
-      (** best P-circuit-decomposition lattice *)
+      (** the smaller of [ar_lattice] and the best
+          P-circuit-decomposition lattice ([ar_lattice] on ties) *)
   dred_lattice : Nxc_lattice.Lattice.t option;
       (** D-reduction lattice when [func] is D-reducible *)
   degraded : bool;
@@ -24,19 +25,18 @@ type t = {
 }
 
 val synthesize :
-  ?method_:Nxc_logic.Minimize.method_ ->
   ?decompose:bool ->
   ?guard:Nxc_guard.Budget.t ->
   Nxc_logic.Boolfunc.t ->
   t
-(** [decompose] (default true) controls whether the P-circuit search is
-    run (it is the slow part for larger functions).  The whole pipeline
-    charges [guard] (default: the ambient budget) through the ambient
-    mechanism; exhaustion degrades internally (see {!field-degraded})
-    and never raises. *)
+(** f and f{^D} are minimized once; [ar_lattice] is built from those
+    covers.  [decompose] (default true) controls whether the P-circuit
+    search is run (it is the slow part for larger functions).  The
+    whole pipeline charges [guard] (default: the ambient budget)
+    through the ambient mechanism; exhaustion degrades internally (see
+    {!field-degraded}) and never raises. *)
 
 val synthesize_result :
-  ?method_:Nxc_logic.Minimize.method_ ->
   ?decompose:bool ->
   ?guard:Nxc_guard.Budget.t ->
   Nxc_logic.Boolfunc.t ->

@@ -60,8 +60,12 @@ let trip c =
   end;
   false
 
+(* [unlimited] is shared by every domain that runs without a budget of
+   its own, so charging it writes nothing: a shared counter would be a
+   data race on one contended cache line *)
 let step { core = c; _ } =
-  if c.dead then false
+  if c == unlimited.core then true
+  else if c.dead then false
   else begin
     c.steps <- c.steps + 1;
     if c.steps > c.max_steps then trip c
@@ -71,6 +75,33 @@ let step { core = c; _ } =
       && Obs.Clock.now_ns () >= c.deadline_ns
     then trip c
     else true
+  end
+
+(* [k] steps at once: the step cap trips at the same step, and the
+   deadline is read at most once, at the first step [step] would have
+   read it on *)
+let charge { core = c; _ } k =
+  if k <= 0 || c == unlimited.core then true
+  else if c.dead then false
+  else begin
+    let last = c.steps + k in
+    let cap = if c.max_steps = max_int then max_int else c.max_steps + 1 in
+    let check = ((c.steps + check_mask) land lnot check_mask) + 1 in
+    if
+      c.deadline_ns <> max_int && check <= last && check < cap
+      && Obs.Clock.now_ns () >= c.deadline_ns
+    then begin
+      c.steps <- check;
+      trip c
+    end
+    else if cap <= last then begin
+      c.steps <- cap;
+      trip c
+    end
+    else begin
+      c.steps <- last;
+      true
+    end
   end
 
 let alive t = not t.core.dead

@@ -28,7 +28,9 @@ type policy = Fail | Degrade
 type t
 
 val unlimited : t
-(** Shared budget that never exhausts (policy [Degrade]). *)
+(** Shared budget that never exhausts (policy [Degrade]).  It counts no
+    steps: {!steps_used}[ unlimited] stays [0], so the domains that share
+    it never write to it. *)
 
 val create :
   ?label:string ->
@@ -42,7 +44,14 @@ val create :
     deadline relative to now ([<= 0.] trips at the first step). *)
 
 val step : t -> bool
-(** Consume one step.  [false] once the budget is exhausted (sticky). *)
+(** Consume one step.  [false] once the budget is exhausted (sticky).
+    Steps on {!unlimited} are not counted. *)
+
+val charge : t -> int -> bool
+(** [charge t k] is [k] calls of {!step} at once: [true] when every one
+    of them would have returned [true] (so [charge t 0] is [true]),
+    with the same {!steps_used} and the same exhaustion step.  The
+    deadline is read at most once per call. *)
 
 val alive : t -> bool
 

@@ -15,6 +15,7 @@ let synthesize_from_covers ~n ~f_cover ~dual_cover =
     invalid_arg "Altun_riedel.synthesize_from_covers: degenerate cover";
   if Array.exists Cube.is_top ps || Array.exists Cube.is_top qs then
     invalid_arg "Altun_riedel.synthesize_from_covers: constant function";
+  Obs.Metrics.incr m_syntheses;
   let sites =
     Array.map
       (fun q ->
@@ -31,23 +32,24 @@ let synthesize_from_covers ~n ~f_cover ~dual_cover =
   in
   Lattice.make ~n_vars:n sites
 
-let synthesize ?method_ f =
-  Obs.Metrics.incr m_syntheses;
+let synthesize f =
   Obs.Span.with_ ~name:"lattice.altun_riedel" @@ fun () ->
   let n = L.Boolfunc.n_vars f in
   match L.Boolfunc.is_const f with
-  | Some b -> constant_lattice (max n 1) b
+  | Some b ->
+      Obs.Metrics.incr m_syntheses;
+      constant_lattice (max n 1) b
   | None ->
-      let f_cover = L.Minimize.sop ?method_ f in
-      let dual_cover = L.Minimize.dual_sop ?method_ f in
+      let f_cover = L.Minimize.sop f in
+      let dual_cover = L.Minimize.dual_sop f in
       synthesize_from_covers ~n ~f_cover ~dual_cover
 
-let size_formula ?method_ f =
+let size_formula f =
   match L.Boolfunc.is_const f with
   | Some _ -> (1, 1)
   | None ->
-      let c = Cover.num_cubes (L.Minimize.sop ?method_ f) in
-      let r = Cover.num_cubes (L.Minimize.dual_sop ?method_ f) in
+      let c = Cover.num_cubes (L.Minimize.sop f) in
+      let r = Cover.num_cubes (L.Minimize.dual_sop f) in
       (r, c)
 
 let paper_example () =

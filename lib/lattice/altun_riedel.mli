@@ -11,7 +11,7 @@
 
     Constant functions degenerate to a single constant site. *)
 
-val synthesize : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> Lattice.t
+val synthesize : Nxc_logic.Boolfunc.t -> Lattice.t
 (** Minimize [f] and [f{^D}] and build the lattice. *)
 
 val synthesize_from_covers :
@@ -19,11 +19,10 @@ val synthesize_from_covers :
 (** Build from explicit covers.  Raises [Invalid_argument] when some
     product pair shares no literal (i.e. the covers are not a
     function/dual pair) or when a cover is degenerate (use
-    {!synthesize} for constants).
-    Test-only: tests build lattices from chosen covers. *)
+    {!synthesize} for constants).  [Nxc_core.Synth] builds its lattice
+    from the covers it already minimized. *)
 
-val size_formula :
-  ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> int * int
+val size_formula : Nxc_logic.Boolfunc.t -> int * int
 (** [(rows, cols)] = (products of f{^D}, products of f): Fig. 5 without
     building the lattice. *)
 

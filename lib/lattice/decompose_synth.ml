@@ -1,68 +1,38 @@
 module L = Nxc_logic
 module Tt = L.Truth_table
 
-(* Lattice of one decomposition branch [lit AND component]; [None] when
-   the component is constant 0 (the branch vanishes). *)
-let branch lit component =
-  match Tt.is_const component with
-  | Some false -> None
-  | Some true -> Some lit
-  | None ->
-      let comp_lattice =
-        Altun_riedel.synthesize (L.Boolfunc.make component)
-      in
-      Some (Compose.conjunction lit comp_lattice)
-
-let synthesize_with ?strategy ~var ~pol f =
+(* The lattices of the two candidates around [var], pol = false first.
+   The polarity only swaps f_eq and f_neq, so both candidates share one
+   decomposition and one [synth] per component.  Each is the OR of
+   [lit_eq AND L(f_eq)], [lit_neq AND L(f_neq)] and [L(f_int)], in that
+   order; a constant-0 component drops its branch. *)
+let polarity_pair ?strategy ~synth ~var f =
   let n = L.Boolfunc.n_vars f in
-  match L.Boolfunc.is_const f with
-  | Some b -> Compose.of_const n b
-  | None ->
-      let d = L.Pcircuit.decompose ?strategy ~var ~pol f in
-      let lit_eq =
-        Compose.of_literal n var (if pol then L.Cube.Pos else L.Cube.Neg)
-      in
-      let lit_neq =
-        Compose.of_literal n var (if pol then L.Cube.Neg else L.Cube.Pos)
-      in
-      let branches =
-        List.filter_map Fun.id
-          [ branch lit_eq d.L.Pcircuit.f_eq;
-            branch lit_neq d.L.Pcircuit.f_neq;
-            (match Tt.is_const d.L.Pcircuit.f_int with
-            | Some false -> None
-            | Some true -> Some (Compose.of_const n true)
-            | None ->
-                Some (Altun_riedel.synthesize (L.Boolfunc.make d.L.Pcircuit.f_int)))
-          ]
-      in
-      (match branches with
-      | [] -> Compose.of_const n false
-      | bs -> Compose.disjunction_list bs)
+  (* with pol = false, f_eq is the x_var = 0 side *)
+  let d = L.Pcircuit.decompose ?strategy ~var ~pol:false f in
+  let part lit component =
+    match Tt.is_const component with
+    | Some false -> None
+    | Some true -> Some lit
+    | None -> Some (Compose.conjunction lit (synth component))
+  in
+  let zero = part (Compose.of_literal n var L.Cube.Neg) d.L.Pcircuit.f_eq in
+  let one = part (Compose.of_literal n var L.Cube.Pos) d.L.Pcircuit.f_neq in
+  let inter =
+    match Tt.is_const d.L.Pcircuit.f_int with
+    | Some false -> None
+    | Some true -> Some (Compose.of_const n true)
+    | None -> Some (synth d.L.Pcircuit.f_int)
+  in
+  let compose branches =
+    match List.filter_map Fun.id branches with
+    | [] -> Compose.of_const n false
+    | bs -> Compose.disjunction_list bs
+  in
+  (compose [ zero; one; inter ], compose [ one; zero; inter ])
 
-let synthesize ?strategy f =
-  let n = L.Boolfunc.n_vars f in
-  if n = 0 then Compose.of_const 1 (L.Boolfunc.eval_int f 0)
-  else
-    let candidates =
-      List.concat_map
-        (fun var -> [ (var, false); (var, true) ])
-        (List.init n Fun.id)
-    in
-    let lattices =
-      List.map (fun (var, pol) -> synthesize_with ?strategy ~var ~pol f) candidates
-    in
-    List.fold_left
-      (fun best l -> if Lattice.area l < Lattice.area best then l else best)
-      (List.hd lattices) (List.tl lattices)
-
-let best_of f =
-  let direct = Altun_riedel.synthesize f in
-  let decomposed = synthesize f in
-  if Lattice.area decomposed < Lattice.area direct then decomposed else direct
-
-(* Recursive variant: component lattices may themselves come from a
-   (depth-limited) decomposition when that is smaller. *)
+(* A component's lattice: direct Altun–Riedel synthesis, or at
+   [depth > 0] a (depth-limited) decomposition when that is smaller. *)
 let rec synth_component ?strategy ~depth component =
   let f = L.Boolfunc.make component in
   let direct = Altun_riedel.synthesize f in
@@ -71,53 +41,37 @@ let rec synth_component ?strategy ~depth component =
     let dec = synthesize_at ?strategy ~depth f in
     if Lattice.area dec < Lattice.area direct then dec else direct
 
+(* Every (var, pol) candidate, var-major and pol = false first; the
+   first strict minimum of the area wins. *)
 and synthesize_at ?strategy ~depth f =
   let n = L.Boolfunc.n_vars f in
   match L.Boolfunc.is_const f with
   | Some b -> Compose.of_const (max 1 n) b
   | None ->
-      let candidates =
+      let synth = synth_component ?strategy ~depth:(depth - 1) in
+      let lattices =
         List.concat_map
-          (fun var -> [ (var, false); (var, true) ])
+          (fun var ->
+            let l_false, l_true = polarity_pair ?strategy ~synth ~var f in
+            [ l_false; l_true ])
           (List.init n Fun.id)
       in
-      let build (var, pol) =
-        let d = L.Pcircuit.decompose ?strategy ~var ~pol f in
-        let lit_eq =
-          Compose.of_literal n var (if pol then L.Cube.Pos else L.Cube.Neg)
-        in
-        let lit_neq =
-          Compose.of_literal n var (if pol then L.Cube.Neg else L.Cube.Pos)
-        in
-        let part lit component =
-          match Tt.is_const component with
-          | Some false -> None
-          | Some true -> Some lit
-          | None ->
-              Some
-                (Compose.conjunction lit
-                   (synth_component ?strategy ~depth:(depth - 1) component))
-        in
-        let branches =
-          List.filter_map Fun.id
-            [ part lit_eq d.L.Pcircuit.f_eq;
-              part lit_neq d.L.Pcircuit.f_neq;
-              (match Tt.is_const d.L.Pcircuit.f_int with
-              | Some false -> None
-              | Some true -> Some (Compose.of_const n true)
-              | None ->
-                  Some
-                    (synth_component ?strategy ~depth:(depth - 1)
-                       d.L.Pcircuit.f_int)) ]
-        in
-        match branches with
-        | [] -> Compose.of_const n false
-        | bs -> Compose.disjunction_list bs
-      in
-      let lattices = List.map build candidates in
       List.fold_left
         (fun best l -> if Lattice.area l < Lattice.area best then l else best)
         (List.hd lattices) (List.tl lattices)
+
+let synthesize_with ?strategy ~var ~pol f =
+  match L.Boolfunc.is_const f with
+  | Some b -> Compose.of_const (L.Boolfunc.n_vars f) b
+  | None ->
+      let l_false, l_true =
+        polarity_pair ?strategy
+          ~synth:(synth_component ?strategy ~depth:(-1))
+          ~var f
+      in
+      if pol then l_true else l_false
+
+let synthesize ?strategy f = synthesize_at ?strategy ~depth:0 f
 
 let synthesize_recursive ?strategy ?(depth = 2) f =
   synthesize_at ?strategy ~depth f

@@ -18,13 +18,17 @@ val synthesize_with :
   pol:bool ->
   Nxc_logic.Boolfunc.t ->
   Lattice.t
-(** Decompose around the given variable/polarity and compose.
+(** Decompose around the given variable/polarity and compose: the
+    candidate {!synthesize} scores for [(var, pol)].
     Test-only: tests pin the split variable with it. *)
 
 val synthesize :
   ?strategy:Nxc_logic.Pcircuit.strategy -> Nxc_logic.Boolfunc.t -> Lattice.t
-(** Try every (var, pol) choice and keep the smallest composed
-    lattice. *)
+(** Try every (var, pol) choice and keep the smallest composed lattice
+    (the first, in var-major order with [pol = false] first, on ties).
+    The two polarities around one variable split [f] into the same
+    three components, so each component is synthesized once per
+    variable. *)
 
 val synthesize_recursive :
   ?strategy:Nxc_logic.Pcircuit.strategy -> ?depth:int ->
@@ -33,9 +37,6 @@ val synthesize_recursive :
     decomposed (up to [depth] levels, default 2) when that shrinks
     their lattices — the natural extension of Bernasconi et al.'s
     scheme.  Every branch falls back to direct Altun–Riedel synthesis
-    when decomposition does not pay.
+    when decomposition does not pay.  [synthesize_recursive ~depth:0]
+    is {!synthesize}.
     Test-only: tests and the bench compare it with one-level decomposition. *)
-
-val best_of : Nxc_logic.Boolfunc.t -> Lattice.t
-(** The smaller of direct Altun–Riedel synthesis and the best
-    decomposition-based lattice — the flow evaluated in the paper. *)

@@ -128,6 +128,12 @@ let of_minterm n m =
   let full = (1 lsl n) - 1 in
   { n; mask = full; bits = m land full }
 
+let of_masks n ~mask ~bits =
+  check_n n;
+  if mask land lnot ((1 lsl n) - 1) <> 0 then
+    invalid_arg "Cube.of_masks: variable out of range";
+  { n; mask; bits = bits land mask }
+
 let compare a b =
   let c = Stdlib.compare a.n b.n in
   if c <> 0 then c

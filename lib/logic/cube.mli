@@ -90,6 +90,12 @@ val of_minterm : int -> int -> t
 (** [of_minterm n m] is the full cube with every variable constrained
     according to the bits of [m]. *)
 
+val of_masks : int -> mask:int -> bits:int -> t
+(** [of_masks n ~mask ~bits] constrains the variables on the set bits
+    of [mask], positive where [bits] is set; [bits] outside [mask] are
+    ignored.  The packed form Quine–McCluskey merges on.
+    Raises [Invalid_argument] if [mask] has a bit at or above [n]. *)
+
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

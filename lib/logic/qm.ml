@@ -9,52 +9,75 @@ let h_primes = Obs.Metrics.hdr "qm.primes_per_call"
 
 exception Guard_exhausted
 
-(* level sets of implicants as cubes; merge cubes at Hamming distance 1
-   with equal masks until a fixpoint.  [guard] is consumed once per
-   merge attempt — the pair scan is the exponential part of QM — and
-   exhaustion raises {!Guard_exhausted}. *)
+(* Level k holds every implicant of [on ∪ dc] with k free variables,
+   as (mask, bits) pairs sorted for binary search.  A cube merges with
+   the cube of the same mask and one more positive literal; the merged
+   cube is emitted only along its highest free variable, so each
+   implicant of the next level is produced exactly once.  [guard] is
+   charged, in bulk, one step per pair of cubes on adjacent positive
+   counts — |B_p|·|B_p+1| for each bucket pair p, p+1, the pair count
+   of the classic bucketed scan — and exhaustion raises
+   {!Guard_exhausted}. *)
 let primes_guarded guard ~n ~on ~dc =
-  let care = List.sort_uniq compare (on @ dc) in
-  let current = ref (List.map (Cube.of_minterm n) care) in
-  let prime_acc = ref [] in
-  let continue_ = ref (!current <> []) in
-  while !continue_ do
-    let merged_flag = Hashtbl.create 64 in
-    let next = Hashtbl.create 64 in
-    let arr = Array.of_list !current in
-    (* bucket by popcount of positive bits to limit the pair scan: a
-       merge needs equal masks and exactly one flipped polarity, so
-       mergeable cubes always sit on adjacent positive counts p, p+1 *)
-    let buckets = Array.make (n + 2) [] in
+  let full = (1 lsl n) - 1 in
+  let order (m1, b1) (m2, b2) =
+    if m1 <> m2 then Int.compare m1 m2 else Int.compare b1 b2
+  in
+  let find level c =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let r = order level.(mid) c in
+        if r = 0 then mid else if r < 0 then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length level)
+  in
+  let level =
+    ref
+      (Array.of_list
+         (List.map
+            (fun m -> (full, m))
+            (List.sort_uniq compare
+               (List.map (fun m -> m land full) (on @ dc)))))
+  in
+  let primes = ref [] in
+  while Array.length !level > 0 do
+    let cubes = !level in
+    let bucket = Array.make (n + 2) 0 in
     Array.iter
-      (fun c ->
-        let p = Cube.num_positive c in
-        buckets.(p) <- c :: buckets.(p))
-      arr;
+      (fun (_, bits) ->
+        let p = Bitslice.popcount bits in
+        bucket.(p) <- bucket.(p) + 1)
+      cubes;
+    let pairs = ref 0 in
     for p = 0 to n - 1 do
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              if not (Guard.Budget.step guard) then raise Guard_exhausted;
-              match Cube.merge a b with
-              | Some m ->
-                  Hashtbl.replace next m ();
-                  Hashtbl.replace merged_flag (Cube.hash a, a) ();
-                  Hashtbl.replace merged_flag (Cube.hash b, b) ()
-              | None -> ())
-            buckets.(p + 1))
-        buckets.(p)
+      pairs := !pairs + (bucket.(p) * bucket.(p + 1))
     done;
-    Array.iter
-      (fun c ->
-        if not (Hashtbl.mem merged_flag (Cube.hash c, c)) then
-          prime_acc := c :: !prime_acc)
-      arr;
-    current := Hashtbl.fold (fun c () acc -> c :: acc) next [];
-    continue_ := !current <> []
+    if not (Guard.Budget.charge guard !pairs) then raise Guard_exhausted;
+    let merged = Array.make (Array.length cubes) false in
+    let next = ref [] in
+    Array.iteri
+      (fun i (mask, bits) ->
+        let free = full land lnot mask in
+        Bitslice.iter_set (mask land lnot bits) (fun v ->
+            let bit = 1 lsl v in
+            let j = find cubes (mask, bits lor bit) in
+            if j >= 0 then begin
+              merged.(i) <- true;
+              merged.(j) <- true;
+              if bit > free then next := (mask lxor bit, bits) :: !next
+            end))
+      cubes;
+    Array.iteri
+      (fun i (mask, bits) ->
+        if not merged.(i) then primes := Cube.of_masks n ~mask ~bits :: !primes)
+      cubes;
+    let next = Array.of_list !next in
+    Array.sort order next;
+    level := next
   done;
-  List.sort_uniq Cube.compare !prime_acc
+  List.sort Cube.compare !primes
 
 let primes ~n ~on ~dc = primes_guarded Guard.Budget.unlimited ~n ~on ~dc
 
@@ -69,56 +92,77 @@ let set_cover_backend b = default_backend := b
 let cover_backend () = !default_backend
 
 (* Branch and bound over the covering problem: minimize the number of
-   chosen primes covering all ON minterms.  [budget] caps explored
-   nodes; [guard] is consumed once per node. *)
-let cover_exact guard primes_arr on_list budget =
+   chosen primes covering all ON minterms.  The minterms are indexed in
+   [on_list] order and sets of them are word bitsets, so the first
+   uncovered minterm is the lowest set bit and branching visits the
+   primes covering it in index order.  [budget] caps explored nodes;
+   [guard] is consumed once per node.  Returns the best cover found,
+   whether the search completed, and the node count. *)
+let cover_exact ~guard ~budget primes_arr on_list =
+  let on = Array.of_list on_list in
+  let words = Bitslice.words_for (Array.length on) in
+  let wb = Bitslice.word_bits in
+  let coverage p =
+    let w = Array.make words 0 in
+    Array.iteri
+      (fun j m ->
+        if Cube.eval_int p m then
+          w.(j / wb) <- w.(j / wb) lor (1 lsl (j mod wb)))
+      on;
+    w
+  in
+  let cov = Array.map coverage primes_arr in
+  (* for each minterm index, the primes covering it, ascending *)
+  let covering =
+    Array.init (Array.length on) (fun j ->
+        List.filter
+          (fun i -> cov.(i).(j / wb) land (1 lsl (j mod wb)) <> 0)
+          (List.init (Array.length primes_arr) Fun.id))
+  in
+  let first_set u =
+    let rec go w =
+      if w = words then -1
+      else if u.(w) <> 0 then (w * wb) + Bitslice.lowest_set u.(w)
+      else go (w + 1)
+    in
+    go 0
+  in
   let nodes = ref 0 in
   let best = ref None in
   let best_size = ref max_int in
-  let n_primes = Array.length primes_arr in
-  (* for each minterm, the primes covering it *)
-  let covering = Hashtbl.create 64 in
-  List.iter
-    (fun m ->
-      let who = ref [] in
-      for i = n_primes - 1 downto 0 do
-        if Cube.eval_int primes_arr.(i) m then who := i :: !who
-      done;
-      Hashtbl.replace covering m !who)
-    on_list;
   let exception Budget in
   let rec go chosen n_chosen uncovered =
     incr nodes;
     if !nodes > budget || not (Guard.Budget.step guard) then raise Budget;
-    match uncovered with
-    | [] ->
+    match first_set uncovered with
+    | -1 ->
         if n_chosen < !best_size then begin
           best_size := n_chosen;
           best := Some chosen
         end
-    | m :: _rest ->
+    | j ->
         if n_chosen + 1 >= !best_size then () (* bound *)
         else
-          let candidates = Hashtbl.find covering m in
           List.iter
             (fun i ->
-              let uncovered' =
-                List.filter
-                  (fun m' -> not (Cube.eval_int primes_arr.(i) m'))
-                  uncovered
-              in
-              go (i :: chosen) (n_chosen + 1) uncovered')
-            candidates
+              let c = cov.(i) in
+              go (i :: chosen) (n_chosen + 1)
+                (Array.mapi (fun w u -> u land lnot c.(w)) uncovered))
+            covering.(j)
   in
-  let outcome =
-    match go [] 0 on_list with
-    | () -> (!best, true)
+  let all =
+    Array.init words (fun w ->
+        if w = words - 1 then Bitslice.tail_mask (Array.length on) else -1)
+  in
+  let exact =
+    match go [] 0 all with
+    | () -> true
     | exception Budget ->
         Obs.Metrics.incr m_budget_exhausted;
-        (!best, false)
+        false
   in
   Obs.Metrics.add m_nodes !nodes;
-  outcome
+  (!best, exact, !nodes)
 
 let greedy_cover primes_arr on_list =
   let uncovered = ref on_list in
@@ -198,9 +242,9 @@ let minimize_with guard ~dc ~budget ~backend ~n on =
                (Array.to_list primes_arr))
         in
         let bnb () =
-          match cover_exact guard rest_primes remaining budget with
-          | Some sol, ex -> (sol, ex)
-          | None, _ -> (greedy_cover rest_primes remaining, false)
+          match cover_exact ~guard ~budget rest_primes remaining with
+          | Some sol, ex, _ -> (sol, ex)
+          | None, _, _ -> (greedy_cover rest_primes remaining, false)
         in
         let rest_result =
           if remaining = [] then Ok ([], true)

@@ -6,20 +6,36 @@
     the budget is exhausted.
 
     Both phases are exponential in the worst case, so they cooperate
-    with a {!Nxc_guard.Budget}: one step is consumed per merge attempt
-    and per branch-and-bound node.  When the guard trips during the
-    covering step the usual greedy fallback applies (the prime set is
-    complete, so the result stays function-equivalent); when it trips
-    during prime {e generation} the implicant set is unusable, and
-    {!minimize} degrades to a Minato–Morreale ISOP cover of the same
-    [(on, dc)] interval — still correct, not minimal — while
-    {!minimize_result} reports [`Budget_exhausted] so callers with a
-    [Fail] policy can refuse to degrade. *)
+    with a {!Nxc_guard.Budget}: one step is consumed per pair of
+    implicants on adjacent positive-literal counts (charged in bulk,
+    once per merge round) and per branch-and-bound node.  When the
+    guard trips during the covering step the usual greedy fallback
+    applies (the prime set is complete, so the result stays
+    function-equivalent); when it trips during prime {e generation} the
+    implicant set is unusable, and {!minimize} degrades to a
+    Minato–Morreale ISOP cover of the same [(on, dc)] interval — still
+    correct, not minimal — while {!minimize_result} reports
+    [`Budget_exhausted] so callers with a [Fail] policy can refuse to
+    degrade. *)
 
 val primes : n:int -> on:int list -> dc:int list -> Cube.t list
 (** All prime implicants of the function given by ON-set and DC-set
     minterms.  Unbudgeted (never degrades): intended for tests and
     calibration. *)
+
+val cover_exact :
+  guard:Nxc_guard.Budget.t ->
+  budget:int ->
+  Cube.t array ->
+  int list ->
+  int list option * bool * int
+(** [cover_exact ~guard ~budget primes on] is the branch and bound
+    behind the [Bnb] backend: the fewest primes (as indices into
+    [primes], most recently chosen first) covering every minterm of
+    [on], whether the search completed within [budget] nodes and the
+    guard, and the number of nodes visited.  The best cover found so
+    far is returned when the search is cut short.
+    Test-only: tests check it against the list-based reference. *)
 
 (** {2 Covering backends}
 

@@ -82,7 +82,7 @@ let bitvec_tests =
 (* Bucketed QM prime scan vs the historical full pair scan             *)
 (* ------------------------------------------------------------------ *)
 
-let arb_minterm_sets n =
+let arb_minterm_sets ?(max_dc = 4) n =
   QCheck.make
     ~print:(fun (on, dc) ->
       Printf.sprintf "on=[%s] dc=[%s]"
@@ -91,21 +91,53 @@ let arb_minterm_sets n =
     QCheck.Gen.(
       pair
         (list_size (int_range 0 (1 lsl n)) (int_range 0 ((1 lsl n) - 1)))
-        (list_size (int_range 0 4) (int_range 0 ((1 lsl n) - 1))))
+        (list_size (int_range 0 max_dc) (int_range 0 ((1 lsl n) - 1))))
+
+let primes_match n (on, dc) =
+  let dc = List.filter (fun m -> not (List.mem m on)) dc in
+  List.equal Cube.equal
+    (Qm.primes ~n ~on ~dc)
+    (Nxc_oracle.Logic_ref.primes_reference ~n ~on ~dc)
+
+(* the bitset branch and bound against the list-based reference on the
+   covering problems QM hands it, with room to finish, under a small
+   node budget and under a small step budget *)
+let arb_cover_problem =
+  QCheck.make
+    ~print:(fun (tt, nodes, steps) ->
+      Format.asprintf "%a nodes=%d steps=%s" Tt.pp tt nodes
+        (match steps with None -> "-" | Some s -> string_of_int s))
+    QCheck.Gen.(
+      triple
+        (int_range 2 6 >>= Testutil.gen_table)
+        (oneof [ return 200_000; int_range 1 40 ])
+        (opt (int_range 0 60)))
+
+let cover_matches (tt, budget, steps) =
+  let n = Tt.n_vars tt in
+  let on = Tt.minterms tt in
+  let primes = Array.of_list (Qm.primes ~n ~on ~dc:[]) in
+  let guard () =
+    match steps with
+    | None -> Nxc_guard.Budget.unlimited
+    | Some s -> Nxc_guard.Budget.create ~steps:s ()
+  in
+  Qm.cover_exact ~guard:(guard ()) ~budget primes on
+  = Nxc_oracle.Logic_ref.cover_exact ~guard:(guard ()) ~budget primes on
 
 let qm_tests =
   [ qtest "bucketed primes = full-scan primes (n=4)" (arb_minterm_sets 4)
-      (fun (on, dc) ->
-        let dc = List.filter (fun m -> not (List.mem m on)) dc in
-        List.equal Cube.equal
-          (Qm.primes ~n:4 ~on ~dc)
-          (Nxc_oracle.Logic_ref.primes_reference ~n:4 ~on ~dc));
+      (primes_match 4);
     qtest ~count:100 "bucketed primes = full-scan primes (n=5)"
-      (arb_minterm_sets 5) (fun (on, dc) ->
-        let dc = List.filter (fun m -> not (List.mem m on)) dc in
-        List.equal Cube.equal
-          (Qm.primes ~n:5 ~on ~dc)
-          (Nxc_oracle.Logic_ref.primes_reference ~n:5 ~on ~dc)) ]
+      (arb_minterm_sets 5) (primes_match 5);
+    qtest ~count:40 "bucketed primes = full-scan primes (n=6)"
+      (arb_minterm_sets ~max_dc:16 6) (primes_match 6);
+    qtest ~count:25 "bucketed primes = full-scan primes (n=7)"
+      (arb_minterm_sets ~max_dc:32 7) (primes_match 7);
+    qtest ~count:10 "bucketed primes = full-scan primes (n=8)"
+      (arb_minterm_sets ~max_dc:64 8) (primes_match 8);
+    qtest ~count:300 "bitset cover = list cover" arb_cover_problem
+      cover_matches ]
 
 (* ------------------------------------------------------------------ *)
 (* Bit-sliced lattice kernel vs scalar BFS                             *)

@@ -95,6 +95,12 @@ let synth_tests =
         check "no diode" true (impl.Nxc_core.Synth.diode = None);
         check "no fet" true (impl.Nxc_core.Synth.fet = None);
         check "verified" true (Nxc_core.Synth.verify impl));
+    Testutil.qtest ~count:100 "ar lattice is the Altun-Riedel lattice"
+      (Testutil.arb_table_sized 5) (fun tt ->
+        let f = Boolfunc.make tt in
+        Nxc_oracle.Lattice_ref.equal
+          (Nxc_core.Synth.synthesize f).Nxc_core.Synth.ar_lattice
+          (Lt.Altun_riedel.synthesize f));
     Alcotest.test_case "report renders every row" `Quick (fun () ->
         let rows =
           List.map

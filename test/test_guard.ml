@@ -56,6 +56,46 @@ let test_ambient () =
   Alcotest.(check string) "restored after raise" "unlimited"
     (G.Budget.label (G.Budget.current ()))
 
+let test_unlimited_not_written () =
+  (* every domain without a budget of its own shares [unlimited]: its
+     steps must not write the shared record *)
+  let before = G.Budget.steps_used G.Budget.unlimited in
+  let work () =
+    for _ = 1 to 10_000 do
+      assert (G.Budget.step G.Budget.unlimited)
+    done;
+    assert (G.Budget.charge G.Budget.unlimited 1_000)
+  in
+  let d = Domain.spawn work in
+  work ();
+  Domain.join d;
+  Alcotest.(check int) "unlimited unchanged" before
+    (G.Budget.steps_used G.Budget.unlimited);
+  Alcotest.(check int) "never counted" 0 before
+
+(* [charge g k] against [k] calls of [step] on a twin budget, after
+   [pre] single steps on both, for caps below, at and above [k] *)
+let charge_matches_steps =
+  Testutil.qtest ~count:500 "charge k = k steps"
+    QCheck.(
+      quad (int_bound 40) (int_bound 10) (int_bound 40)
+        (oneofl [ None; Some 0.0; Some 1e9 ]))
+    (fun (cap, pre, k, deadline_ms) ->
+      let make () = G.Budget.create ~steps:cap ?deadline_ms () in
+      let a = make () and b = make () in
+      for _ = 1 to pre do
+        ignore (G.Budget.step a);
+        ignore (G.Budget.step b)
+      done;
+      let charged = G.Budget.charge a k in
+      let stepped = ref true in
+      for _ = 1 to k do
+        if not (G.Budget.step b) then stepped := false
+      done;
+      charged = !stepped
+      && G.Budget.steps_used a = G.Budget.steps_used b
+      && G.Budget.exhausted a = G.Budget.exhausted b)
+
 let test_error_rendering () =
   Alcotest.(check string) "invalid input"
     "invalid input: bad byte (line 2, column 7)"
@@ -272,7 +312,10 @@ let () =
          Alcotest.test_case "deadline zero" `Quick test_budget_deadline_zero;
          Alcotest.test_case "policy view" `Quick test_budget_policy_view;
          Alcotest.test_case "ambient" `Quick test_ambient;
-         Alcotest.test_case "errors" `Quick test_error_rendering ]);
+         Alcotest.test_case "errors" `Quick test_error_rendering;
+         Alcotest.test_case "unlimited is not written" `Quick
+           test_unlimited_not_written;
+         charge_matches_steps ]);
       ("degradation",
        [ qm_equiv_under_tiny_budget;
          minimize_equiv_under_tiny_budget;

@@ -210,9 +210,28 @@ let decompose_tests =
     U.qtest ~count:40 "best_of never exceeds direct synthesis" (arb_func 4)
       (fun f ->
         let direct = Altun_riedel.synthesize f in
-        let best = Decompose_synth.best_of f in
+        let best = (Nxc_core.Synth.synthesize f).Nxc_core.Synth.dec_lattice in
         Lattice.area best <= Lattice.area direct
         && Checker.equivalent best f);
+    U.qtest ~count:150 "every candidate and the minimum match the reference"
+      QCheck.(
+        pair bool
+          (make ~print:(Format.asprintf "%a" Tt.pp)
+             Gen.(int_range 2 6 >>= U.gen_table)))
+      (fun (shannon, tt) ->
+        let strategy = if shannon then Pcircuit.Shannon else Pcircuit.Projected in
+        let f = Boolfunc.make tt in
+        let module R = Nxc_oracle.Lattice_ref in
+        List.for_all
+          (fun var ->
+            List.for_all
+              (fun pol ->
+                R.equal
+                  (Decompose_synth.synthesize_with ~strategy ~var ~pol f)
+                  (R.synthesize_with ~strategy ~var ~pol f))
+              [ false; true ])
+          (List.init (Tt.n_vars tt) Fun.id)
+        && R.equal (Decompose_synth.synthesize ~strategy f) (R.decompose ~strategy f));
     U.qtest ~count:40 "shannon strategy also correct"
       QCheck.(triple (arb_func 4) (int_bound 3) bool)
       (fun (f, var, pol) ->

@@ -36,6 +36,10 @@
      [cover_status] of "exact" or "degraded" — the covering engine must
      say how much search its covers cost and whether any came back
      non-minimal — and E1's core suite must stay "exact";
+   - an E3 experiment must report [total_best_lattice_area = 1059] and
+     an E4 experiment [improved >= 10] of [benchmarks = 24] — the
+     lattice sizes of the paper's suite may not drift when the
+     minimization or decomposition code under them is made faster;
    - an E18 experiment must report [identical_covers = true] (the SAT
      covering backend agrees with branch-and-bound everywhere) and
      [sat_rescues >= 1] (at least one chip was mapped exactly where
@@ -224,6 +228,26 @@ let () =
          | Some v -> fail "%s: bad cover_status (%s)" id (J.to_string v)
          | None -> fail "%s: no cover_status in headline" id
        end);
+      (if id = "E3" then
+         match field "total_best_lattice_area" with
+         | Some (J.Int 1059) ->
+             Printf.printf "bench_check: %-9s total_best_lattice_area 1059\n"
+               id
+         | Some v ->
+             fail "E3: best lattice areas drifted (total_best_lattice_area = \
+                   %s, expected 1059)"
+               (J.to_string v)
+         | None -> fail "E3: no total_best_lattice_area in headline");
+      (if id = "E4" then
+         match (field "improved", field "benchmarks") with
+         | Some (J.Int improved), Some (J.Int 24) when improved >= 10 ->
+             Printf.printf "bench_check: %-9s improved %d/24\n" id improved
+         | Some v, Some b ->
+             fail
+               "E4: decomposition improved %s of %s benchmarks (expected at \
+                least 10 of 24)"
+               (J.to_string v) (J.to_string b)
+         | _ -> fail "E4: no improved/benchmarks in headline");
       if id = "E18" then begin
         (match field "identical_covers" with
         | Some (J.Bool true) ->
