@@ -931,6 +931,13 @@ let e18 () =
   Format.printf "%-9s %9s %9s %9s %11s %9s@." "density" "hybrid" "sat"
     "rescues" "unmappable" "degraded";
   let rescues = ref 0 and unmappable = ref 0 and degraded = ref 0 in
+  (* what backs each unmappable verdict: a matching certificate the
+     oracle accepts, or the solver alone; and whether Bira's exact
+     search, a different algorithm, agrees *)
+  let certified = ref 0 and refuted = ref 0 and cross_checked = ref 0 in
+  let bira_degrades =
+    Obs.Metrics.counter "guard.degrade.bira_exact_to_greedy"
+  in
   List.iter
     (fun density ->
       let profile = R.Defect.uniform density in
@@ -957,11 +964,27 @@ let e18 () =
             assert (R.Bism.mapping_defect_free chip m);
             incr sat_mapped;
             if not hybrid then incr row_rescues
-        | Ok R.Sat_assign.Unmappable ->
-            (* an exhaustive Unsat proof and a hybrid success can never
+        | Ok (R.Sat_assign.Unmappable cert) ->
+            (* an unmappability proof and a hybrid success can never
                coexist *)
             assert (not hybrid);
-            incr row_unmap
+            incr row_unmap;
+            (match cert with
+            | R.Sat_assign.Matching m ->
+                if
+                  Nxc_oracle.Assign_ref.matching_certifies chip
+                    ~spares:(2 * (n - k)) m
+                then incr certified
+            | R.Sat_assign.Refuted -> incr refuted);
+            let before = Obs.Metrics.counter_value bira_degrades in
+            (match
+               R.Bira.analyze ~mode:R.Bira.Exact chip ~spare_rows:(n - k)
+                 ~spare_cols:(n - k)
+             with
+            | Error (`Unsat _)
+              when Obs.Metrics.counter_value bira_degrades = before ->
+                incr cross_checked
+            | _ -> ())
         | Ok (R.Sat_assign.Degraded _) | Error _ -> incr row_degraded
       done;
       rescues := !rescues + !row_rescues;
@@ -975,11 +998,18 @@ let e18 () =
     "@.every rescue is a mapping the sampler missed (witness re-checked \
      against the defect map); every unmappable verdict is a proof the \
      sampler could never produce@.";
+  Format.printf
+    "unmappable verdicts: %d backed by a matching certificate the oracle \
+     accepts, %d by a SAT refutation alone; %d confirmed by exact BIRA@."
+    !certified !refuted !cross_checked;
   [ ("functions_checked", J.Int !checked);
     ("both_exact", J.Int !both_exact);
     ("identical_covers", J.Bool !identical);
     ("sat_rescues", J.Int !rescues);
     ("confirmed_unmappable", J.Int !unmappable);
+    ("unmappable_certified", J.Int !certified);
+    ("unmappable_sat_refuted", J.Int !refuted);
+    ("unmappable_cross_checked", J.Int !cross_checked);
     ("degraded_trials", J.Int !degraded) ]
 
 (* ------------------------------------------------------------------ *)

@@ -31,7 +31,18 @@
       most-defects-first pass.  The exact search consumes one guard
       step per node and degrades to greedy on exhaustion (counted as
       [guard.degrade.bira_exact_to_greedy]) unless the budget's policy
-      is [Fail], in which case [`Budget_exhausted] is reported. *)
+      is [Fail], in which case [`Budget_exhausted] is reported.
+
+    The {e Kőnig bound} ties the phases together: every repair deletes
+    a vertex cover of the defect graph (rows x columns, one edge per
+    defective crosspoint), so it replaces at least as many lines as a
+    maximum matching of that graph has edges.  The branch and bound
+    prunes a node when the matching of its uncovered defects exceeds
+    its remaining spares, or when the lines it has used plus that
+    matching reach the best repair found so far.  Such a subtree holds
+    no strictly smaller repair, so the search returns the same first
+    minimum as without the bound, in far fewer nodes.  A greedy dead end
+    is reported as a proof only when the same bound certifies it. *)
 
 type mode = Greedy | Exact
 
@@ -57,14 +68,42 @@ val analyze :
     a repair of the remaining logical array.
 
     Errors: [`Invalid_input] when the spare counts are negative or
-    leave no logical array; [`Unsat] when the chip is proved
-    unrepairable within the spare budget (must-repair overflow, greedy
-    dead end, or an exhaustive exact search); [`Budget_exhausted] only
+    leave no logical array; [`Unsat] when no repair was found.  That is
+    a proof of unrepairability after a must-repair overflow, an
+    exhaustive exact search, or a greedy dead end whose post-must-repair
+    defects have a matching larger than the spares left (the message
+    names the matching).  A greedy dead end the matching does not
+    certify is a heuristic miss, not a proof: its message says so, and
+    the chip may still be repairable.  [`Budget_exhausted] only
     when the [guard] (default: the ambient budget) trips under policy
     [Fail].  Under the default [Degrade] policy exhaustion of the exact
     search falls back to greedy and marks the solution [degraded].
     [node_budget] (default [200_000]) caps branch-and-bound nodes
     independently of the guard, like {!Defect_flow.exact_max}. *)
+
+(** {2 The phases as a pre-solve}
+
+    {!Sat_assign} runs the Kőnig bound and the greedy phases ahead of
+    its SAT solver.  Neither bumps a [bira.*] counter; both charge one
+    step of [guard] per matched row or deleted line. *)
+
+val defect_matching :
+  guard:Nxc_guard.Budget.t -> Defect.t -> (int * int) array option
+(** A maximum matching of the chip's defect graph as [(row, col)]
+    crosspoints, ascending by row: each is defective and no two share a
+    row or a column.  [None] when [guard] runs out. *)
+
+val greedy_survivors :
+  guard:Nxc_guard.Budget.t ->
+  Defect.t ->
+  spare_rows:int ->
+  spare_cols:int ->
+  [ `Survivors of int array * int array | `Stuck | `Out_of_budget ]
+(** The must-repair fixpoint and greedy allocation of {!analyze}
+    [~mode:Greedy] on [chip] with these budgets.  [`Survivors (rows,
+    cols)] lists the lines left in ascending order; no crosspoint among
+    them is defective.  [`Stuck] covers a must-repair overflow and a
+    greedy dead end alike, so callers must treat it as undecided. *)
 
 (** {2 Monte-Carlo harness}
 

@@ -6,10 +6,14 @@ let m_calls = Obs.Metrics.counter "sat.assign_calls"
 let m_mappable = Obs.Metrics.counter "sat.assign_mappable"
 let m_unmappable = Obs.Metrics.counter "sat.assign_unmappable"
 let m_degraded = Obs.Metrics.counter "sat.assign_degraded"
+let m_certified = Obs.Metrics.counter "sat.assign_matching_certified"
+let m_greedy = Obs.Metrics.counter "sat.assign_greedy_witness"
+
+type certificate = Matching of (int * int) array | Refuted
 
 type verdict =
   | Mappable of Bism.mapping
-  | Unmappable
+  | Unmappable of certificate
   | Degraded of Bism.mapping option
 
 (* bounded hybrid-BISM retry for the Degrade path: the exhausted budget
@@ -18,6 +22,66 @@ type verdict =
    small configuration cap — polynomial, prompt, like Qm's ISOP
    fallback *)
 let fallback_max_configs = 48
+
+let undecided guard ~seed chip ~k_rows ~k_cols =
+  match Guard.Budget.policy guard with
+  | Guard.Budget.Fail -> Error (Guard.Budget.error guard)
+  | Guard.Budget.Degrade ->
+      Guard.Budget.degrade "sat_to_greedy";
+      Obs.Metrics.incr m_degraded;
+      let rng = Rng.create seed in
+      let _, m =
+        Bism.run ~guard:Guard.Budget.unlimited rng (Bism.Hybrid 8) ~chip
+          ~k_rows ~k_cols ~max_configs:fallback_max_configs
+      in
+      Ok (Degraded m)
+
+let mappable ?via chip mapping =
+  if not (Bism.mapping_defect_free chip mapping) then
+    Error (Guard.Error.internal "Sat_assign: witness is not defect-free")
+  else begin
+    Obs.Metrics.incr m_mappable;
+    Option.iter Obs.Metrics.incr via;
+    Ok (Mappable mapping)
+  end
+
+(* The balanced-biclique encoding: one selection variable per physical
+   line, a blocking clause per defective crosspoint, cardinality bounds
+   on both selections. *)
+let solve guard ~seed chip ~k_rows ~k_cols =
+  let rows = Defect.rows chip and cols = Defect.cols chip in
+  let s = Sat.Solver.create ~seed () in
+  let r_var = Array.init rows (fun _ -> Sat.Solver.new_var s) in
+  let c_var = Array.init cols (fun _ -> Sat.Solver.new_var s) in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      if Defect.is_defective chip r c then
+        Sat.Solver.add_clause s [ -r_var.(r); -c_var.(c) ]
+    done
+  done;
+  Sat.Card.at_least s (Array.to_list r_var) ~k:k_rows;
+  Sat.Card.at_least s (Array.to_list c_var) ~k:k_cols;
+  match Sat.Solver.solve ~guard s with
+  | Sat.Solver.Sat ->
+      (* any k_rows/k_cols of the selected lines work: every selected
+         crosspoint is defect-free *)
+      let pick vars k =
+        let acc = ref [] and need = ref k in
+        Array.iteri
+          (fun i v ->
+            if !need > 0 && Sat.Solver.value s v then begin
+              acc := i :: !acc;
+              decr need
+            end)
+          vars;
+        Array.of_list (List.rev !acc)
+      in
+      mappable chip
+        { Bism.row_map = pick r_var k_rows; col_map = pick c_var k_cols }
+  | Sat.Solver.Unsat ->
+      Obs.Metrics.incr m_unmappable;
+      Ok (Unmappable Refuted)
+  | Sat.Solver.Unknown -> undecided guard ~seed chip ~k_rows ~k_cols
 
 let decide ?guard ?(seed = 0) chip ~k_rows ~k_cols =
   let rows = Defect.rows chip and cols = Defect.cols chip in
@@ -36,58 +100,23 @@ let decide ?guard ?(seed = 0) chip ~k_rows ~k_cols =
         [ ("rows", Obs.Json.Int rows); ("cols", Obs.Json.Int cols);
           ("k_rows", Obs.Json.Int k_rows); ("k_cols", Obs.Json.Int k_cols) ])
     @@ fun () ->
-    let s = Sat.Solver.create ~seed () in
-    let r_var = Array.init rows (fun _ -> Sat.Solver.new_var s) in
-    let c_var = Array.init cols (fun _ -> Sat.Solver.new_var s) in
-    for r = 0 to rows - 1 do
-      for c = 0 to cols - 1 do
-        if Defect.is_defective chip r c then
-          Sat.Solver.add_clause s [ -r_var.(r); -c_var.(c) ]
-      done
-    done;
-    Sat.Card.at_least s (Array.to_list r_var) ~k:k_rows;
-    Sat.Card.at_least s (Array.to_list c_var) ~k:k_cols;
-    match Sat.Solver.solve ~guard s with
-    | Sat.Solver.Sat ->
-        (* any k_rows/k_cols of the selected lines work: every selected
-           crosspoint is defect-free *)
-        let pick vars k =
-          let acc = ref [] and need = ref k in
-          Array.iteri
-            (fun i v ->
-              if !need > 0 && Sat.Solver.value s v then begin
-                acc := i :: !acc;
-                decr need
-              end)
-            vars;
-          Array.of_list (List.rev !acc)
-        in
-        let mapping =
-          { Bism.row_map = pick r_var k_rows; col_map = pick c_var k_cols }
-        in
-        if not (Bism.mapping_defect_free chip mapping) then
-          Error
-            (Guard.Error.internal
-               "Sat_assign: model produced a defective mapping")
-        else begin
-          Obs.Metrics.incr m_mappable;
-          Ok (Mappable mapping)
-        end
-    | Sat.Solver.Unsat ->
+    (* the pre-solve sandwich: the Kőnig bound refutes, Bira's greedy
+       repair maps, and the solver sees only what neither decides *)
+    let spare_rows = rows - k_rows and spare_cols = cols - k_cols in
+    match Bira.defect_matching ~guard chip with
+    | None -> undecided guard ~seed chip ~k_rows ~k_cols
+    | Some m when Array.length m > spare_rows + spare_cols ->
         Obs.Metrics.incr m_unmappable;
-        Ok Unmappable
-    | Sat.Solver.Unknown -> (
-        match Guard.Budget.policy guard with
-        | Guard.Budget.Fail -> Error (Guard.Budget.error guard)
-        | Guard.Budget.Degrade ->
-            Guard.Budget.degrade "sat_to_greedy";
-            Obs.Metrics.incr m_degraded;
-            let rng = Rng.create seed in
-            let _, m =
-              Bism.run ~guard:Guard.Budget.unlimited rng (Bism.Hybrid 8) ~chip
-                ~k_rows ~k_cols ~max_configs:fallback_max_configs
-            in
-            Ok (Degraded m))
+        Obs.Metrics.incr m_certified;
+        Ok (Unmappable (Matching m))
+    | Some _ -> (
+        match Bira.greedy_survivors ~guard chip ~spare_rows ~spare_cols with
+        | `Out_of_budget -> undecided guard ~seed chip ~k_rows ~k_cols
+        | `Stuck -> solve guard ~seed chip ~k_rows ~k_cols
+        | `Survivors (rs, cs) ->
+            mappable ~via:m_greedy chip
+              { Bism.row_map = Array.sub rs 0 k_rows;
+                col_map = Array.sub cs 0 k_cols })
   end
 
 type mc = {
@@ -118,5 +147,5 @@ let monte_carlo ?pool ?guard rng ~trials ~n ~profile ~k_rows ~k_cols =
       count (function
         | Ok (Mappable _) | Ok (Degraded (Some _)) -> true
         | _ -> false);
-    sa_unmappable = count (function Ok Unmappable -> true | _ -> false);
+    sa_unmappable = count (function Ok (Unmappable _) -> true | _ -> false);
     sa_degraded = count (function Ok (Degraded _) -> true | _ -> false) }

@@ -72,6 +72,17 @@ let pos_int_d kvs key default =
   if v <= 0 then bad "job spec: %S must be positive" key;
   v
 
+(* Bounds on the fabricated arrays and the trial count, so that one job
+   line cannot exhaust memory; job.mli gives the measurements behind
+   them. *)
+let max_side = 256
+let max_bist_side = 64
+let max_trials = 100_000
+
+let at_most max key v =
+  if v > max then bad "job spec: %S must be at most %d" key max;
+  v
+
 let nonneg_int_d kvs key default =
   let v = int_d kvs key default in
   if v < 0 then bad "job spec: %S must be non-negative" key;
@@ -134,12 +145,15 @@ let of_json json =
       | "flow" ->
           check_known kvs ("expr" :: "n" :: "density" :: "seed" :: common);
           Flow
-            { expr = str kvs "expr"; n = pos_int_d kvs "n" 24;
+            { expr = str kvs "expr";
+              n = at_most max_side "n" (pos_int_d kvs "n" 24);
               density = density_d kvs "density" 0.05;
               seed = int_d kvs "seed" 42 }
       | "bist" ->
           check_known kvs ("rows" :: "cols" :: common);
-          Bist { rows = pos_int_d kvs "rows" 8; cols = pos_int_d kvs "cols" 8 }
+          let rows = at_most max_bist_side "rows" (pos_int_d kvs "rows" 8) in
+          let cols = at_most max_bist_side "cols" (pos_int_d kvs "cols" 8) in
+          Bist { rows; cols }
       | "bism" ->
           check_known kvs
             ("n" :: "k" :: "density" :: "seed" :: "trials" :: "scheme"
@@ -148,16 +162,19 @@ let of_json json =
             one_of kvs "scheme" ~default:"hybrid" schemes ~what:"scheme"
           in
           Bism
-            { n = pos_int_d kvs "n" 32; k = pos_int_d kvs "k" 12;
+            { n = at_most max_side "n" (pos_int_d kvs "n" 32);
+              k = pos_int_d kvs "k" 12;
               density = density_d kvs "density" 0.05;
-              seed = int_d kvs "seed" 42; trials = pos_int_d kvs "trials" 20;
+              seed = int_d kvs "seed" 42;
+              trials = at_most max_trials "trials" (pos_int_d kvs "trials" 20);
               scheme }
       | "yield" ->
           check_known kvs ("n" :: "density" :: "seed" :: "trials" :: common);
           Yield
-            { n = pos_int_d kvs "n" 32;
+            { n = at_most max_side "n" (pos_int_d kvs "n" 32);
               density = density_d kvs "density" 0.05;
-              seed = int_d kvs "seed" 1; trials = pos_int_d kvs "trials" 40 }
+              seed = int_d kvs "seed" 1;
+              trials = at_most max_trials "trials" (pos_int_d kvs "trials" 40) }
       | "repair" ->
           check_known kvs
             ("rows" :: "cols" :: "spare_rows" :: "spare_cols" :: "density"
@@ -170,7 +187,8 @@ let of_json json =
               spare_rows = nonneg_int_d kvs "spare_rows" 2;
               spare_cols = nonneg_int_d kvs "spare_cols" 2;
               density = density_d kvs "density" 0.05;
-              seed = int_d kvs "seed" 42; trials = pos_int_d kvs "trials" 20;
+              seed = int_d kvs "seed" 42;
+              trials = at_most max_trials "trials" (pos_int_d kvs "trials" 20);
               mode }
       | k ->
           bad
@@ -183,6 +201,11 @@ let of_json json =
     | Bist { cols; _ } when cols < 2 ->
         bad "job spec: \"cols\" must be at least 2"
     | Bism { n; k; _ } when k > n -> bad "job spec: \"k\" must not exceed \"n\""
+    (* written so that no huge spare count can overflow the sum *)
+    | Repair { rows; spare_rows; _ } when spare_rows > max_side - rows ->
+        bad "job spec: \"rows\" + \"spare_rows\" must be at most %d" max_side
+    | Repair { cols; spare_cols; _ } when spare_cols > max_side - cols ->
+        bad "job spec: \"cols\" + \"spare_cols\" must be at most %d" max_side
     | _ -> ());
     Ok { id; budget_steps; spec }
   with Bad e -> Error e

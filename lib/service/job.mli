@@ -26,7 +26,20 @@
     [test/cram/service.t].  Beyond each field's own range, a [bist]
     array needs [cols >= 2] and a [bism] logical side must fit the
     chip ([k <= n]), so every accepted spec runs.  The CLI's simulation
-    subcommands build their jobs through {!of_json} too. *)
+    subcommands build their jobs through {!of_json} too.
+
+    Sizes are bounded so that no single line can exhaust memory.  A
+    fabricated chip has at most 256 lines a side: [n] of [flow], [bism]
+    and [yield], and [rows + spare_rows], [cols + spare_cols] of
+    [repair].  A [bist] array has at most 64 rows and 64 columns, and
+    [trials] is at most 100000.  One trial of each kind at its size
+    bound peaked at 14 MB RSS on a 2-vCPU host, and 100000 trials of a
+    2-side chip at 21 MB.  Before the bounds, a 100000 x 100000 [bist]
+    or [bism] line was killed by the OOM killer, and 200000000 trials
+    aborted on allocation failure under a 2 GB cap.  The rejections
+    are pinned in [test/cram/guard.t].  The bounds do not bound time,
+    nor the memory an exact [bism] solve learns over time (258 MB
+    after 120 s on one hard 256-side chip): [budget_steps] does. *)
 
 type spec =
   | Synth of {

@@ -315,7 +315,13 @@ let sat_budget () =
         | Ok (R.Sat_assign.Mappable m) ->
             if not (R.Bism.mapping_defect_free chip m) then
               fail "sat-assign: Mappable witness not defect-free (n=%d)" n
-        | Ok R.Sat_assign.Unmappable -> ()
+        | Ok (R.Sat_assign.Unmappable (R.Sat_assign.Matching m)) ->
+            if
+              not
+                (Nxc_oracle.Assign_ref.matching_certifies chip
+                   ~spares:(2 * (n - k)) m)
+            then fail "sat-assign: matching certificate rejected (n=%d)" n
+        | Ok (R.Sat_assign.Unmappable R.Sat_assign.Refuted) -> ()
         | Ok (R.Sat_assign.Degraded m) ->
             if policy = G.Budget.Fail then
               fail "sat-assign: degraded verdict under Fail policy";
@@ -356,6 +362,12 @@ let sat_budget () =
 let job_specs () =
   let pick a = a.(Random.State.int rand (Array.length a)) in
   let int_field key = Printf.sprintf {|"%s":%d|} key (pick [| -1; 0; 1; 2; 3; 5 |]) in
+  (* sizes also probe the bounds (64 a BIST side, 256 a chip side) and
+     far past them: an oversized array must be rejected, not built *)
+  let size_field key =
+    Printf.sprintf {|"%s":%d|} key
+      (pick [| -1; 0; 1; 2; 3; 5; 65; 257; 100000 |])
+  in
   let density () =
     Printf.sprintf {|"density":%s|} (pick [| "0"; "1"; "0.0"; "1.0"; "0.1"; "1.5"; "-0.2" |])
   in
@@ -369,16 +381,16 @@ let job_specs () =
             str "cover_backend" [| "bnb"; "sat"; "dpll" |] ]
       | 1 ->
           [ {|"kind":"flow"|}; str "expr" [| "x1x2"; "x1 ^ x2"; "1"; "x0" |];
-            int_field "n"; density (); seed () ]
-      | 2 -> [ {|"kind":"bist"|}; int_field "rows"; int_field "cols" ]
+            size_field "n"; density (); seed () ]
+      | 2 -> [ {|"kind":"bist"|}; size_field "rows"; size_field "cols" ]
       | 3 ->
-          [ {|"kind":"bism"|}; int_field "n"; int_field "k"; density ();
+          [ {|"kind":"bism"|}; size_field "n"; int_field "k"; density ();
             seed (); int_field "trials";
             str "scheme" [| "blind"; "greedy"; "hybrid"; "sat"; "psychic" |] ]
-      | 4 -> [ {|"kind":"yield"|}; int_field "n"; density (); seed (); int_field "trials" ]
+      | 4 -> [ {|"kind":"yield"|}; size_field "n"; density (); seed (); int_field "trials" ]
       | _ ->
-          [ {|"kind":"repair"|}; int_field "rows"; int_field "cols";
-            int_field "spare_rows"; int_field "spare_cols"; density (); seed ();
+          [ {|"kind":"repair"|}; size_field "rows"; size_field "cols";
+            size_field "spare_rows"; size_field "spare_cols"; density (); seed ();
             int_field "trials"; str "mode" [| "exact"; "greedy"; "psychic" |] ]
     in
     let fields =
@@ -406,7 +418,20 @@ let job_specs () =
           (seq @ par);
         if envelopes seq <> envelopes par then
           fail "job-specs: pool changed the envelopes of %s" batch)
-  done
+  done;
+  (* the lines that used to exhaust memory: exit 3, nothing allocated *)
+  case "job-specs" (fun () ->
+      List.iter
+        (fun o ->
+          if o.Svc.Engine.exit_code <> 3 then
+            fail "job-specs: oversized job answered exit %d, not 3"
+              o.Svc.Engine.exit_code)
+        (Svc.Engine.run_lines
+           [ {|{"kind":"bist","rows":100000,"cols":100000}|};
+             {|{"kind":"bism","n":100000}|};
+             {|{"kind":"yield","n":100000}|};
+             {|{"kind":"repair","rows":100000,"cols":100000}|};
+             {|{"kind":"bism","n":2,"k":1,"trials":200000000}|} ]))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: same seed + same budget -> identical outcome           *)

@@ -95,9 +95,26 @@ let law_must_repair_is_forced =
       in
       holds (analyze ~mode:Bira.Exact sc) && holds (analyze ~mode:Bira.Greedy sc))
 
+(* law (d): the matching bound prunes only subtrees with no strictly
+   smaller repair, so exact BIRA returns the very repair the unbounded
+   reference search finds first, and fails exactly where it finds none *)
+let law_exact_matches_reference =
+  qtest "exact BIRA = the unbounded reference search" arb_scenario (fun sc ->
+      let chip = scenario_chip sc in
+      let reference =
+        Nxc_oracle.Assign_ref.bira_exact chip ~spare_rows:sc.sc_spare_rows
+          ~spare_cols:sc.sc_spare_cols
+      in
+      match (analyze ~mode:Bira.Exact sc, reference) with
+      | Ok sol, Some (rows, cols) ->
+          sol.Bira.degraded
+          || (sol.Bira.repair_rows = rows && sol.Bira.repair_cols = cols)
+      | Error (`Unsat _), None -> true
+      | _ -> false)
+
 let law_tests =
   [ law_repair_is_defect_free; law_exact_dominates_greedy; law_exact_is_minimal;
-    law_must_repair_is_forced ]
+    law_must_repair_is_forced; law_exact_matches_reference ]
 
 (* ------------------------------------------------------------------ *)
 (* directed BIRA scenarios                                             *)

@@ -446,22 +446,69 @@ let arb_chip =
     ~print:(fun (s, d) -> Printf.sprintf "seed=%d density=%.3f" s d)
     gen_chip
 
-let sat_assign_differential (seed, density) =
+(* a Matching certificate must pass the oracle's independent check *)
+let certificate_ok chip ~spares = function
+  | SA.Matching m -> Nxc_oracle.Assign_ref.matching_certifies chip ~spares m
+  | SA.Refuted -> true
+
+let sat_assign_differential ~n ~k (seed, density) =
   let rng = R.Rng.create seed in
   let chip =
-    R.Defect.generate rng ~rows:6 ~cols:6 (R.Defect.uniform density)
+    R.Defect.generate rng ~rows:n ~cols:n (R.Defect.uniform density)
   in
-  match SA.decide chip ~k_rows:3 ~k_cols:3 with
+  match SA.decide chip ~k_rows:k ~k_cols:k with
   | Ok (SA.Mappable m) ->
       if not (R.Bism.mapping_defect_free chip m) then
         QCheck.Test.fail_report "witness not defect-free";
-      brute_mappable chip ~k:3
+      brute_mappable chip ~k
       || QCheck.Test.fail_report "SAT mappable, brute force disagrees"
-  | Ok SA.Unmappable ->
-      (not (brute_mappable chip ~k:3))
+  | Ok (SA.Unmappable cert) ->
+      if not (certificate_ok chip ~spares:(2 * (n - k)) cert) then
+        QCheck.Test.fail_report "matching certificate rejected by the oracle";
+      (not (brute_mappable chip ~k))
       || QCheck.Test.fail_report "SAT unmappable, brute force finds a mapping"
   | Ok (SA.Degraded _) -> QCheck.Test.fail_report "degraded without budget"
   | Error e -> QCheck.Test.fail_report (G.Error.to_string (e :> G.Error.t))
+
+(* Bira's exact search answers the same question with a different
+   algorithm; wherever it does not degrade, the verdicts must agree *)
+let arb_bira_chip =
+  QCheck.make
+    ~print:(fun (s, d, n, sp) ->
+      Printf.sprintf "seed=%d density=%.3f n=%d spares=%d" s d n sp)
+    QCheck.Gen.(
+      quad (int_range 0 1000000) (float_range 0.02 0.2) (int_range 12 16)
+        (int_range 1 3))
+
+let bira_degrades =
+  Nxc_obs.Metrics.counter "guard.degrade.bira_exact_to_greedy"
+
+let sat_assign_vs_bira (seed, density, n, spares) =
+  let chip =
+    R.Defect.generate (R.Rng.create seed) ~rows:n ~cols:n
+      (R.Defect.uniform density)
+  in
+  let k = n - spares in
+  let before = Nxc_obs.Metrics.counter_value bira_degrades in
+  let bira =
+    R.Bira.analyze ~mode:R.Bira.Exact chip ~spare_rows:spares
+      ~spare_cols:spares
+  in
+  let degraded = Nxc_obs.Metrics.counter_value bira_degrades > before in
+  match (SA.decide chip ~k_rows:k ~k_cols:k, bira) with
+  | _, Ok { R.Bira.degraded = true; _ } -> true
+  | _, Error _ when degraded -> true
+  | Ok (SA.Mappable _), Ok _ -> true
+  | Ok (SA.Unmappable cert), Error (`Unsat _) ->
+      certificate_ok chip ~spares:(2 * spares) cert
+      || QCheck.Test.fail_report "matching certificate rejected by the oracle"
+  | Ok _, Error e ->
+      QCheck.Test.fail_reportf "verdict disagrees with Bira: %s"
+        (G.Error.to_string (e :> G.Error.t))
+  | Ok (SA.Unmappable _), Ok _ ->
+      QCheck.Test.fail_report "unmappable, but Bira found a repair"
+  | Ok (SA.Degraded _), _ -> QCheck.Test.fail_report "degraded without budget"
+  | Error e, _ -> QCheck.Test.fail_report (G.Error.to_string (e :> G.Error.t))
 
 let test_assign_edges () =
   let perfect = R.Defect.perfect ~rows:4 ~cols:4 in
@@ -478,7 +525,9 @@ let test_assign_edges () =
     !c
   in
   (match SA.decide dead_chip ~k_rows:1 ~k_cols:1 with
-  | Ok SA.Unmappable -> ()
+  | Ok (SA.Unmappable cert) ->
+      Alcotest.(check bool) "certificate checks" true
+        (certificate_ok dead_chip ~spares:6 cert)
   | _ -> Alcotest.fail "fully defective chip must be unmappable");
   (match SA.decide perfect ~k_rows:5 ~k_cols:1 with
   | Error (`Invalid_input _) -> ()
@@ -486,6 +535,34 @@ let test_assign_edges () =
   match SA.decide perfect ~k_rows:0 ~k_cols:1 with
   | Error (`Invalid_input _) -> ()
   | _ -> Alcotest.fail "empty geometry must be Invalid_input"
+
+(* seed 11 of this geometry: greedy allocation dead-ends, yet a repair
+   (and so a mapping) exists — the dead end must not pass for a proof *)
+let test_greedy_dead_end_not_a_proof () =
+  let chip =
+    R.Defect.generate (R.Rng.create 11) ~rows:16 ~cols:16
+      (R.Defect.uniform 0.2)
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  (match R.Bira.analyze ~mode:R.Bira.Greedy chip ~spare_rows:8 ~spare_cols:8 with
+  | Error (`Unsat why) ->
+      Alcotest.(check bool) "reported as a heuristic miss" true
+        (contains why "heuristic miss")
+  | _ -> Alcotest.fail "greedy was expected to dead-end on this chip");
+  (match R.Bira.analyze ~mode:R.Bira.Exact chip ~spare_rows:8 ~spare_cols:8 with
+  | Ok sol -> Alcotest.(check bool) "exact, not degraded" false sol.R.Bira.degraded
+  | Error e -> Alcotest.failf "exact Bira: %s" (G.Error.to_string (e :> G.Error.t)));
+  match SA.decide chip ~k_rows:8 ~k_cols:8 with
+  | Ok (SA.Mappable m) ->
+      Alcotest.(check bool) "witness defect-free" true
+        (R.Bism.mapping_defect_free chip m)
+  | _ -> Alcotest.fail "decide must map the chip greedy could not repair"
 
 let hard_chip () =
   (* a dense-but-mappable 12x12 instance that burns enough conflicts to
@@ -572,8 +649,14 @@ let () =
             test_cover_budget ] );
       ( "sat_assign",
         [ qtest ~count:150 "decide vs brute force (6x6, k=3)" arb_chip
-            sat_assign_differential;
+            (sat_assign_differential ~n:6 ~k:3);
+          qtest ~count:60 "decide vs brute force (8x8, k=4)" arb_chip
+            (sat_assign_differential ~n:8 ~k:4);
+          qtest ~count:100 "decide agrees with exact Bira (12-16, few spares)"
+            arb_bira_chip sat_assign_vs_bira;
           Alcotest.test_case "edge geometries" `Quick test_assign_edges;
+          Alcotest.test_case "greedy dead end is not a proof" `Quick
+            test_greedy_dead_end_not_a_proof;
           Alcotest.test_case "budget Fail -> typed error" `Quick
             test_assign_budget_fail;
           Alcotest.test_case "budget Degrade -> fallback" `Quick

@@ -41,9 +41,13 @@
      lattice sizes of the paper's suite may not drift when the
      minimization or decomposition code under them is made faster;
    - an E18 experiment must report [identical_covers = true] (the SAT
-     covering backend agrees with branch-and-bound everywhere) and
+     covering backend agrees with branch-and-bound everywhere),
      [sat_rescues >= 1] (at least one chip was mapped exactly where
-     hybrid BISM gave up).
+     hybrid BISM gave up), and account for every [confirmed_unmappable]
+     verdict twice: [unmappable_certified] (matching certificates the
+     oracle accepted) plus the stated residue [unmappable_sat_refuted]
+     (verdicts only the SAT solver backs) must equal it, and so must
+     [unmappable_cross_checked] (verdicts exact BIRA agreed with).
 
    Exit 0 when every gate passes and at least one identical flag was
    seen; exit 1 otherwise.  Run via `make bench-smoke` / `make check`. *)
@@ -258,7 +262,7 @@ let () =
                (identical_covers = %s)"
               (J.to_string v)
         | None -> fail "E18: no identical_covers in headline");
-        match field "sat_rescues" with
+        (match field "sat_rescues" with
         | Some (J.Int r) when r >= 1 ->
             Printf.printf "bench_check: %-9s sat_rescues %d\n" id r
         | Some v ->
@@ -266,7 +270,29 @@ let () =
               "E18: exact assignment rescued no chip hybrid BISM missed \
                (sat_rescues = %s)"
               (J.to_string v)
-        | None -> fail "E18: no sat_rescues in headline"
+        | None -> fail "E18: no sat_rescues in headline");
+        let count key =
+          match field key with
+          | Some (J.Int n) when n >= 0 -> n
+          | Some v -> fail "E18: %s is not a count (%s)" key (J.to_string v)
+          | None -> fail "E18: no %s in headline" key
+        in
+        let confirmed = count "confirmed_unmappable"
+        and certified = count "unmappable_certified"
+        and refuted = count "unmappable_sat_refuted"
+        and cross = count "unmappable_cross_checked" in
+        if certified + refuted <> confirmed then
+          fail
+            "E18: %d matching certificates and %d SAT-only refutations do \
+             not account for %d unmappable verdicts"
+            certified refuted confirmed;
+        if cross <> confirmed then
+          fail "E18: exact BIRA confirmed %d of %d unmappable verdicts" cross
+            confirmed;
+        Printf.printf
+          "bench_check: %-9s unmappable %d: %d certified, %d SAT-only, %d \
+           cross-checked\n"
+          id confirmed certified refuted cross
       end)
     experiments;
   if !checked = 0 then
