@@ -63,10 +63,12 @@ svcbench-smoke:
 	  esac; \
 	done
 
-# report, not a gate: for every val in lib/**/*.mli, how many files use
-# the name in bin/ lib/ examples/ and in test/ bench/ tools/ svcbench/
-# (a rough word match; check each hit by hand before deleting anything)
+# report, not a gate: for every val in lib/**/*.mli, how many files
+# outside its module use it in bin/ lib/ examples/ and in test/ bench/
+# tools/ svcbench/, and whether its own module does (resolved from the
+# typed trees that `dune build @check` leaves in _build)
 unused-exports:
+	dune build @check
 	dune exec tools/unused_exports.exe
 
 # quick end-to-end exercise of the observability surface

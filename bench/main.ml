@@ -739,7 +739,7 @@ let e16 () =
         (fun b ->
           let f = b.Nxc_suite.func in
           let guard = G.Budget.create ~label:"bench" ~steps () in
-          (match Minimize.sop_result ~method_:Minimize.Exact ~guard f with
+          (match Minimize.sop_result ~guard f with
           | Ok o ->
               incr total;
               if o.Minimize.degraded then incr degraded;

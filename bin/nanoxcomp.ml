@@ -161,7 +161,7 @@ let jobs_term =
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* ------------------------------------------------------------------ *)
-(* covering-backend flag, shared by every subcommand                   *)
+(* covering-backend flag, for in-process synthesis                    *)
 (* ------------------------------------------------------------------ *)
 
 let backend_term =
@@ -182,9 +182,12 @@ let backend_term =
 
 (* every subcommand takes the setup terms and receives the --jobs value *)
 let common_term =
-  Term.(
-    const (fun () () () jobs -> jobs)
-    $ obs_term $ guard_term $ backend_term $ jobs_term)
+  Term.(const (fun () () jobs -> jobs) $ obs_term $ guard_term $ jobs_term)
+
+(* [common_term] plus --cover-backend, for the subcommands that call
+   Synth or Flow themselves; job specs carry their own backend *)
+let synth_common_term =
+  Term.(const (fun () jobs -> jobs) $ backend_term $ common_term)
 
 let die_error e =
   Guard.Error.count e;
@@ -238,7 +241,7 @@ let synth_cmd =
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"synthesize a function on all technologies")
-    Term.(const run $ common_term $ expr_arg $ show_lattice)
+    Term.(const run $ synth_common_term $ expr_arg $ show_lattice)
 
 let suite_cmd =
   let run _jobs full =
@@ -261,7 +264,7 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "suite" ~doc:"size comparison over the benchmark suite")
-    Term.(const run $ common_term $ full)
+    Term.(const run $ synth_common_term $ full)
 
 (* ------------------------------------------------------------------ *)
 (* simulation subcommands: one-job batches through the service engine  *)
@@ -505,7 +508,7 @@ let pla_cmd =
   in
   Cmd.v
     (Cmd.info "pla" ~doc:"synthesize every output of a Berkeley PLA file")
-    Term.(const run $ common_term $ path)
+    Term.(const run $ synth_common_term $ path)
 
 let machine_cmd =
   let run _jobs program n =
@@ -534,7 +537,7 @@ let machine_cmd =
   Cmd.v
     (Cmd.info "machine"
        ~doc:"run a demo program on the lattice-fabric accumulator machine")
-    Term.(const run $ common_term $ program $ n)
+    Term.(const run $ synth_common_term $ program $ n)
 
 let stats_cmd =
   let run _jobs expr json prom n density seed =
@@ -569,7 +572,7 @@ let stats_cmd =
          "run the end-to-end flow once and print the pipeline metrics \
           snapshot")
     Term.(
-      const run $ common_term $ expr_arg $ json $ prom $ n $ density_arg
+      const run $ synth_common_term $ expr_arg $ json $ prom $ n $ density_arg
       $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -760,16 +763,6 @@ let serve_cmd =
     Term.(const run $ common_term $ cache_arg $ window_arg $ deadline_arg)
 
 let () =
-  (* NANOXCOMP_VERBOSE=debug|info enables library tracing *)
-  (match Sys.getenv_opt "NANOXCOMP_VERBOSE" with
-  | Some level ->
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level
-        (match level with
-        | "debug" -> Some Logs.Debug
-        | "info" -> Some Logs.Info
-        | _ -> Some Logs.Warning)
-  | None -> ());
   let info =
     Cmd.info "nanoxcomp" ~version:"1.0.0"
       ~doc:"logic synthesis and fault tolerance for nano-crossbar arrays"

@@ -2,10 +2,6 @@ module R = Nxc_reliability
 module Lt = Nxc_lattice
 module Guard = Nxc_guard
 
-let src = Logs.Src.create "nxc.flow" ~doc:"synthesize/map/verify pipeline"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type result = {
   impl : Synth.t;
   bism : R.Bism.stats;
@@ -53,41 +49,6 @@ let verify_mapping chip lattice func mapping =
   match mapping with
   | None -> false
   | Some m -> Lt.Checker.equivalent (lattice_with_defects lattice chip m) func
-
-let run ?(scheme = R.Bism.Hybrid 10) ?(max_configs = 1000) ?guard rng ~chip
-    func =
-  Obs.Metrics.incr m_runs;
-  Obs.Span.with_ ~name:"flow.run"
-    ~attrs:(fun () -> [ ("name", Obs.Json.Str (Nxc_logic.Boolfunc.name func)) ])
-  @@ fun () ->
-  let guard = Guard.Budget.resolve guard in
-  let impl = Synth.synthesize ~guard func in
-  let lattice = Synth.best_lattice impl in
-  if not (feasible chip lattice) then begin
-    Obs.Metrics.incr m_infeasible;
-    Log.warn (fun f ->
-        f "lattice %dx%d exceeds chip %dx%d: unmappable"
-          (Lt.Lattice.rows lattice) (Lt.Lattice.cols lattice)
-          (R.Defect.rows chip) (R.Defect.cols chip));
-    { impl; bism = no_stats; mapping = None; functional = false }
-  end
-  else begin
-    Log.info (fun f ->
-        f "mapping a %dx%d lattice onto a %dx%d chip (%.1f%% defective)"
-          (Lt.Lattice.rows lattice) (Lt.Lattice.cols lattice)
-          (R.Defect.rows chip) (R.Defect.cols chip)
-          (100.0 *. R.Defect.actual_density chip));
-    let bism, mapping =
-      Obs.Span.with_ ~name:"flow.bism" (fun () ->
-          R.Bism.run ~guard rng scheme ~chip
-            ~k_rows:(Lt.Lattice.rows lattice)
-            ~k_cols:(Lt.Lattice.cols lattice)
-            ~max_configs)
-    in
-    let functional = verify_mapping chip lattice func mapping in
-    if functional then Obs.Metrics.incr m_functional;
-    { impl; bism; mapping; functional }
-  end
 
 (* Escalation ladder for [run_result]: blind is the cheapest hardware
    scheme, hybrid adds diagnosis after a few retries, greedy diagnoses
@@ -150,6 +111,14 @@ let run_result ?scheme ?(max_configs = 1000) ?guard rng ~chip func =
           if functional then Obs.Metrics.incr m_functional;
           Ok { impl; bism; mapping; functional }
         end
+
+(* The total single-scheme flow: [run_result] under a Degrade view of
+   the guard, which never reports exhaustion. *)
+let run ?(scheme = R.Bism.Hybrid 10) ?max_configs ?guard rng ~chip func =
+  let guard = Guard.Budget.degrading (Guard.Budget.resolve guard) in
+  match run_result ~scheme ?max_configs ~guard rng ~chip func with
+  | Ok r -> r
+  | Error _ -> assert false
 
 type aware_result = {
   aware_impl : Synth.t;

@@ -35,7 +35,8 @@ val run :
   chip:Nxc_reliability.Defect.t ->
   Nxc_logic.Boolfunc.t ->
   result
-(** Single-scheme run (default scheme: [Hybrid 10]).  An infeasible or
+(** {!run_result} with one scheme (default: [Hybrid 10]) under a
+    [Degrade] view of [guard], so it always returns.  An infeasible or
     unmappable chip yields [{ mapping = None; functional = false; _ }]. *)
 
 val run_result :

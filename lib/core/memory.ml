@@ -38,9 +38,6 @@ let create ?chip ~words ~width ~spares () =
     row_map = Array.of_list (List.filteri (fun i _ -> i < words) good);
     cells = Array.make_matrix rows width false }
 
-let words t = t.words
-let width t = t.width
-
 let repaired_rows t =
   (* logical rows whose physical row differs from the identity mapping *)
   let n = ref 0 in

@@ -17,9 +17,6 @@ val create :
     spares eagerly.  Raises [Invalid_argument] if more rows are
     defective than spares can absorb. *)
 
-val words : t -> int
-val width : t -> int
-
 val repaired_rows : t -> int
 (** How many logical rows live on spares. *)
 

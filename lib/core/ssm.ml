@@ -28,10 +28,6 @@ let make ~n_inputs ~state_bits ~next_state ~outputs =
     next_lattices = Array.map lattice_of next_state;
     out_lattices = Array.map lattice_of outputs }
 
-let n_inputs t = t.n_inputs
-let state_bits t = t.state_bits
-let num_outputs t = Array.length t.out_lattices
-
 let logic_area t =
   Array.fold_left (fun acc l -> acc + Lt.Lattice.area l) 0 t.next_lattices
   + Array.fold_left (fun acc l -> acc + Lt.Lattice.area l) 0 t.out_lattices

@@ -3,8 +3,8 @@
     The paper's end goal is an SSM — "representation of a computer" —
     built from crossbar logic and memory.  This module assembles one:
     next-state and output logic are synthesized as switching lattices
-    (via {!Synth}) and a register holds the state; {!step} evaluates
-    one clock edge entirely through lattice connectivity.
+    (via {!Synth}) and a register holds the state; each clock edge of
+    {!run} is evaluated entirely through lattice connectivity.
 
     Inputs are variables [0 .. n_inputs-1]; state bits are variables
     [n_inputs .. n_inputs + state_bits - 1] of every logic function. *)
@@ -20,17 +20,8 @@ val make :
 (** Each function must have arity [n_inputs + state_bits].
     [next_state] has one function per state bit. *)
 
-val n_inputs : t -> int
-val state_bits : t -> int
-(** Test-only, with {!n_inputs}: tests check machine shapes with them. *)
-
-val num_outputs : t -> int
-
 val logic_area : t -> int
 (** Total lattice sites of all next-state and output logic. *)
-
-val step : t -> state:int -> input:int -> int * int
-(** [(next_state, output_word)]. *)
 
 val run : t -> init:int -> int list -> (int * int) list
 (** Trace of [(state_after, output_after)] per input, threading state. *)
@@ -46,6 +37,6 @@ val sequence_detector : pattern:bool list -> t
 
 val equivalent_to :
   t -> reference:(state:int -> input:int -> int * int) -> bool
-(** Exhaustive equivalence of {!step} against a functional reference
-    over all states and inputs.
+(** Exhaustive equivalence of one clock edge against a functional
+    reference over all states and inputs.
     Test-only: tests and the bench check machines with it. *)

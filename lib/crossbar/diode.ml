@@ -30,16 +30,15 @@ let of_cover cover =
     cubes;
   { n; cover; literals; placement = Model.placement_of_matrix matrix }
 
-let synthesize ?method_ f =
+let synthesize f =
   match L.Boolfunc.is_const f with
   | Some _ -> invalid_arg "Diode.synthesize: constant function"
-  | None -> of_cover (L.Minimize.sop ?method_ f)
+  | None -> of_cover (L.Minimize.sop f)
 
-let n_vars x = x.n
 let dims x = x.placement.Model.dims
 
-let size_formula ?method_ f =
-  let c = L.Minimize.sop ?method_ f in
+let size_formula f =
+  let c = L.Minimize.sop f in
   { Model.rows = Cover.num_cubes c;
     cols = List.length (Cover.distinct_literals c) + 1 }
 

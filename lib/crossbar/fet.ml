@@ -56,24 +56,23 @@ let of_covers ~n ~f_cover ~dual_cover =
   { n; pullup; pulldown; rows;
     placement = Model.placement_of_matrix matrix }
 
-let synthesize ?method_ f =
+let synthesize f =
   match L.Boolfunc.is_const f with
   | Some _ -> invalid_arg "Fet.synthesize: constant function"
   | None ->
       of_covers ~n:(L.Boolfunc.n_vars f)
-        ~f_cover:(L.Minimize.sop ?method_ f)
-        ~dual_cover:(L.Minimize.dual_sop ?method_ f)
+        ~f_cover:(L.Minimize.sop f)
+        ~dual_cover:(L.Minimize.dual_sop f)
 
-let n_vars x = x.n
 let dims x = x.placement.Model.dims
 
 (* Gate lines: distinct literals of f plus the complements of the dual
    cover's literals.  On the paper's example (and whenever f's literal
    set is closed under the dual's complements) this is exactly the
    paper's "number of literals in f". *)
-let size_formula ?method_ f =
-  let fc = L.Minimize.sop ?method_ f in
-  let dc = L.Minimize.dual_sop ?method_ f in
+let size_formula f =
+  let fc = L.Minimize.sop f in
+  let dc = L.Minimize.dual_sop f in
   let lits =
     Cover.distinct_literals fc
     @ List.map (fun (v, p) -> (v, flip p)) (Cover.distinct_literals dc)

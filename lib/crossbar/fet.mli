@@ -25,15 +25,13 @@ val of_covers :
   n:int -> f_cover:Nxc_logic.Cover.t -> dual_cover:Nxc_logic.Cover.t -> t
 (** Raises [Invalid_argument] on degenerate (constant) covers. *)
 
-val synthesize : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> t
+val synthesize : Nxc_logic.Boolfunc.t -> t
 (** Minimize [f] and [f{^D}] and build.  Raises [Invalid_argument] on
     constant functions. *)
 
-val n_vars : t -> int
-
 val dims : t -> Model.dims
 
-val size_formula : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> Model.dims
+val size_formula : Nxc_logic.Boolfunc.t -> Model.dims
 
 val placement : t -> Model.placement
 (** Programmed crosspoints of both networks on the shared grid; the

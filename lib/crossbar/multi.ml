@@ -4,7 +4,6 @@ module Cover = L.Cover
 module Tt = L.Truth_table
 
 type t = {
-  n : int;
   outputs : L.Boolfunc.t array;
   products : Cube.t array;
   drives : bool array array;  (* product -> output *)
@@ -14,7 +13,7 @@ type t = {
 let cube_implies_table n cube tt =
   Tt.implies (Tt.of_cover (Cover.make n [ cube ])) tt
 
-let synthesize ?method_ fs =
+let synthesize fs =
   (match fs with [] -> invalid_arg "Multi.synthesize: no outputs" | _ -> ());
   let outputs = Array.of_list fs in
   let n = L.Boolfunc.n_vars outputs.(0) in
@@ -31,12 +30,12 @@ let synthesize ?method_ fs =
      pairwise conjunctions as sharing seeds *)
   let candidates = Hashtbl.create 64 in
   let add_cover c = List.iter (fun cube -> Hashtbl.replace candidates cube ()) (Cover.cubes c) in
-  Array.iter (fun f -> add_cover (L.Minimize.sop ?method_ f)) outputs;
+  Array.iter (fun f -> add_cover (L.Minimize.sop f)) outputs;
   for i = 0 to k - 1 do
     for j = i + 1 to k - 1 do
       let conj = Tt.band tables.(i) tables.(j) in
       if Tt.is_const conj = None then
-        add_cover (L.Minimize.sop_table ?method_ conj)
+        add_cover (L.Minimize.sop_table conj)
     done
   done;
   let cand = Hashtbl.fold (fun c () acc -> c :: acc) candidates [] in
@@ -90,17 +89,14 @@ let synthesize ?method_ fs =
     Array.of_list
       (Cover.distinct_literals (Cover.make n (Array.to_list products)))
   in
-  { n; outputs; products; drives; literals }
+  { outputs; products; drives; literals }
 
-let n_vars x = x.n
 let num_outputs x = Array.length x.outputs
 let num_products x = Array.length x.products
 
 let dims x =
   { Model.rows = num_products x;
     cols = Array.length x.literals + num_outputs x }
-
-let crosspoints x = Model.crosspoints (dims x)
 
 let products x = Array.copy x.products
 
@@ -114,15 +110,3 @@ let eval_int x m =
         Array.iteri (fun o d -> if d then out.(o) <- true) x.drives.(r))
     x.products;
   out
-
-let pp ppf x =
-  let d = dims x in
-  Format.fprintf ppf "multi-output crossbar %dx%d (%d products, %d outputs)@."
-    d.Model.rows d.Model.cols (num_products x) (num_outputs x);
-  Array.iteri
-    (fun r cube ->
-      Format.fprintf ppf "  P%-2d %a -> %s@." (r + 1) Cube.pp cube
-        (String.concat ""
-           (Array.to_list
-              (Array.map (fun b -> if b then "1" else ".") x.drives.(r)))))
-    x.products

@@ -13,21 +13,15 @@
 
 type t
 
-val synthesize : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t list -> t
+val synthesize : Nxc_logic.Boolfunc.t list -> t
 (** All functions must share an arity; constant outputs are rejected
     ([Invalid_argument]), as in {!Diode}. *)
-
-val n_vars : t -> int
-
-val num_outputs : t -> int
 
 val num_products : t -> int
 
 val dims : t -> Model.dims
 (** Rows = shared products; cols = distinct literals + one output
     column per function. *)
-
-val crosspoints : t -> int
 
 val products : t -> Nxc_logic.Cube.t array
 
@@ -37,5 +31,3 @@ val connected_outputs : t -> int -> bool array
 
 val eval_int : t -> int -> bool array
 (** All outputs under one assignment. *)
-
-val pp : Format.formatter -> t -> unit

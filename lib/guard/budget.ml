@@ -126,11 +126,6 @@ let degrade site =
 let is_limited t =
   t.core.max_steps <> max_int || t.core.deadline_ns <> max_int
 
-let remaining t =
-  let c = t.core in
-  if c.max_steps = max_int then None
-  else Some (if c.dead then 0 else max 0 (c.max_steps - c.steps))
-
 let partition t n =
   let n = max 1 n in
   let c = t.core in

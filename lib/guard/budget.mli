@@ -1,7 +1,7 @@
 (** Cooperative resource budgets: a step counter plus an optional
     monotonic-clock deadline, checked inside the hot loops of every
     potentially exponential search in the pipeline (QM covering,
-    espresso rounds, [Nxc_lattice.Optimal], the defect-flow
+    [Nxc_lattice.Optimal], the defect-flow
     branch-and-bound, BISM retry loops).
 
     A budget is {e cooperative}: loops call {!step} once per unit of
@@ -87,11 +87,6 @@ val degrade : string -> unit
 val is_limited : t -> bool
 (** [true] when the budget has a step cap or a deadline, i.e. when
     partitioning it is worth the bother. *)
-
-val remaining : t -> int option
-(** Steps left before the cap trips: [None] when the budget has no step
-    cap, [Some 0] once exhausted.  Admission controllers use this to
-    reject work up-front instead of letting it trip mid-flight. *)
 
 val partition : t -> int -> t array
 (** [partition t n] is [n] fresh slices of [t]'s remaining allowance:

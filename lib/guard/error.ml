@@ -35,8 +35,6 @@ let to_string = function
   | `Unsat msg -> Printf.sprintf "unsatisfiable: %s" msg
   | `Internal msg -> Printf.sprintf "internal error: %s" msg
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let exit_code = function
   | `Internal _ -> 1
   | `Invalid_input _ -> 3

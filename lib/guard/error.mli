@@ -42,8 +42,6 @@ val internal : string -> [> t ]
 val to_string : t -> string
 (** One line, no trailing newline; includes line/column when known. *)
 
-val pp : Format.formatter -> t -> unit
-
 val exit_code : t -> int
 (** The CLI contract: [`Internal] 1, [`Invalid_input] 3,
     [`Budget_exhausted] 4, [`Unsat] 5. *)

@@ -90,11 +90,6 @@ let eval_int l m =
     ~starts:(List.init l.cols (fun c -> (0, c)))
     ~finished:(fun (r, _) -> r = l.rows - 1)
 
-let eval l x =
-  let m = ref 0 in
-  Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) x;
-  eval_int l !m
-
 let eval_lr l m =
   connected l m
     ~starts:(List.init l.rows (fun r -> (r, 0)))

@@ -41,8 +41,6 @@ val map : (int -> int -> site -> site) -> t -> t
 val eval_int : t -> int -> bool
 (** Top-to-bottom connectivity under an assignment. *)
 
-val eval : t -> bool array -> bool
-
 val eval_lr : t -> int -> bool
 (** Left-to-right connectivity — for lattices built by
     {!Altun_riedel.synthesize} this computes the dual function.

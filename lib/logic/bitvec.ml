@@ -115,27 +115,6 @@ let first_diff a b =
   in
   go 0
 
-(* Word-parallel [map2]: sample [f] on the four bool pairs once, then
-   combine whole words with the resulting two-variable truth table. *)
-let map2 f a b =
-  if a.len <> b.len then invalid_arg "Bitvec.map2: length mismatch";
-  let n = Array.length a.words in
-  let words = Array.make n 0 in
-  let ff = f false false
-  and ft = f false true
-  and tf = f true false
-  and tt = f true true in
-  for i = 0 to n - 1 do
-    let x = Array.unsafe_get a.words i and y = Array.unsafe_get b.words i in
-    let w = ref 0 in
-    if ff then w := !w lor (lnot x land lnot y);
-    if ft then w := !w lor (lnot x land y);
-    if tf then w := !w lor (x land lnot y);
-    if tt then w := !w lor (x land y);
-    Array.unsafe_set words i !w
-  done;
-  normalize { len = a.len; words }
-
 let word_op f a b =
   if a.len <> b.len then invalid_arg "Bitvec: length mismatch";
   let n = Array.length a.words in

@@ -27,14 +27,8 @@ val is_all : bool -> t -> bool
 
 val init : int -> (int -> bool) -> t
 
-val iteri : (int -> bool -> unit) -> t -> unit
-
 val fold_true : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over the indices of set bits, in increasing order. *)
-
-val map2 : (bool -> bool -> bool) -> t -> t -> t
-(** Pointwise combination; the vectors must have equal length.
-    Test-only: tests use it as the bitwise reference for the word ops. *)
 
 val lnot : t -> t
 
@@ -53,9 +47,6 @@ val pp : Format.formatter -> t -> unit
     bit [i] lives in word [i / word_bits] at offset [i mod word_bits],
     with unused tail bits kept zero.  These entry points let evaluation
     kernels produce or consume whole words without per-bit traffic. *)
-
-val word_bits : int
-(** Bits per word ([Bitslice.word_bits]). *)
 
 val num_words : t -> int
 (** Test-only: tests check the word layout through it. *)

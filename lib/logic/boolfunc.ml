@@ -1,16 +1,13 @@
 type t = { name : string; tt : Truth_table.t }
 
 let make ?(name = "f") tt = { name; tt }
-let of_fun ?name n f = make ?name (Truth_table.of_fun n f)
 let of_fun_int ?name n f = make ?name (Truth_table.of_fun_int n f)
 let of_cover ?name c = make ?name (Truth_table.of_cover c)
-let of_minterms ?name n ms = make ?name (Truth_table.of_minterms n ms)
 
 let name f = f.name
 let with_name name f = { f with name }
 let n_vars f = Truth_table.n_vars f.tt
 let table f = f.tt
-let eval f = Truth_table.eval f.tt
 let eval_int f = Truth_table.eval_int f.tt
 let equal a b = Truth_table.equal a.tt b.tt
 
@@ -26,8 +23,3 @@ let lift2 op suffix a b =
 let band = lift2 Truth_table.band "*"
 let bor = lift2 Truth_table.bor "+"
 let bxor = lift2 Truth_table.bxor "^"
-
-let cofactor f v b = { f with tt = Truth_table.cofactor f.tt v b }
-
-let pp ppf f =
-  Format.fprintf ppf "%s/%d" f.name (n_vars f)

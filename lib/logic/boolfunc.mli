@@ -9,13 +9,9 @@ type t
 
 val make : ?name:string -> Truth_table.t -> t
 
-val of_fun : ?name:string -> int -> (bool array -> bool) -> t
-
 val of_fun_int : ?name:string -> int -> (int -> bool) -> t
 
 val of_cover : ?name:string -> Cover.t -> t
-
-val of_minterms : ?name:string -> int -> int list -> t
 
 val name : t -> string
 (** Display name; defaults to ["f"]. *)
@@ -25,8 +21,6 @@ val with_name : string -> t -> t
 val n_vars : t -> int
 
 val table : t -> Truth_table.t
-
-val eval : t -> bool array -> bool
 
 val eval_int : t -> int -> bool
 
@@ -42,7 +36,3 @@ val is_const : t -> bool option
 val band : t -> t -> t
 val bor : t -> t -> t
 val bxor : t -> t -> t
-
-val cofactor : t -> int -> bool -> t
-
-val pp : Format.formatter -> t -> unit

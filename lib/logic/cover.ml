@@ -24,15 +24,6 @@ let top n = { n; cubes = [ Cube.top n ] }
 
 let eval_int f m = List.exists (fun c -> Cube.eval_int c m) f.cubes
 
-let eval f x =
-  let m = ref 0 in
-  Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) x;
-  eval_int f !m
-
-let add f c =
-  if Cube.n_vars c <> f.n then invalid_arg "Cover.add: arity mismatch";
-  { f with cubes = dedup (c :: f.cubes) }
-
 let union f g =
   if f.n <> g.n then invalid_arg "Cover.union: arity mismatch";
   { n = f.n; cubes = dedup (f.cubes @ g.cubes) }
@@ -181,10 +172,6 @@ let minterms f =
 
 let of_minterms n ms =
   make n (List.map (Cube.of_minterm n) (List.sort_uniq compare ms))
-
-let compare a b =
-  let c = Stdlib.compare a.n b.n in
-  if c <> 0 then c else List.compare Cube.compare a.cubes b.cubes
 
 let pp ppf f =
   if f.cubes = [] then Format.pp_print_char ppf '0'

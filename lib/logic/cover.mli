@@ -33,11 +33,7 @@ val bottom : int -> t
 val top : int -> t
 (** Cover containing the universal cube: constant 1. *)
 
-val eval : t -> bool array -> bool
-
 val eval_int : t -> int -> bool
-
-val add : t -> Cube.t -> t
 
 val union : t -> t -> t
 
@@ -47,18 +43,12 @@ val product : t -> t -> t
 val cofactor : t -> int -> Cube.polarity -> t
 (** Shannon cofactor with respect to a literal. *)
 
-val cube_cofactor : t -> Cube.t -> t
-(** Generalized cofactor of the cover with respect to a cube. *)
-
 val is_tautology : t -> bool
 (** Unate-reduction + Shannon recursion tautology check.
     Test-only: tests check cover constants with it. *)
 
 val covers_cube : t -> Cube.t -> bool
 (** [covers_cube f c] is true when every minterm of [c] satisfies [f]. *)
-
-val covers : t -> t -> bool
-(** Cover-level containment: [covers f g] iff g implies f. *)
 
 val equivalent : t -> t -> bool
 
@@ -76,8 +66,6 @@ val minterms : t -> int list
 (** Sorted list of satisfying assignments; exponential, small [n] only. *)
 
 val of_minterms : int -> int list -> t
-
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints e.g. [x1x2' + x3]; constant covers print as [0] / [1]. *)

@@ -55,11 +55,6 @@ let is_top c = c.mask = 0
 
 let eval_int c m = m land c.mask = c.bits
 
-let eval c x =
-  let m = ref 0 in
-  Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) x;
-  eval_int c !m
-
 let check_same a b =
   if a.n <> b.n then invalid_arg "Cube: arity mismatch"
 
@@ -90,10 +85,6 @@ let common_literals a b =
     else go (v - 1) acc
   in
   go (a.n - 1) []
-
-let distance a b =
-  check_same a b;
-  popcount ((a.bits lxor b.bits) land (a.mask land b.mask))
 
 let merge a b =
   check_same a b;

@@ -47,10 +47,6 @@ val num_positive : t -> int
 
 val is_top : t -> bool
 
-val eval : t -> bool array -> bool
-(** [eval c x] is the value of the product under assignment [x]
-    ([x.(i)] gives variable [i]). *)
-
 val eval_int : t -> int -> bool
 (** [eval_int c m] evaluates under the assignment encoded by the bits of
     [m] (bit [i] is variable [i]). *)
@@ -69,9 +65,6 @@ val shares_literal : t -> t -> bool
     Test-only: the duality-lemma oracle is built on it. *)
 
 val common_literals : t -> t -> (int * polarity) list
-
-val distance : t -> t -> int
-(** Number of variables constrained to opposite polarities. *)
 
 val merge : t -> t -> t option
 (** Quine–McCluskey combination: defined when the cubes constrain the

@@ -39,6 +39,3 @@ val best : ?strategy:strategy -> Boolfunc.t -> t
 
 val is_valid : Boolfunc.t -> t -> bool
 (** Test-only: tests check decompositions with it. *)
-
-val cost : t -> int
-(** Summed product counts of the three components' minimized SOPs. *)

@@ -89,7 +89,6 @@ type cover_backend = Bnb | Sat
    worker domain spawns (workers then read a stable published value) *)
 let default_backend = ref Bnb
 let set_cover_backend b = default_backend := b
-let cover_backend () = !default_backend
 
 (* Branch and bound over the covering problem: minimize the number of
    chosen primes covering all ON minterms.  The minterms are indexed in

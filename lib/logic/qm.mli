@@ -59,8 +59,6 @@ val set_cover_backend : cover_backend -> unit
     [?cover_backend] — set once at CLI/service start-up, before any
     worker domain spawns. *)
 
-val cover_backend : unit -> cover_backend
-
 type stats = {
   num_primes : int;  (** 0 when prime generation was cut short *)
   num_essential : int;
@@ -79,8 +77,8 @@ val minimize :
     {!field-stats.exact}) cover of the ON-set minterms using the DC-set
     freely.  [budget] bounds the branch-and-bound node count (default
     200_000); [guard] (default: the ambient budget) bounds total work;
-    [cover_backend] (default: {!cover_backend}[ ()]) picks the exact
-    covering engine.  Total: on guard exhaustion it returns the
+    [cover_backend] (default: the process-wide one set by
+    {!set_cover_backend}) picks the exact covering engine.  Total: on guard exhaustion it returns the
     degraded ISOP cover described above and counts a
     [guard.degrade.qm_to_isop]. *)
 

@@ -48,11 +48,6 @@ let var n i =
 
 let eval_int f m = Bitvec.get f.bits m
 
-let eval f x =
-  let m = ref 0 in
-  Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) x;
-  eval_int f (!m land (size f - 1))
-
 let equal a b = a.n = b.n && Bitvec.equal a.bits b.bits
 
 let first_diff a b =

@@ -35,8 +35,6 @@ val of_minterms : int -> int list -> t
 val var : int -> int -> t
 (** [var n i] is the projection function x{_i}. *)
 
-val eval : t -> bool array -> bool
-
 val eval_int : t -> int -> bool
 
 val equal : t -> t -> bool

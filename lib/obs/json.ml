@@ -70,8 +70,6 @@ let to_string j =
   emit b j;
   Buffer.contents b
 
-let pp ppf j = Format.pp_print_string ppf (to_string j)
-
 (* ------------------------------------------------------------------ *)
 (* parsing — a small recursive-descent parser, used by tests and by    *)
 (* anyone who wants to read the files we emit back in                  *)

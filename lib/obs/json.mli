@@ -14,8 +14,6 @@ type t =
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 exception Parse_error of string
 
 (** [of_string s] parses one JSON value spanning all of [s].

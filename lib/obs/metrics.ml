@@ -254,7 +254,7 @@ let names () = List.map fst (sorted_metrics ())
 (* Keep in sync with the scheme documented in metrics.mli; the
    namespace-lint test walks [names ()] against this list. *)
 let namespaces =
-  [ "bira"; "bism"; "bisr"; "bist"; "bitslice"; "defect"; "espresso";
+  [ "bira"; "bism"; "bisr"; "bist"; "bitslice"; "defect";
     "fault_model"; "flow"; "guard"; "isop"; "lattice"; "loadgen"; "minimize";
     "montecarlo"; "npn"; "par"; "qm"; "sat"; "service"; "synth"; "test" ]
 

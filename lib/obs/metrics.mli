@@ -4,7 +4,7 @@
     Naming scheme: ["<namespace>.<metric>"] — all segments lowercase
     [a-z0-9_], starting with a letter, joined by dots.  The namespace is
     the subsystem that owns the instrument and must be one of: [bira],
-    [bism], [bisr], [bist], [bitslice], [defect], [espresso],
+    [bism], [bisr], [bist], [bitslice], [defect],
     [fault_model], [flow], [guard], [isop], [lattice], [loadgen],
     [minimize], [montecarlo],
     [npn], [par], [qm], [sat], [service], [synth] (plus [test] for instruments

@@ -1,6 +1,4 @@
-let src = Logs.Src.create "nxc.bism" ~doc:"built-in self-mapping"
 
-module Log = (val Logs.src_log src : Logs.LOG)
 
 module Obs = Nxc_obs
 module Guard = Nxc_guard
@@ -131,13 +129,7 @@ let run ?guard rng scheme ~chip ~k_rows ~k_cols ~max_configs =
       else begin
         incr diagnoses;
         let defects = defective_cells chip m in
-        Log.debug (fun f ->
-            f "greedy: configuration %d failed, %d defective cells"
-              !configurations (List.length defects));
         let rows_r, cols_r = replacement_sets defects ~k_rows ~k_cols in
-        Log.debug (fun f ->
-            f "greedy: bypassing %d rows, %d columns"
-              (List.length rows_r) (List.length cols_r));
         let ok =
           List.for_all
             (fun lr ->

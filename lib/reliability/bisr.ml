@@ -95,12 +95,3 @@ let compose t (inner : Bism.mapping) : Bism.mapping =
   in
   { row_map = through t.row_map t.rows "row" inner.row_map;
     col_map = through t.col_map t.cols "col" inner.col_map }
-
-let pp ppf t =
-  let arr a =
-    String.concat ","
-      (Array.to_list (Array.map string_of_int a))
-  in
-  Format.fprintf ppf
-    "bisr %dx%d -> %dx%d@ rows [%s]@ cols [%s]" t.rows t.cols t.phys_rows
-    t.phys_cols (arr t.row_map) (arr t.col_map)

@@ -58,5 +58,3 @@ val compose : t -> Bism.mapping -> Bism.mapping
     yielding a placement directly onto the physical chip.
     @raise Invalid_argument when [inner] addresses a line outside the
     repaired array. *)
-
-val pp : Format.formatter -> t -> unit

@@ -198,21 +198,3 @@ let selection_defect_free t ~sel_rows ~sel_cols =
       done;
       !hit = 0)
     sel_rows
-
-let pp ppf t =
-  Format.fprintf ppf "%dx%d defect map, %d defects (%.2f%%)@\n" t.rows t.cols
-    (count t)
-    (100.0 *. actual_density t);
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun k ->
-          Format.pp_print_char ppf
-            (match k with
-            | None -> '.'
-            | Some Stuck_open -> 'o'
-            | Some Stuck_closed -> 'x'
-            | Some Bridge -> 'b'))
-        row;
-      Format.pp_print_newline ppf ())
-    t.map

@@ -87,5 +87,3 @@ val selection_defect_free : t -> sel_rows:int array -> sel_cols:int array -> boo
     {!is_defective} over the cross product.  Uses per-domain scratch
     (no allocation, safe under [Nxc_par]).
     @raise Invalid_argument on an out-of-range index. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,9 +12,6 @@ val create : int -> t
 val split : t -> t
 (** An independent generator derived from (and advancing) [t]. *)
 
-val next : t -> int
-(** Next raw 62-bit non-negative value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  Requires [bound > 0]. *)
 
@@ -26,10 +23,6 @@ val bool : t -> float -> bool
 
 val gaussian : t -> float
 (** Standard normal variate (Box–Muller). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle.
-    Test-only: svcbench shuffles its request mix with it. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n]: [k] distinct values from

@@ -32,7 +32,7 @@ type shard = {
   metrics : shard_metrics option;
 }
 
-type t = { shards_arr : shard array; cap : int }
+type t = { shards_arr : shard array }
 
 let make_shard cap metrics =
   { lru = Lru.create cap;
@@ -60,10 +60,8 @@ let create ?(capacity = 4096) ?(shards = 1) () =
             Nxc_obs.Metrics.counter
               (Printf.sprintf "service.cache.shard%d.evictions" i) }
   in
-  { shards_arr = Array.init shards (fun i -> make_shard shard_cap (metrics i));
-    cap = capacity }
+  { shards_arr = Array.init shards (fun i -> make_shard shard_cap (metrics i)) }
 
-let capacity t = t.cap
 let shards t = Array.length t.shards_arr
 
 (* Stable shard routing: OCaml's polymorphic hash is a fixed

@@ -5,7 +5,7 @@
     ({!Nxc_logic.Npn}) or canonical job-spec strings ({!Job}) — to JSON
     values.  It is the memory of the {!Engine}: repeated or
     NPN-symmetric requests resolve here instead of re-running
-    QM/Espresso/lattice search or a seeded simulation.
+    QM/lattice search or a seeded simulation.
 
     {b Sharding.}  The table is split into [shards] independent
     {!Lru} shards (default 1), each with its own mutex and counters,
@@ -32,8 +32,6 @@ val create : ?capacity:int -> ?shards:int -> unit -> t
     split over [shards] (default 1) independent LRU shards; inserting
     into a full shard evicts that shard's least recently used entry.
     @raise Invalid_argument when [capacity <= 0] or [shards <= 0]. *)
-
-val capacity : t -> int
 
 val shards : t -> int
 (** Number of shards (1 for the historical unsharded behavior). *)

@@ -114,15 +114,15 @@ let plan_synth (job : Job.t) expr cover_backend =
          same one — keep their cache entries apart *)
       let backend, backend_tag =
         match cover_backend with
-        | "sat" -> (Some Qm.Sat, ":sat")
-        | _ -> (None, "")
+        | "sat" -> (Qm.Sat, ":sat")
+        | _ -> (Qm.Bnb, "")
       in
       let key = "npn:" ^ Npn.table_key canon ^ phase ^ budget_tag ^ backend_tag in
       let compute _pool =
         with_job_budget job @@ fun () ->
         match
-          ( Minimize.sop_result ?cover_backend:backend f,
-            Minimize.sop_result ?cover_backend:backend (Boolfunc.dual f) )
+          ( Minimize.sop_result ~cover_backend:backend f,
+            Minimize.sop_result ~cover_backend:backend (Boolfunc.dual f) )
         with
         | Ok c, Ok d ->
             Ok

@@ -27,7 +27,7 @@
     cache stores the minimized covers of the function and its dual in
     canonical input coordinates, and a hit maps them back through the
     request's own NPN transform — so permuted/negated variants reuse
-    one QM/Espresso run and still receive exact covers of {e their}
+    one QM run and still receive exact covers of {e their}
     function (re-verified on every hit).  The other kinds are seeded
     simulations; their whole result envelope payload is cached under
     the canonical spec string ({!Job.cache_key}).

@@ -36,7 +36,6 @@ val multi_output : unit -> multi list
 
 val by_name : string -> benchmark option
 
-val parity : int -> benchmark
 val majority : int -> benchmark
 (** [majority n] requires odd [n].
     Test-only: tests and the bench use it as a fixed benchmark. *)

@@ -462,7 +462,7 @@ let adversarial_qm () =
   let tt = Tt.of_fun_int 12 (fun m -> m <> 0) in
   case "qm12" (fun () ->
       let guard = G.Budget.create ~label:"qm12" ~steps:300_000 () in
-      let cover = L.Minimize.sop_table ~method_:L.Minimize.Exact ~guard tt in
+      let cover, _ = L.Qm.minimize_table ~guard tt in
       if not (G.Budget.exhausted guard) then
         fail "qm12: expected the guard to trip";
       if not (Tt.equal (Tt.of_cover cover) tt) then

@@ -71,7 +71,7 @@ let diode_tests =
         match Boolfunc.is_const f with
         | Some _ -> true
         | None ->
-            let x = Diode.synthesize ~method_:Minimize.Heuristic f in
+            let x = Diode.of_cover (Isop.isop (Boolfunc.table f)) in
             let rec go m =
               m >= 64 || (Diode.eval_int x m = Boolfunc.eval_int f m && go (m + 1))
             in
@@ -162,7 +162,7 @@ let kernel_tests =
         match Boolfunc.is_const f with
         | Some _ -> true
         | None ->
-            let x = Diode.synthesize ~method_:Minimize.Heuristic f in
+            let x = Diode.of_cover (Isop.isop (Boolfunc.table f)) in
             Tt.equal (Diode.eval_all x)
               (Tt.of_fun_int 8 (Diode.eval_int x)));
     Alcotest.test_case "diode eval_all on a 1xk crossbar" `Quick (fun () ->
@@ -194,7 +194,11 @@ let kernel_tests =
         match Boolfunc.is_const f with
         | Some _ -> true
         | None ->
-            let x = Fet.synthesize ~method_:Minimize.Heuristic f in
+            let x =
+              Fet.of_covers ~n:6
+                ~f_cover:(Isop.isop (Boolfunc.table f))
+                ~dual_cover:(Isop.isop (Boolfunc.table (Boolfunc.dual f)))
+            in
             Tt.equal (Fet.eval_all x) (Tt.of_fun_int 6 (Fet.eval_int x)));
     U.qtest ~count:100 "fet eval_vectors ≡ eval"
       QCheck.(pair (arb_nonconst 4) (list (int_bound 15)))

@@ -127,21 +127,11 @@ let minimize_equiv_under_tiny_budget =
       let cover = L.Minimize.sop_table ~guard tt in
       Tt.equal (tt_of_cover cover) tt)
 
-let espresso_equiv_under_tiny_budget =
-  Testutil.qtest ~count:100 "espresso early-stop stays equivalent"
-    (Testutil.arb_table 4) (fun tt ->
-      let cover = L.Cover.of_minterms 4 (Tt.minterms tt) in
-      let guard = G.Budget.create ~steps:1 () in
-      let out = L.Espresso.minimize ~guard cover in
-      Tt.equal (tt_of_cover out) tt)
-
 let test_minimize_result_fail_policy () =
   (* an exhausted Fail-policy guard must surface as a typed error *)
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~policy:G.Budget.Fail ~steps:5 () in
-  match
-    L.Minimize.sop_result ~method_:L.Minimize.Exact ~guard (L.Boolfunc.make tt)
-  with
+  match L.Minimize.sop_result ~guard (L.Boolfunc.make tt) with
   | Error (`Budget_exhausted _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %s" (G.Error.to_string e)
   | Ok _ -> Alcotest.fail "expected budget exhaustion"
@@ -149,9 +139,7 @@ let test_minimize_result_fail_policy () =
 let test_minimize_result_degrade_policy () =
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~steps:5 () in
-  match
-    L.Minimize.sop_result ~method_:L.Minimize.Exact ~guard (L.Boolfunc.make tt)
-  with
+  match L.Minimize.sop_result ~guard (L.Boolfunc.make tt) with
   | Ok { L.Minimize.cover; degraded } ->
       Alcotest.(check bool) "degraded" true degraded;
       Alcotest.(check bool) "equivalent" true (Tt.equal (tt_of_cover cover) tt)
@@ -319,7 +307,6 @@ let () =
       ("degradation",
        [ qm_equiv_under_tiny_budget;
          minimize_equiv_under_tiny_budget;
-         espresso_equiv_under_tiny_budget;
          Alcotest.test_case "fail policy" `Quick test_minimize_result_fail_policy;
          Alcotest.test_case "degrade policy" `Quick
            test_minimize_result_degrade_policy;

@@ -157,60 +157,6 @@ let sop_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Espresso                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let espresso_tests =
-  [
-    Alcotest.test_case "expand reaches primes" `Quick (fun () ->
-        (* two adjacent minterms expand into one merged cube *)
-        let c = Cover.of_minterms 3 [ 0b000; 0b100 ] in
-        let e = Espresso.expand c in
-        check_int "single prime" 1 (Cover.num_cubes e);
-        check "semantics" true (Tt.equal (Tt.of_cover e) (Tt.of_cover c)));
-    Alcotest.test_case "dc enlarges expansion" `Quick (fun () ->
-        let on = Cover.of_minterms 2 [ 0b00 ] in
-        let dc = Cover.of_minterms 2 [ 0b10 ] in
-        let e = Espresso.expand ~dc on in
-        (* x2' covers both: one literal *)
-        check_int "one cube" 1 (Cover.num_cubes e);
-        check_int "one literal" 1 (Cover.num_literals e));
-    Alcotest.test_case "maj3 reaches the known optimum" `Quick (fun () ->
-        let tt = Boolfunc.table (Parse.expr "x1x2 + x1x3 + x2x3") in
-        let c = Espresso.minimize_table tt in
-        check_int "three cubes" 3 (Cover.num_cubes c);
-        check "semantics" true (Tt.equal (Tt.of_cover c) tt));
-    U.qtest ~count:150 "minimize preserves semantics" (U.arb_table 5) (fun tt ->
-        let start = Cover.of_minterms 5 (Tt.minterms tt) in
-        Tt.equal (Tt.of_cover (Espresso.minimize start)) tt);
-    U.qtest ~count:80 "minimize never worse than its input cover" (U.arb_cover 5)
-      (fun c ->
-        let m = Espresso.minimize c in
-        Espresso.compare_cost (Espresso.cost_of m) (Espresso.cost_of c) <= 0
-        && Tt.equal (Tt.of_cover m) (Tt.of_cover c));
-    U.qtest ~count:80 "with don't-cares stays in the interval"
-      QCheck.(pair (U.arb_table 4) (U.arb_table 4))
-      (fun (on_tt, dc_tt) ->
-        let dc_tt = Tt.bsub dc_tt on_tt in
-        let on = Cover.of_minterms 4 (Tt.minterms on_tt) in
-        let dc = Cover.of_minterms 4 (Tt.minterms dc_tt) in
-        match Tt.is_const on_tt with
-        | Some false -> true
-        | _ ->
-            let m = Tt.of_cover (Espresso.minimize ~dc on) in
-            Tt.implies on_tt m && Tt.implies m (Tt.bor on_tt dc_tt));
-    U.qtest ~count:60 "reduce keeps the function" (U.arb_cover 4) (fun c ->
-        Tt.equal (Tt.of_cover (Espresso.reduce c)) (Tt.of_cover c));
-    U.qtest ~count:60 "bracketed by ISOP above and exact QM below"
-      (U.arb_table 4)
-      (fun tt ->
-        let exact, st = Qm.minimize_table tt in
-        let esp = Cover.num_cubes (Espresso.minimize (Isop.isop tt)) in
-        esp <= Cover.num_cubes (Isop.isop tt)
-        && ((not st.Qm.exact) || esp >= Cover.num_cubes exact));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Duality                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -389,12 +335,6 @@ let edge_tests =
           (match Isop.isop ~lower upper with
           | exception Invalid_argument _ -> true
           | _ -> false));
-    Alcotest.test_case "espresso cost ordering" `Quick (fun () ->
-        let a = { Espresso.cubes = 2; literals = 5 } in
-        let b = { Espresso.cubes = 2; literals = 7 } in
-        let c = { Espresso.cubes = 3; literals = 1 } in
-        check "literals break ties" true (Espresso.compare_cost a b < 0);
-        check "cubes dominate" true (Espresso.compare_cost b c < 0));
     Alcotest.test_case "pla_of_functions roundtrips through text" `Quick
       (fun () ->
         let fs = [ Parse.expr ~n:3 "x1x2 + x3'"; Parse.expr ~n:3 "x2 ^ x3" ] in
@@ -405,11 +345,6 @@ let edge_tests =
             check "same function" true
               (Tt.equal (Tt.of_cover p'.Parse.on_sets.(o)) (Boolfunc.table f)))
           fs);
-    Alcotest.test_case "minimize sop with Espresso_loop method" `Quick
-      (fun () ->
-        let f = Parse.expr "x1x2 + x1x3 + x2x3" in
-        let c = Minimize.sop ~method_:Minimize.Espresso_loop f in
-        check "verified" true (Minimize.verify c f));
     Alcotest.test_case "boolfunc operators" `Quick (fun () ->
         let a = Parse.expr ~n:2 "x1" and b = Parse.expr ~n:2 "x2" in
         check "and" true
@@ -426,7 +361,6 @@ let () =
     [
       ("parse", parse_tests);
       ("sop", sop_tests);
-      ("espresso", espresso_tests);
       ("dual", dual_tests);
       ("affine", affine_tests);
       ("pcircuit", pcircuit_tests);

@@ -470,6 +470,21 @@ let test_engine_determinism () =
   Alcotest.(check int) "bad line exits 3" 3
     (Svc.Engine.batch_exit (Svc.Engine.run_lines lines))
 
+(* a bnb synth job names its covering backend, so the process-wide
+   default (the CLI's --cover-backend) cannot change its envelope; this
+   function's minimum covers differ between the two backends *)
+let test_engine_backend_pinned () =
+  let job = synth_job "x1x2 + x2x3 + x3x4 + x4x5 + x5x1 + x1'x3'x5'" in
+  let bnb = envelope_strings (Svc.Engine.run_jobs [ job ]) in
+  let sat =
+    Fun.protect
+      ~finally:(fun () -> Qm.set_cover_backend Qm.Bnb)
+      (fun () ->
+        Qm.set_cover_backend Qm.Sat;
+        envelope_strings (Svc.Engine.run_jobs [ job ]))
+  in
+  Alcotest.(check (list string)) "global backend ignored" bnb sat
+
 (* a batch with one leader computes it on the calling domain and lends
    the pool to its Monte-Carlo trials: they spread over the pool,
    and the envelope is the one a run without a pool gives *)
@@ -664,6 +679,8 @@ let () =
         [ Alcotest.test_case "npn cache hit" `Quick test_engine_npn_hit;
           qcheck_engine_npn_equiv;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "job backend beats the global default" `Quick
+            test_engine_backend_pinned;
           Alcotest.test_case "single leader lends the pool" `Quick
             test_engine_single_leader ] );
       ( "stream",

@@ -1,22 +1,33 @@
-(* Unused-export report: a rough word-grep over the library interfaces.
+(* Unused-export report over the typed trees of the whole project.
 
-   For every [val] declared in [lib/**/*.mli] it prints two counts:
+   Reads the [.cmti] of every [lib/**/*.mli] and the [.cmt] of every
+   compiled [.ml] (bin/, lib/, examples/, test/, bench/, tools/,
+   svcbench/) from [_build/default], so `dune build @check` must have
+   run first.  Every value a library interface exports (nested
+   submodules included) is matched against the value paths the code
+   really uses: identifiers are resolved by the compiler, local
+   [module X = ...] aliases are expanded, and a use counts only where
+   it names that very module, so [Multi.num_products] no longer hides
+   an unused [Minimize.num_products].
 
-   - [prod]: the .ml files under bin/, lib/ and examples/ that mention
-     the name, not counting the module's own .ml;
-   - [test]: the .ml files under test/, bench/, tools/ and svcbench/
-     that mention it.
+   For each value it prints three counts of source files:
 
-   Values with no production caller come first.  The match is by bare
-   identifier, so a value shares its count with every other value (or
-   local binding, or comment word) of the same name, and a use under
-   another name is missed: check each hit by hand before deleting it.
-   This is a report, not a gate; it always exits 0.
+   - [prod]: files under bin/, lib/ and examples/ other than the
+     module's own .ml that use it;
+   - [test]: files under test/, bench/, tools/ and svcbench/ that use it;
+   - [own]: 1 when the module's own .ml uses it, else 0.
+
+   A module passed whole — a functor argument, [include], a first-class
+   module — counts as a use of each of its values, so the report errs
+   towards keeping.  Values with no caller outside their module come
+   first.  This is a report, not a gate; it always exits 0.
 
    Run from the repository root: `make unused-exports`. *)
 
+open Typedtree
+
+let build_root = Filename.concat "_build" "default"
 let prod_dirs = [ "bin"; "lib"; "examples" ]
-let test_dirs = [ "test"; "bench"; "tools"; "svcbench" ]
 
 let rec files_under dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then []
@@ -24,86 +35,256 @@ let rec files_under dir =
     Sys.readdir dir |> Array.to_list |> List.sort compare
     |> List.concat_map (fun entry ->
            let path = Filename.concat dir entry in
-           if entry = "_build" || entry.[0] = '.' then []
-           else if Sys.is_directory path then files_under path
-           else [ path ])
+           if Sys.is_directory path then files_under path else [ path ])
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
 
-let is_ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-  | _ -> false
+(* The compilation unit [Nxc_logic__Minimize] of lib/logic/minimize.ml
+   is known to library clients as [Nxc_logic.Minimize] (through dune's
+   alias module) and to the library's own modules as [Minimize] under
+   [-open Nxc_logic]; both spellings reach the unit below. *)
+let split_unit name =
+  let n = String.length name in
+  let rec go acc start i =
+    if i >= n - 1 then List.rev (String.sub name start (n - start) :: acc)
+    else if name.[i] = '_' && name.[i + 1] = '_' then
+      go (String.sub name start (i - start) :: acc) (i + 2) (i + 2)
+    else go acc start (i + 1)
+  in
+  List.filter (( <> ) "") (go [] 0 0)
 
-(* Every identifier-shaped word of [s]. *)
-let words s =
-  let tbl = Hashtbl.create 256 in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if is_ident_char s.[!i] then begin
-      let j = ref !i in
-      while !j < n && is_ident_char s.[!j] do
-        incr j
-      done;
-      Hashtbl.replace tbl (String.sub s !i (!j - !i)) ();
-      i := !j
-    end
-    else incr i
-  done;
-  tbl
+(* ------------------------------------------------------------------ *)
+(* exports                                                             *)
+(* ------------------------------------------------------------------ *)
 
-(* Names declared by [val name :] lines; operators are skipped. *)
-let vals_of_mli path =
-  read_file path |> String.split_on_char '\n'
-  |> List.filter_map (fun line ->
-         match String.split_on_char ' ' (String.trim line) with
-         | "val" :: name :: _ when name <> "" && is_ident_char name.[0] ->
-             let len = ref 0 in
-             while !len < String.length name && is_ident_char name.[!len] do
-               incr len
-             done;
-             Some (String.sub name 0 !len)
-         | _ -> None)
+(* ["Sub.value"] for every value of the interface *)
+let rec sig_values prefix (s : signature) =
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd -> [ prefix ^ vd.val_name.txt ]
+      | Tsig_module
+          { md_name = { txt = Some m; _ };
+            md_type = { mty_desc = Tmty_signature s; _ }; _ } ->
+          sig_values (prefix ^ m ^ ".") s
+      | _ -> [])
+    s.sig_items
+
+(* ------------------------------------------------------------------ *)
+(* uses                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let rec components = function
+  | Path.Pident id -> [ Ident.name id ]
+  | Path.Pdot (p, s) -> components p @ [ s ]
+  | Path.Papply (p, _) | Path.Pextra_ty (p, _) -> components p
+
+(* The library unit a (fully expanded) path goes through, and the
+   components after it: none for the module itself, ["Sub"; "value"]
+   for one of its values. *)
+let resolve units path =
+  let rec go = function
+    | [] -> None
+    | a :: tail -> (
+        match tail with
+        | b :: rest when Hashtbl.mem units (a ^ "__" ^ b) -> Some (a ^ "__" ^ b, rest)
+        | _ when Hashtbl.mem units a -> Some (a, tail)
+        | _ -> go tail)
+  in
+  go (List.concat_map split_unit (components path))
+
+type uses = {
+  values : (string * string, unit) Hashtbl.t;  (* (unit, value) *)
+  wholes : (string, unit) Hashtbl.t;  (* units used as a whole module *)
+  locals : (string, unit) Hashtbl.t;
+      (* this file's own top-level values it uses, as "Sub.value" *)
+}
+
+(* The file's top-level values and submodules, by [Ident.unique_name]:
+   value -> "Sub.value", submodule -> "Sub.".  A module's own .ml
+   reaches its exports through these identifiers. *)
+let top_level (str : structure) =
+  let values = Hashtbl.create 64 and modules = Hashtbl.create 4 in
+  let rec walk prefix str =
+    List.iter
+      (fun item ->
+        match item.str_desc with
+        | Tstr_value (_, vbs) ->
+            List.iter
+              (fun vb ->
+                List.iter
+                  (fun id ->
+                    Hashtbl.replace values (Ident.unique_name id)
+                      (prefix ^ Ident.name id))
+                  (pat_bound_idents vb.vb_pat))
+              vbs
+        | Tstr_module
+            { mb_id = Some id;
+              mb_expr =
+                { mod_desc =
+                    ( Tmod_structure s
+                    | Tmod_constraint ({ mod_desc = Tmod_structure s; _ }, _, _, _) );
+                  _ };
+              _ } ->
+            let sub = prefix ^ Ident.name id ^ "." in
+            Hashtbl.replace modules (Ident.unique_name id) sub;
+            walk sub s
+        | _ -> ())
+      str.str_items
+  in
+  walk "" str;
+  (values, modules)
+
+let uses_of units (str : structure) =
+  let aliases = Hashtbl.create 16 in
+  let rec expand = function
+    | Path.Pident id as p -> (
+        match Hashtbl.find_opt aliases (Ident.unique_name id) with
+        | Some q -> expand q
+        | None -> p)
+    | Path.Pdot (p, s) -> Path.Pdot (expand p, s)
+    | p -> p
+  in
+  let u =
+    { values = Hashtbl.create 64;
+      wholes = Hashtbl.create 4;
+      locals = Hashtbl.create 64 }
+  in
+  let top_values, top_modules = top_level str in
+  let local = function
+    | Path.Pident id -> Hashtbl.find_opt top_values (Ident.unique_name id)
+    | Path.Pdot (Path.Pident m, v) ->
+        Option.map (fun sub -> sub ^ v)
+          (Hashtbl.find_opt top_modules (Ident.unique_name m))
+    | _ -> None
+  in
+  let alias_target me =
+    match me.mod_desc with
+    | Tmod_ident (p, _) | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _)
+      ->
+        Some p
+    | _ -> None
+  in
+  let super = Tast_iterator.default_iterator in
+  let it =
+    { super with
+      expr =
+        (fun it e ->
+          match e.exp_desc with
+          | Texp_ident (p, _, _) -> (
+              Option.iter (fun v -> Hashtbl.replace u.locals v ()) (local p);
+              match resolve units (expand p) with
+              | Some (unit, (_ :: _ as rest)) ->
+                  Hashtbl.replace u.values (unit, String.concat "." rest) ()
+              | _ -> ())
+          | Texp_letmodule (Some id, _, _, me, body) -> (
+              match alias_target me with
+              | Some p ->
+                  Hashtbl.replace aliases (Ident.unique_name id) p;
+                  it.expr it body
+              | None -> super.expr it e)
+          | _ -> super.expr it e);
+      structure_item =
+        (fun it item ->
+          match item.str_desc with
+          | Tstr_module { mb_id = Some id; mb_expr; _ }
+            when alias_target mb_expr <> None ->
+              Option.iter
+                (Hashtbl.replace aliases (Ident.unique_name id))
+                (alias_target mb_expr)
+          | _ -> super.structure_item it item);
+      module_expr =
+        (fun it me ->
+          (match me.mod_desc with
+          | Tmod_ident (p, _) -> (
+              match resolve units (expand p) with
+              | Some (unit, []) -> Hashtbl.replace u.wholes unit ()
+              | _ -> ())
+          | _ -> ());
+          super.module_expr it me) }
+  in
+  it.structure it str;
+  u
+
+(* ------------------------------------------------------------------ *)
+(* report                                                              *)
+(* ------------------------------------------------------------------ *)
 
 let () =
-  let ml_files dirs =
-    List.concat_map (fun d -> files_under d) dirs
-    |> List.filter (fun p -> Filename.check_suffix p ".ml")
-    |> List.map (fun p -> (p, words (read_file p)))
+  if not (Sys.file_exists build_root) then begin
+    prerr_endline "unused_exports: no _build/default; run `dune build @check`";
+    exit 2
+  end;
+  let infos =
+    files_under build_root
+    |> List.filter_map (fun path ->
+           if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti"
+           then
+             match Cmt_format.read_cmt path with
+             | { Cmt_format.cmt_sourcefile = Some src; _ } as info ->
+                 Some (src, info)
+             | _ -> None
+             | exception _ -> None
+           else None)
   in
-  let prod = ml_files prod_dirs and test = ml_files test_dirs in
-  let count ~except name files =
-    List.length
-      (List.filter
-         (fun (p, ws) -> p <> except && Hashtbl.mem ws name)
-         files)
+  (* library interfaces: unit name -> exported values *)
+  let units = Hashtbl.create 64 in
+  List.iter
+    (fun (src, info) ->
+      match info.Cmt_format.cmt_annots with
+      | Cmt_format.Interface s when starts_with ~prefix:"lib/" src ->
+          Hashtbl.replace units info.cmt_modname (sig_values "" s)
+      | _ -> ())
+    infos;
+  (* per implementation file: its unit, whether it is production code,
+     and what it uses *)
+  let impls =
+    List.filter_map
+      (fun (src, info) ->
+        match info.Cmt_format.cmt_annots with
+        | Cmt_format.Implementation str ->
+            let prod =
+              List.exists (fun d -> starts_with ~prefix:(d ^ "/") src) prod_dirs
+            in
+            Some (info.cmt_modname, prod, uses_of units str)
+        | _ -> None)
+      infos
+  in
+  let display unit =
+    match List.rev (split_unit unit) with m :: _ -> m | [] -> unit
   in
   let rows =
-    files_under "lib"
-    |> List.filter (fun p -> Filename.check_suffix p ".mli")
-    |> List.concat_map (fun mli ->
-           let own = Filename.remove_extension mli ^ ".ml" in
-           let m =
-             String.capitalize_ascii
-               (Filename.remove_extension (Filename.basename mli))
-           in
-           List.map
-             (fun name ->
-               ( count ~except:own name prod,
-                 count ~except:own name test,
-                 m ^ "." ^ name ))
-             (vals_of_mli mli))
+    Hashtbl.fold
+      (fun unit values acc ->
+        List.map
+          (fun v ->
+            let prod = ref 0 and test = ref 0 and own = ref 0 in
+            List.iter
+              (fun (modname, is_prod, u) ->
+                if modname = unit then begin
+                  if Hashtbl.mem u.locals v then own := 1
+                end
+                else if
+                  Hashtbl.mem u.values (unit, v) || Hashtbl.mem u.wholes unit
+                then if is_prod then incr prod else incr test)
+              impls;
+            (!prod, !test, !own, display unit ^ "." ^ v))
+          values
+        @ acc)
+      units []
     |> List.sort compare
   in
-  Printf.printf "%5s %5s  %s\n" "prod" "test" "value";
-  List.iter (fun (p, t, v) -> Printf.printf "%5d %5d  %s\n" p t v) rows;
-  let no_prod = List.filter (fun (p, _, _) -> p = 0) rows in
-  let none = List.filter (fun (_, t, _) -> t = 0) no_prod in
+  Printf.printf "%5s %5s %4s  %s\n" "prod" "test" "own" "value";
+  List.iter
+    (fun (p, t, o, v) -> Printf.printf "%5d %5d %4d  %s\n" p t o v)
+    rows;
+  let count pred = List.length (List.filter pred rows) in
   Printf.printf
-    "%d exported values; %d with no production caller; %d with no caller \
-     anywhere\n"
-    (List.length rows) (List.length no_prod) (List.length none)
+    "%d exported values; %d with no caller outside their module (%d of \
+     them unused in it too); %d more used only by tests and tools\n"
+    (List.length rows)
+    (count (fun (p, t, _, _) -> p = 0 && t = 0))
+    (count (fun (p, t, o, _) -> p = 0 && t = 0 && o = 0))
+    (count (fun (p, t, _, _) -> p = 0 && t > 0))
