@@ -65,8 +65,10 @@ svcbench-smoke:
 
 # report, not a gate: for every val in lib/**/*.mli, how many files
 # outside its module use it in bin/ lib/ examples/ and in test/ bench/
-# tools/ svcbench/, and whether its own module does (resolved from the
-# typed trees that `dune build @check` leaves in _build)
+# tools/ svcbench/, and whether its own module does; then, for every
+# optional parameter of those vals, how many call sites set it
+# (resolved from the typed trees that `dune build @check` leaves in
+# _build)
 unused-exports:
 	dune build @check
 	dune exec tools/unused_exports.exe

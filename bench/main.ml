@@ -739,7 +739,9 @@ let e16 () =
         (fun b ->
           let f = b.Nxc_suite.func in
           let guard = G.Budget.create ~label:"bench" ~steps () in
-          (match Minimize.sop_result ~guard f with
+          (match
+             G.Budget.with_current guard (fun () -> Minimize.sop_result f)
+           with
           | Ok o ->
               incr total;
               if o.Minimize.degraded then incr degraded;
@@ -764,7 +766,10 @@ let e16 () =
   in
   let guard = G.Budget.create ~label:"bench-flow" ~steps:5_000 () in
   let functional =
-    match C.Flow.run_result ~guard (R.Rng.create 5) ~chip f with
+    match
+      G.Budget.with_current guard (fun () ->
+          C.Flow.run_result (R.Rng.create 5) ~chip f)
+    with
     | Ok r -> r.C.Flow.functional
     | Error _ -> false
   in
@@ -822,7 +827,7 @@ let e17 () =
           let hybrid = bism (R.Bism.Hybrid 10) in
           let overhead =
             X.Metrics.spare_overhead ~rows:k ~cols:k ~spare_rows:s
-              ~spare_cols:s ()
+              ~spare_cols:s
           in
           add "repair" repair.R.Bira.mc_repaired;
           add "blind" blind;
@@ -894,7 +899,8 @@ let e18 () =
       let on = Truth_table.minterms tt in
       let minimize backend =
         let guard = G.Budget.create ~label:"e18" ~steps:budget_steps () in
-        Qm.minimize_result ~cover_backend:backend ~guard ~n on
+        G.Budget.with_current guard (fun () ->
+            Qm.minimize_result ~cover_backend:backend ~n on)
       in
       match (minimize Qm.Bnb, minimize Qm.Sat) with
       | Ok (cb, ib), Ok (cs, is) ->
@@ -958,7 +964,10 @@ let e18 () =
         let guard =
           Nxc_guard.Budget.create ~label:"e18-sat" ~steps:2_000_000 ()
         in
-        match R.Sat_assign.decide ~guard ~seed chip ~k_rows:k ~k_cols:k with
+        match
+          Nxc_guard.Budget.with_current guard (fun () ->
+              R.Sat_assign.decide ~seed chip ~k_rows:k ~k_cols:k)
+        with
         | Ok (R.Sat_assign.Mappable m) ->
             (* the rescue claim rests on this witness *)
             assert (R.Bism.mapping_defect_free chip m);

@@ -107,6 +107,19 @@ let obs_term =
 (* guard flags, shared by every subcommand                             *)
 (* ------------------------------------------------------------------ *)
 
+(* an int flag whose value must satisfy [valid]; anything else is a
+   usage error (exit 2), like an unknown flag *)
+let int_flag ~valid ~expect =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when valid n -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s: must be %s" s expect))
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
 let guard_setup steps deadline_ms on_exhaustion =
   if steps <> None || deadline_ms <> None || on_exhaustion = Guard.Budget.Fail
   then
@@ -122,7 +135,7 @@ let guard_term =
     in
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_flag ~valid:(fun n -> n > 0) ~expect:"positive")) None
       & info [ "budget-steps" ] ~docv:"STEPS" ~doc)
   in
   let deadline =
@@ -158,7 +171,14 @@ let jobs_term =
      sequential, $(b,0) picks one per recommended domain.  Seeded runs \
      produce identical results for every $(docv)."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt
+        (int_flag
+           ~valid:(fun n -> n >= 0 && n <= Nxc_par.Pool.max_jobs)
+           ~expect:(Printf.sprintf "between 0 and %d" Nxc_par.Pool.max_jobs))
+        1
+    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* covering-backend flag, for in-process synthesis                    *)

@@ -60,13 +60,13 @@ let ladder max_configs =
     (R.Bism.Hybrid 10, max 1 (max_configs / 4));
     (R.Bism.Greedy, max 1 (max_configs - blind - max 1 (max_configs / 4))) ]
 
-let run_result ?scheme ?(max_configs = 1000) ?guard rng ~chip func =
+let run_result ?scheme ?(max_configs = 1000) rng ~chip func =
   Obs.Metrics.incr m_runs;
   Obs.Span.with_ ~name:"flow.run"
     ~attrs:(fun () -> [ ("name", Obs.Json.Str (Nxc_logic.Boolfunc.name func)) ])
   @@ fun () ->
-  let guard = Guard.Budget.resolve guard in
-  match Synth.synthesize_result ~guard func with
+  let guard = Guard.Budget.current () in
+  match Synth.synthesize_result func with
   | Error e -> Error e
   | Ok impl ->
       let lattice = Synth.best_lattice impl in
@@ -91,7 +91,7 @@ let run_result ?scheme ?(max_configs = 1000) ?guard rng ~chip func =
               end;
               let stats, mapping =
                 Obs.Span.with_ ~name:"flow.bism" (fun () ->
-                    R.Bism.run ~guard rng s ~chip ~k_rows ~k_cols
+                    R.Bism.run rng s ~chip ~k_rows ~k_cols
                       ~max_configs:cap)
               in
               let acc_stats = add_stats acc_stats stats in
@@ -113,10 +113,13 @@ let run_result ?scheme ?(max_configs = 1000) ?guard rng ~chip func =
         end
 
 (* The total single-scheme flow: [run_result] under a Degrade view of
-   the guard, which never reports exhaustion. *)
-let run ?(scheme = R.Bism.Hybrid 10) ?max_configs ?guard rng ~chip func =
-  let guard = Guard.Budget.degrading (Guard.Budget.resolve guard) in
-  match run_result ~scheme ?max_configs ~guard rng ~chip func with
+   the ambient budget, which never reports exhaustion. *)
+let run rng ~chip func =
+  let degrading = Guard.Budget.degrading (Guard.Budget.current ()) in
+  match
+    Guard.Budget.with_current degrading (fun () ->
+        run_result ~scheme:(R.Bism.Hybrid 10) rng ~chip func)
+  with
   | Ok r -> r
   | Error _ -> assert false
 
@@ -126,12 +129,11 @@ type aware_result = {
   aware_functional : bool;
 }
 
-let run_defect_aware ?(attempts = 200) ?guard rng ~chip func =
+let run_defect_aware ?(attempts = 200) rng ~chip func =
   Obs.Span.with_ ~name:"flow.defect_aware" @@ fun () ->
-  let guard = Guard.Budget.resolve guard in
-  let aware_impl = Synth.synthesize ~guard func in
+  let aware_impl = Synth.synthesize func in
   let lattice = Synth.best_lattice aware_impl in
-  match R.Defect_flow.place_lattice ~guard rng chip lattice ~attempts with
+  match R.Defect_flow.place_lattice rng chip lattice ~attempts with
   | None -> { aware_impl; placed = false; aware_functional = false }
   | Some (rows, cols) ->
       let mapping = { R.Bism.row_map = rows; col_map = cols } in

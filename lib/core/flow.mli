@@ -5,7 +5,7 @@
 
     Robustness: a lattice larger than the chip is reported as a clean
     non-functional result (never an exception), and every entry point
-    charges a {!Nxc_guard.Budget} (default: the ambient budget) so a
+    charges the ambient {!Nxc_guard.Budget} so a
     hostile chip cannot make the mapping loops spin forever. *)
 
 type result = {
@@ -28,21 +28,17 @@ val lattice_with_defects :
     Test-only: tests build faulty lattices with it. *)
 
 val run :
-  ?scheme:Nxc_reliability.Bism.scheme ->
-  ?max_configs:int ->
-  ?guard:Nxc_guard.Budget.t ->
   Nxc_reliability.Rng.t ->
   chip:Nxc_reliability.Defect.t ->
   Nxc_logic.Boolfunc.t ->
   result
-(** {!run_result} with one scheme (default: [Hybrid 10]) under a
-    [Degrade] view of [guard], so it always returns.  An infeasible or
+(** {!run_result} with the one scheme [Hybrid 10] under a [Degrade]
+    view of the ambient budget, so it always returns.  An infeasible or
     unmappable chip yields [{ mapping = None; functional = false; _ }]. *)
 
 val run_result :
   ?scheme:Nxc_reliability.Bism.scheme ->
   ?max_configs:int ->
-  ?guard:Nxc_guard.Budget.t ->
   Nxc_reliability.Rng.t ->
   chip:Nxc_reliability.Defect.t ->
   Nxc_logic.Boolfunc.t ->
@@ -53,7 +49,7 @@ val run_result :
     [guard.degrade.flow_escalation] / [flow.escalations].  The returned
     statistics aggregate all rungs.  A partial outcome (no mapping
     found) is still [Ok] with [functional = false]; only a [Fail]-policy
-    guard exhausting before a mapping is found turns into
+    budget exhausting before a mapping is found turns into
     [`Budget_exhausted]. *)
 
 (** {2 Defect-aware variant (Fig. 6a)}
@@ -71,11 +67,10 @@ type aware_result = {
 
 val run_defect_aware :
   ?attempts:int ->
-  ?guard:Nxc_guard.Budget.t ->
   Nxc_reliability.Rng.t ->
   chip:Nxc_reliability.Defect.t ->
   Nxc_logic.Boolfunc.t ->
   aware_result
-(** An oversized lattice or exhausted guard yields
+(** An oversized lattice or exhausted budget yields
     [{ placed = false; _ }] cleanly.
     Test-only: tests compare it with the defect-unaware flow. *)

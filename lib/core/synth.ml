@@ -21,8 +21,8 @@ type t = {
   degraded : bool;
 }
 
-let synthesize ?(decompose = true) ?guard func =
-  let guard = Guard.Budget.resolve guard in
+let synthesize ?(decompose = true) func =
+  let guard = Guard.Budget.current () in
   let alive_before = Guard.Budget.alive guard in
   Obs.Metrics.incr m_functions;
   Obs.Span.with_ ~name:"synth.synthesize"
@@ -31,8 +31,8 @@ let synthesize ?(decompose = true) ?guard func =
         ("n", Obs.Json.Int (L.Boolfunc.n_vars func)) ])
   @@ fun () ->
   (* the whole pipeline below (including the internal [Minimize.sop]
-     calls of the lattice synthesizers) charges this budget through the
-     ambient mechanism; a Degrade view keeps every internal step total *)
+     calls of the lattice synthesizers) charges the ambient budget; a
+     Degrade view of it keeps every internal step total *)
   Guard.Budget.with_current (Guard.Budget.degrading guard) @@ fun () ->
   let n = L.Boolfunc.n_vars func in
   let constant = L.Boolfunc.is_const func <> None in
@@ -79,9 +79,9 @@ let synthesize ?(decompose = true) ?guard func =
        if d then Obs.Metrics.incr m_degraded;
        d) }
 
-let synthesize_result ?decompose ?guard func =
-  let guard = Guard.Budget.resolve guard in
-  let impl = synthesize ?decompose ~guard func in
+let synthesize_result func =
+  let guard = Guard.Budget.current () in
+  let impl = synthesize func in
   match Guard.Budget.policy guard with
   | Guard.Budget.Fail when impl.degraded -> Error (Guard.Budget.error guard)
   | _ -> Ok impl

@@ -19,30 +19,23 @@ type t = {
   dred_lattice : Nxc_lattice.Lattice.t option;
       (** D-reduction lattice when [func] is D-reducible *)
   degraded : bool;
-      (** the guard ran out mid-synthesis and at least one step fell
+      (** the budget ran out mid-synthesis and at least one step fell
           back to a cheaper method; every implementation still computes
           [func] *)
 }
 
-val synthesize :
-  ?decompose:bool ->
-  ?guard:Nxc_guard.Budget.t ->
-  Nxc_logic.Boolfunc.t ->
-  t
+val synthesize : ?decompose:bool -> Nxc_logic.Boolfunc.t -> t
 (** f and f{^D} are minimized once; [ar_lattice] is built from those
     covers.  [decompose] (default true) controls whether the P-circuit
     search is run (it is the slow part for larger functions).  The
-    whole pipeline charges [guard] (default: the ambient budget)
-    through the ambient mechanism; exhaustion degrades internally (see
-    {!field-degraded}) and never raises. *)
+    whole pipeline charges the ambient budget; exhaustion degrades
+    internally (see {!field-degraded}) and never raises. *)
 
 val synthesize_result :
-  ?decompose:bool ->
-  ?guard:Nxc_guard.Budget.t ->
-  Nxc_logic.Boolfunc.t ->
-  (t, Nxc_guard.Error.t) result
-(** Like {!synthesize}, but a [Fail]-policy guard turns a degraded
-    synthesis into [`Budget_exhausted]. *)
+  Nxc_logic.Boolfunc.t -> (t, Nxc_guard.Error.t) result
+(** Like {!synthesize} (with the P-circuit search), but a
+    [Fail]-policy budget turns a degraded synthesis into
+    [`Budget_exhausted]. *)
 
 val verify : t -> bool
 (** Every produced implementation computes [func] (exhaustive). *)

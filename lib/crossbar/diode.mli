@@ -54,21 +54,20 @@ val eval : t -> bool array -> bool
 
     Both kernels are {e scratch-stateless}: a scratch may be reused
     across calls with any crossbar shapes and arities and results never
-    depend on prior contents.  When no scratch is given they use the
-    calling domain's {!Model.domain_scratch}, so hot loops stay
+    depend on prior contents.  {!eval_vectors}, and {!eval_all} when no
+    scratch is given, use the calling domain's {!Model.domain_scratch},
+    so hot loops stay
     allocation-free and seeded parallel sweeps under [Nxc_par] remain
     deterministic. *)
 
-val eval_all : ?scratch:Model.scratch -> ?n_vars:int -> t -> Nxc_logic.Truth_table.t
-(** The full truth table of the crossbar over [n_vars] inputs (default
-    {!n_vars}) in one batched sweep — the diode analogue of
-    [Lattice.eval_all].  Variables beyond [n_vars] read as 0, matching
-    the scalar path on minterms below [2^n_vars]. *)
+val eval_all : ?scratch:Model.scratch -> t -> Nxc_logic.Truth_table.t
+(** The full truth table of the crossbar over its function's inputs in
+    one batched sweep — the diode analogue of [Lattice.eval_all]. *)
 
-val eval_vectors : ?scratch:Model.scratch -> t -> bool array array -> Nxc_logic.Bitvec.t
+val eval_vectors : t -> bool array array -> Nxc_logic.Bitvec.t
 (** [eval_vectors x vectors] evaluates a caller-supplied vector block:
     bit [j] of the result is [eval x vectors.(j)].  Each vector must
-    have length {!n_vars}; raises [Invalid_argument] otherwise.  The
+    have the function's arity; raises [Invalid_argument] otherwise.  The
     result is normalized (bits at or beyond the block size are 0). *)
 
 val pp : Format.formatter -> t -> unit

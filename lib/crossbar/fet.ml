@@ -163,24 +163,18 @@ let eval_words x ~len ~nw ~var_word ~gates ~out =
   done;
   Model.count_word_ops !ops
 
-let eval_all ?scratch ?n_vars x =
+let eval_all ?scratch x =
   let s = match scratch with Some s -> s | None -> Model.domain_scratch () in
-  let nv = match n_vars with Some n -> n | None -> x.n in
-  if nv < 0 then invalid_arg "Fet.eval_all";
-  let len = 1 lsl nv in
+  let len = 1 lsl x.n in
   let nw = Bitslice.words_for len in
-  let pats = Model.scratch_pats s ~n_vars:nv ~len in
+  let pats = Model.scratch_pats s ~n_vars:x.n ~len in
   let gates = Model.scratch_line s x.placement.Model.dims.Model.rows in
   let out = Model.scratch_out s nw in
-  eval_words x ~len ~nw
-    (* variables beyond [nv] read as 0, like a minterm below 2^nv does
-       on the scalar path *)
-    ~var_word:(fun v w -> if v < nv then pats.(v).(w) else 0)
-    ~gates ~out;
-  Truth_table.of_bitvec nv (Bitvec.of_words len (Array.sub out 0 nw))
+  eval_words x ~len ~nw ~var_word:(fun v w -> pats.(v).(w)) ~gates ~out;
+  Truth_table.of_bitvec x.n (Bitvec.of_words len (Array.sub out 0 nw))
 
-let eval_vectors ?scratch x vectors =
-  let s = match scratch with Some s -> s | None -> Model.domain_scratch () in
+let eval_vectors x vectors =
+  let s = Model.domain_scratch () in
   let count = Array.length vectors in
   let nw = Bitslice.words_for count in
   let vw = Array.make_matrix (max x.n 1) (max nw 1) 0 in

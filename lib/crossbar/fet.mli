@@ -65,16 +65,16 @@ val eval : t -> bool array -> bool
 
     Scratch-stateless and [Domain.DLS]-backed exactly like the diode
     kernels: reuse one scratch across any shapes, or omit it and get
-    the per-domain instance (safe under [Nxc_par]). *)
+    the per-domain instance (safe under [Nxc_par]); {!eval_vectors}
+    always uses the per-domain one. *)
 
-val eval_all : ?scratch:Model.scratch -> ?n_vars:int -> t -> Nxc_logic.Truth_table.t
-(** Full truth table over [n_vars] inputs (default {!n_vars}) in one
-    batched sweep.  Variables beyond [n_vars] read as 0, matching the
-    scalar path on minterms below [2^n_vars]. *)
+val eval_all : ?scratch:Model.scratch -> t -> Nxc_logic.Truth_table.t
+(** Full truth table over the function's inputs in one batched
+    sweep. *)
 
-val eval_vectors : ?scratch:Model.scratch -> t -> bool array array -> Nxc_logic.Bitvec.t
+val eval_vectors : t -> bool array array -> Nxc_logic.Bitvec.t
 (** [eval_vectors x vectors]: bit [j] of the result is
-    [eval x vectors.(j)].  Vectors must have length {!n_vars}
+    [eval x vectors.(j)].  Vectors must have the function's arity
     ([Invalid_argument] otherwise); the result is normalized. *)
 
 val pp : Format.formatter -> t -> unit

@@ -21,21 +21,21 @@ let of_dims ?(tech = Model.diode_tech) ~impl ~programmed ~path_length dims =
     delay_ps = float_of_int path_length *. tech.Model.crosspoint_delay_ps;
     energy_aj = float_of_int programmed *. tech.Model.crosspoint_energy_aj }
 
-let diode ?(tech = Model.diode_tech) x =
+let diode x =
   let dims = Diode.dims x in
-  of_dims ~tech ~impl:"diode"
+  of_dims ~impl:"diode"
     ~programmed:(Model.programmed (Diode.placement x))
     ~path_length:(dims.Model.rows + dims.Model.cols)
     dims
 
-let fet ?(tech = Model.fet_tech) x =
+let fet x =
   let dims = Fet.dims x in
   (* longest series chain: max programmed devices in one column *)
   let placement = Fet.placement x in
   let per_col = Array.make dims.Model.cols 0 in
   Model.iter_programmed (fun _ c -> per_col.(c) <- per_col.(c) + 1) placement;
   let path_length = Array.fold_left max 1 per_col in
-  of_dims ~tech ~impl:"fet"
+  of_dims ~tech:Model.fet_tech ~impl:"fet"
     ~programmed:(Model.programmed placement)
     ~path_length dims
 
@@ -56,14 +56,12 @@ type spare_overhead = {
   area_overhead : float;
 }
 
-let spare_overhead ?(tech = Model.diode_tech) ~rows ~cols ~spare_rows
-    ~spare_cols () =
+let spare_overhead ~rows ~cols ~spare_rows ~spare_cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Metrics.spare_overhead: dims";
   if spare_rows < 0 || spare_cols < 0 then
     invalid_arg "Metrics.spare_overhead: spares";
-  let area r c =
-    float_of_int r *. tech.Model.pitch_nm
-    *. (float_of_int c *. tech.Model.pitch_nm)
+  let pitch = Model.diode_tech.Model.pitch_nm in
+  let area r c = float_of_int r *. pitch *. (float_of_int c *. pitch)
   in
   let logical = area rows cols in
   let physical = area (rows + spare_rows) (cols + spare_cols) in

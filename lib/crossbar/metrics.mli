@@ -32,12 +32,14 @@ val of_dims :
   Model.dims ->
   report
 
-val diode : ?tech:Model.tech -> Diode.t -> report
-(** Path: literal column -> row -> output column: [2] crosspoints plus
-    wire spans, modelled as [rows + cols]. *)
+val diode : Diode.t -> report
+(** Priced with {!Model.diode_tech}.  Path: literal column -> row ->
+    output column: [2] crosspoints plus wire spans, modelled as
+    [rows + cols]. *)
 
-val fet : ?tech:Model.tech -> Fet.t -> report
-(** Path: longest series chain = largest product size. *)
+val fet : Fet.t -> report
+(** Priced with {!Model.fet_tech}.  Path: longest series chain =
+    largest product size. *)
 
 val pp : Format.formatter -> report -> unit
 
@@ -61,8 +63,7 @@ type spare_overhead = {
 }
 
 val spare_overhead :
-  ?tech:Model.tech ->
-  rows:int -> cols:int -> spare_rows:int -> spare_cols:int -> unit ->
-  spare_overhead
-(** @raise Invalid_argument on non-positive logical dimensions or
+  rows:int -> cols:int -> spare_rows:int -> spare_cols:int -> spare_overhead
+(** Priced with {!Model.diode_tech}'s pitch.
+    @raise Invalid_argument on non-positive logical dimensions or
     negative spare counts. *)

@@ -164,5 +164,3 @@ let with_current t f =
   let saved = current () in
   set_current t;
   Fun.protect ~finally:(fun () -> set_current saved) f
-
-let resolve = function Some g -> g | None -> current ()

@@ -17,11 +17,13 @@
     - [Fail]: result-returning entry points report
       [`Budget_exhausted] instead of degrading.
 
-    Besides explicit [?guard] arguments there is an {e ambient} current
-    budget ({!current} / {!set_current} / {!with_current}): entry
-    points default to it, which lets the CLI (or a test harness) bound
-    a whole pipeline without threading a value through every caller.
-    The default ambient budget is {!unlimited}. *)
+    The {e ambient} budget ({!current} / {!set_current} /
+    {!with_current}) is the only way to bound work: no library entry
+    point takes a budget argument, each reads {!current}[ ()] once on
+    entry.  The CLI installs one per invocation, the service engine one
+    per job, the pool a partition slice per worker, and a test or an
+    embedding program wraps a call in {!with_current}.  The default
+    ambient budget is {!unlimited}. *)
 
 type policy = Fail | Degrade
 
@@ -110,7 +112,3 @@ val set_current : t -> unit
 val with_current : t -> (unit -> 'a) -> 'a
 (** Scoped {!set_current}; restores the previous budget on exit,
     exception-safe. *)
-
-val resolve : t option -> t
-(** [resolve guard] is [g] for [Some g] and {!current}[ ()]
-    otherwise — the standard prologue of every [?guard] entry point. *)

@@ -12,8 +12,7 @@ type t =
 
 let invalid_input ?line ?column reason = `Invalid_input { reason; line; column }
 
-let invalid_inputf ?line ?column fmt =
-  Format.kasprintf (fun reason -> invalid_input ?line ?column reason) fmt
+let invalid_inputf fmt = Format.kasprintf invalid_input fmt
 
 let unsat msg = `Unsat msg
 

@@ -31,9 +31,9 @@ type t =
 
 val invalid_input : ?line:int -> ?column:int -> string -> [> t ]
 
-val invalid_inputf :
-  ?line:int -> ?column:int -> ('a, Format.formatter, unit, [> t ]) format4 -> 'a
-(** [invalid_inputf fmt ...] is {!invalid_input} over a format string. *)
+val invalid_inputf : ('a, Format.formatter, unit, [> t ]) format4 -> 'a
+(** [invalid_inputf fmt ...] is {!invalid_input} over a format string,
+    without a position. *)
 
 val unsat : string -> [> t ]
 

@@ -73,5 +73,4 @@ let synthesize_with ?strategy ~var ~pol f =
 
 let synthesize ?strategy f = synthesize_at ?strategy ~depth:0 f
 
-let synthesize_recursive ?strategy ?(depth = 2) f =
-  synthesize_at ?strategy ~depth f
+let synthesize_recursive ?(depth = 2) f = synthesize_at ~depth f

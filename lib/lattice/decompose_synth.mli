@@ -30,11 +30,10 @@ val synthesize :
     three components, so each component is synthesized once per
     variable. *)
 
-val synthesize_recursive :
-  ?strategy:Nxc_logic.Pcircuit.strategy -> ?depth:int ->
-  Nxc_logic.Boolfunc.t -> Lattice.t
-(** Recursive P-circuits: the decomposition's components are themselves
-    decomposed (up to [depth] levels, default 2) when that shrinks
+val synthesize_recursive : ?depth:int -> Nxc_logic.Boolfunc.t -> Lattice.t
+(** Recursive P-circuits ([Projected] strategy): the decomposition's
+    components are themselves decomposed (up to [depth] levels,
+    default 2) when that shrinks
     their lattices — the natural extension of Bernasconi et al.'s
     scheme.  Every branch falls back to direct Altun–Riedel synthesis
     when decomposition does not pay.  [synthesize_recursive ~depth:0]

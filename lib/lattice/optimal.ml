@@ -18,24 +18,24 @@ let dims_of_area area =
   in
   go 1 []
 
-let search ?pool ?(max_area = 9) ?(budget = 5_000_000) ?(allow_constants = true)
-    ?guard f =
-  let guard = Guard.Budget.resolve guard in
+let search ?pool ?(max_area = 9) ?(budget = 5_000_000) f =
   let n = L.Boolfunc.n_vars f in
   let alphabet =
     List.concat_map
       (fun v -> [ Lattice.Lit (v, L.Cube.Pos); Lattice.Lit (v, L.Cube.Neg) ])
       (List.init n Fun.id)
-    @ (if allow_constants then [ Lattice.Zero; Lattice.One ] else [])
+    @ [ Lattice.Zero; Lattice.One ]
   in
   let alphabet = Array.of_list alphabet in
   let k = Array.length alphabet in
   let tried = ref 0 in
   (* Enumerate the assignments of one dimension pair as a base-k
-     counter, trying at most [cap] candidates against [guard].  Returns
-     the verdict plus the local candidate count — no shared state, so a
-     pool can run dimension pairs of the same area concurrently. *)
-  let try_dims ~guard ~cap (r, c) =
+     counter, trying at most [cap] candidates against the ambient
+     budget.  Returns the verdict plus the local candidate count — no
+     shared state, so a pool can run dimension pairs of the same area
+     concurrently. *)
+  let try_dims ~cap (r, c) =
+    let guard = Guard.Budget.current () in
     let cells = r * c in
     let digits = Array.make cells 0 in
     (* one grid buffer per dimension pair, refilled in place for every
@@ -86,7 +86,7 @@ let search ?pool ?(max_area = 9) ?(budget = 5_000_000) ?(allow_constants = true)
     let rec go = function
       | [] -> `Done
       | d :: rest -> (
-          let count, v = try_dims ~guard ~cap:(budget - !tried) d in
+          let count, v = try_dims ~cap:(budget - !tried) d in
           tried := !tried + count;
           match v with `Done -> go rest | v -> v)
     in
@@ -104,9 +104,7 @@ let search ?pool ?(max_area = 9) ?(budget = 5_000_000) ?(allow_constants = true)
     else begin
       let cap = max 1 (remaining / List.length ds) in
       let results =
-        Nxc_par.Pool.map ~pool:p ~guard
-          (fun d -> try_dims ~guard:(Guard.Budget.current ()) ~cap d)
-          ds
+        Nxc_par.Pool.map ~pool:p (fun d -> try_dims ~cap d) ds
       in
       List.iter (fun (count, _) -> tried := !tried + count) results;
       let rec decide = function
@@ -143,7 +141,7 @@ let search ?pool ?(max_area = 9) ?(budget = 5_000_000) ?(allow_constants = true)
   Obs.Metrics.add m_candidates !tried;
   outcome
 
-let minimum_area ?max_area ?budget ?guard f =
-  match search ?max_area ?budget ?guard f with
+let minimum_area ?max_area f =
+  match search ?max_area f with
   | Found lattice -> Some (Lattice.area lattice)
   | Proved_larger _ | Budget_exhausted -> None

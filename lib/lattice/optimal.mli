@@ -16,22 +16,19 @@ type result =
 
 val search :
   ?pool:Nxc_par.Pool.t ->
-  ?max_area:int -> ?budget:int -> ?allow_constants:bool ->
-  ?guard:Nxc_guard.Budget.t -> Nxc_logic.Boolfunc.t -> result
+  ?max_area:int -> ?budget:int -> Nxc_logic.Boolfunc.t -> result
 (** [search f] scans areas [1, 2, ...] up to [max_area] (default 9).
-    [budget] caps total assignments tried (default 5_000_000); [guard]
-    (default: the ambient budget) is consumed one step per candidate
-    and its exhaustion also yields {!Budget_exhausted} — an explicit
+    [budget] caps total assignments tried (default 5_000_000); the
+    ambient budget is consumed one step per candidate and its
+    exhaustion also yields {!Budget_exhausted} — an explicit
     inconclusive verdict, never an exception.
 
     With [pool], the dimension pairs of each area are searched
     concurrently; the first conclusive pair {e in pair order} decides,
-    so when neither [budget] nor [guard] binds the result equals the
+    so when neither budget binds the result equals the
     sequential one.  Under budget pressure the two modes may declare
     {!Budget_exhausted} at different points, because the remaining
     budget is split equally among a pool's pairs. *)
 
-val minimum_area :
-  ?max_area:int -> ?budget:int -> ?guard:Nxc_guard.Budget.t ->
-  Nxc_logic.Boolfunc.t -> int option
-(** Area of a minimum lattice if the search concluded. *)
+val minimum_area : ?max_area:int -> Nxc_logic.Boolfunc.t -> int option
+(** Area of a minimum lattice if {!search} concluded. *)

@@ -12,7 +12,8 @@ type outcome = { cover : Cover.t; degraded : bool }
 (* The guarded core.  Every path either returns a function-equivalent
    cover or a typed error; the [degraded] flag records that ISOP stood
    in for an exact minimization that ran out of budget. *)
-let sop_table_with guard ?cover_backend tt =
+let sop_table_with ?cover_backend tt =
+  let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_sop_calls;
   Obs.Span.with_ ~name:"minimize.sop"
     ~attrs:(fun () -> [ ("n", Obs.Json.Int (Truth_table.n_vars tt)) ])
@@ -26,7 +27,7 @@ let sop_table_with guard ?cover_backend tt =
     if n > exact_threshold_vars then Ok { cover = heuristic (); degraded = false }
     else
       match
-        Qm.minimize_result ~guard ?cover_backend ~n (Truth_table.minterms tt)
+        Qm.minimize_result ?cover_backend ~n (Truth_table.minterms tt)
       with
       | Ok (cover, _) -> Ok { cover; degraded = false }
       | Error e -> (
@@ -43,23 +44,23 @@ let sop_table_with guard ?cover_backend tt =
       assert (Truth_table.equal (Truth_table.of_cover r.cover) tt);
       Ok r
 
-let sop_result ?guard ?cover_backend f =
-  sop_table_with (Guard.Budget.resolve guard) ?cover_backend (Boolfunc.table f)
+let sop_result ?cover_backend f =
+  sop_table_with ?cover_backend (Boolfunc.table f)
 
 (* Total variants: never fail on budget — force the degradation path
-   regardless of the guard's policy by running the core under an
-   explicit [Degrade] view of the same budget. *)
-let sop_table ?guard tt =
-  let guard = Guard.Budget.resolve guard in
-  match sop_table_with (Guard.Budget.degrading guard) tt with
+   regardless of the budget's policy by running the core under a
+   [Degrade] view of the same budget. *)
+let sop_table tt =
+  let degrading = Guard.Budget.degrading (Guard.Budget.current ()) in
+  match Guard.Budget.with_current degrading (fun () -> sop_table_with tt) with
   | Ok { cover; _ } -> cover
   | Error _ ->
       (* unreachable: under Degrade every budget path falls back *)
       Isop.isop tt
 
-let sop ?guard f = sop_table ?guard (Boolfunc.table f)
+let sop f = sop_table (Boolfunc.table f)
 
-let dual_sop ?guard f = sop ?guard (Boolfunc.dual f)
+let dual_sop f = sop (Boolfunc.dual f)
 
 let verify cover f =
   Truth_table.equal (Truth_table.of_cover cover) (Boolfunc.table f)

@@ -5,12 +5,11 @@
     Quine–McCluskey for functions of at most 8 variables,
     Minato–Morreale ISOP otherwise.
 
-    All entry points cooperate with a {!Nxc_guard.Budget} (default: the
-    ambient budget).  The legacy [Cover.t]-returning functions are
-    {e total}: on budget exhaustion they silently degrade to ISOP
-    and still return a function-equivalent cover.  The
-    [_result] variants additionally honor a [Fail]-policy guard by
-    reporting [`Budget_exhausted]. *)
+    All entry points charge the ambient {!Nxc_guard.Budget}.  The
+    legacy [Cover.t]-returning functions are {e total}: on budget
+    exhaustion they silently degrade to ISOP and still return a
+    function-equivalent cover.  The [_result] variants additionally
+    honor a [Fail]-policy budget by reporting [`Budget_exhausted]. *)
 
 type outcome = {
   cover : Cover.t;
@@ -19,28 +18,27 @@ type outcome = {
           (still function-equivalent) cover *)
 }
 
-val sop : ?guard:Nxc_guard.Budget.t -> Boolfunc.t -> Cover.t
+val sop : Boolfunc.t -> Cover.t
 (** A (near-)minimal SOP cover of the function: functions with at most
     8 variables go through the exact minimizer, the rest through ISOP.
     The result always satisfies [Cover ≡ f] (checked internally in
     debug builds via assertions), budget exhaustion included. *)
 
-val sop_table : ?guard:Nxc_guard.Budget.t -> Truth_table.t -> Cover.t
+val sop_table : Truth_table.t -> Cover.t
 
 val sop_result :
-  ?guard:Nxc_guard.Budget.t ->
   ?cover_backend:Qm.cover_backend ->
   Boolfunc.t ->
   (outcome, Nxc_guard.Error.t) result
 (** Like {!sop} but reports degradation explicitly, and under a
-    [Fail]-policy guard returns [`Budget_exhausted] instead of falling
+    [Fail]-policy budget returns [`Budget_exhausted] instead of falling
     back.  [cover_backend] selects {!Qm}'s exact covering engine for
     this call (default: the process-wide one set by
     {!Qm.set_cover_backend}) — the explicit parameter is what lets batch
     jobs pin their backend independently of worker-domain state and of
     that default. *)
 
-val dual_sop : ?guard:Nxc_guard.Budget.t -> Boolfunc.t -> Cover.t
+val dual_sop : Boolfunc.t -> Cover.t
 (** SOP of the dual f{^D}: the second ingredient of the FET-array and
     lattice size formulas. *)
 

@@ -130,14 +130,14 @@ let search guard f =
           output_neg = !best_neg }
   | exception Exit -> None
 
-let canonical ?guard f =
+let canonical f =
   Nxc_obs.Metrics.incr m_canon;
   if Tt.n_vars f > exhaustive_limit then begin
     Nxc_obs.Metrics.incr m_semi;
     semi f
   end
   else
-    match search (Budget.resolve guard) f with
+    match search (Budget.current ()) f with
     | Some t -> (t, apply t f)
     | None ->
         Budget.degrade "npn_semi";
@@ -161,7 +161,7 @@ let table_key f =
   done;
   Buffer.contents buf
 
-let canonical_key ?guard f = table_key (snd (canonical ?guard f))
+let canonical_key f = table_key (snd (canonical f))
 
 let flip = function Cube.Pos -> Cube.Neg | Cube.Neg -> Cube.Pos
 

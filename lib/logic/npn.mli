@@ -52,14 +52,13 @@ val num_transforms : int -> int
     {!canonical} covers below {!exhaustive_limit}.
     Test-only: tests check the transform enumeration with it. *)
 
-val canonical :
-  ?guard:Nxc_guard.Budget.t -> Truth_table.t -> transform * Truth_table.t
+val canonical : Truth_table.t -> transform * Truth_table.t
 (** [canonical f] is [(t, g)] with [apply t f = g] and [g] minimal over
     the class (see the module preamble for the semi-canonical
     fallbacks).  The search runs on packed keys: each candidate table
     is at most two native ints whose numeric order is
     {!Truth_table.compare} order, and only the winner is built with
-    {!apply}.  One step of [guard] (default: the ambient budget) is
+    {!apply}.  One step of the ambient budget is
     charged per (permutation, input-negation) pair, [2{^n}·n!] =
     [num_transforms n / 2] steps for a full search. *)
 
@@ -67,7 +66,7 @@ val table_key : Truth_table.t -> string
 (** Exact content key of a table: arity plus the table bits in hex.
     Equal tables, and nothing else, share a key. *)
 
-val canonical_key : ?guard:Nxc_guard.Budget.t -> Truth_table.t -> string
+val canonical_key : Truth_table.t -> string
 (** [table_key (snd (canonical f))]: all members of an NPN class map to
     this one key (below {!exhaustive_limit}).
     Test-only: tests check NPN class keys with it. *)

@@ -214,9 +214,9 @@ let expr_impl ?n s =
   let n = arity_of ?n ~table:true ast in
   Boolfunc.of_fun_int ~name:s n (eval_ast ast)
 
-let expr_cover_impl ?n s =
+let expr_cover_impl s =
   let ast = parse_tokens (tokenize s) in
-  let arity = arity_of ?n ~table:false ast in
+  let arity = arity_of ~table:false ast in
   (* flatten OR of AND of (possibly negated) vars; anything else is
      rejected so the products are preserved exactly *)
   let rec sum acc = function
@@ -371,7 +371,7 @@ let legacy f =
 
 let expr_result ?n s = wrap (fun () -> expr_impl ?n s)
 let expr ?n s = legacy (fun () -> expr_impl ?n s)
-let expr_cover ?n s = legacy (fun () -> expr_cover_impl ?n s)
+let expr_cover s = legacy (fun () -> expr_cover_impl s)
 let pla_of_string_result text = wrap (fun () -> pla_of_string_impl text)
 
 let cube_to_pla_input n c =

@@ -38,7 +38,7 @@ val expr : ?n:int -> string -> Boolfunc.t
 val expr_result :
   ?n:int -> string -> (Boolfunc.t, Nxc_guard.Error.t) result
 
-val expr_cover : ?n:int -> string -> Cover.t
+val expr_cover : string -> Cover.t
 (** Parse an expression that is syntactically a sum of products (no
     parentheses or XOR) directly into a cover, preserving its products
     verbatim.

@@ -46,7 +46,7 @@ let cost d =
   let products tt = Cover.num_cubes (Minimize.sop_table tt) in
   products d.f_eq + products d.f_neq + products d.f_int
 
-let best ?strategy f =
+let best f =
   let n = Boolfunc.n_vars f in
   if n = 0 then invalid_arg "Pcircuit.best: nullary function";
   let candidates =
@@ -57,7 +57,7 @@ let best ?strategy f =
   let scored =
     List.map
       (fun (var, pol) ->
-        let d = decompose ?strategy ~var ~pol f in
+        let d = decompose ~var ~pol f in
         (cost d, d))
       candidates
   in

@@ -32,8 +32,8 @@ type strategy =
 val decompose : ?strategy:strategy -> var:int -> pol:bool -> Boolfunc.t -> t
 (** Raises [Invalid_argument] if [var] is out of range. *)
 
-val best : ?strategy:strategy -> Boolfunc.t -> t
-(** Decomposition over all (var, pol) choices minimizing the summed
+val best : Boolfunc.t -> t
+(** [Projected] decomposition over all (var, pol) choices minimizing the summed
     SOP product counts of the three components — the proxy the lattice
     synthesizer cares about. *)
 

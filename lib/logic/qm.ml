@@ -95,9 +95,10 @@ let set_cover_backend b = default_backend := b
    [on_list] order and sets of them are word bitsets, so the first
    uncovered minterm is the lowest set bit and branching visits the
    primes covering it in index order.  [budget] caps explored nodes;
-   [guard] is consumed once per node.  Returns the best cover found,
-   whether the search completed, and the node count. *)
-let cover_exact ~guard ~budget primes_arr on_list =
+   the ambient budget is consumed once per node.  Returns the best
+   cover found, whether the search completed, and the node count. *)
+let cover_exact ~budget primes_arr on_list =
+  let guard = Guard.Budget.current () in
   let on = Array.of_list on_list in
   let words = Bitslice.words_for (Array.length on) in
   let wb = Bitslice.word_bits in
@@ -198,7 +199,8 @@ let isop_fallback ~n ~on ~dc =
   in
   Isop.isop ~lower upper
 
-let minimize_with guard ~dc ~budget ~backend ~n on =
+let minimize_with ~dc ~budget ~backend ~n on =
+  let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_calls;
   Obs.Span.with_ ~name:"qm.minimize"
     ~attrs:(fun () -> [ ("n", Obs.Json.Int n) ])
@@ -241,7 +243,7 @@ let minimize_with guard ~dc ~budget ~backend ~n on =
                (Array.to_list primes_arr))
         in
         let bnb () =
-          match cover_exact ~guard ~budget rest_primes remaining with
+          match cover_exact ~budget rest_primes remaining with
           | Some sol, ex, _ -> (sol, ex)
           | None, _, _ -> (greedy_cover rest_primes remaining, false)
         in
@@ -252,7 +254,7 @@ let minimize_with guard ~dc ~budget ~backend ~n on =
             | Bnb -> Ok (bnb ())
             | Sat -> (
                 match
-                  Sat_cover.min_cube_cover ~guard ~primes:rest_primes
+                  Sat_cover.min_cube_cover ~primes:rest_primes
                     ~minterms:remaining ()
                 with
                 | Ok { Sat_cover.chosen; optimal } -> Ok (chosen, optimal)
@@ -280,23 +282,20 @@ let minimize_with guard ~dc ~budget ~backend ~n on =
                   num_essential = List.length essential_idx;
                   exact } ))
 
-let minimize_result ?(dc = []) ?(budget = 200_000) ?guard ?cover_backend ~n on
-    =
-  let guard = Guard.Budget.resolve guard in
-  let backend =
-    match cover_backend with Some b -> b | None -> !default_backend
-  in
-  minimize_with guard ~dc ~budget ~backend ~n on
+let backend_of = function Some b -> b | None -> !default_backend
 
-let minimize ?(dc = []) ?(budget = 200_000) ?guard ?cover_backend ~n on =
-  let guard = Guard.Budget.resolve guard in
-  let backend =
-    match cover_backend with Some b -> b | None -> !default_backend
-  in
+let minimize_result ?cover_backend ~n on =
+  minimize_with ~dc:[] ~budget:200_000 ~backend:(backend_of cover_backend) ~n
+    on
+
+let minimize ?(dc = []) ?(budget = 200_000) ?cover_backend ~n on =
+  let backend = backend_of cover_backend in
   (* a Degrade view keeps the total contract: the SAT covering backend
      never fails here, it falls back under guard.degrade.sat_to_bnb *)
   match
-    minimize_with (Guard.Budget.degrading guard) ~dc ~budget ~backend ~n on
+    Guard.Budget.with_current
+      (Guard.Budget.degrading (Guard.Budget.current ()))
+      (fun () -> minimize_with ~dc ~budget ~backend ~n on)
   with
   | Ok r -> r
   | Error _ ->
@@ -307,6 +306,5 @@ let minimize ?(dc = []) ?(budget = 200_000) ?guard ?cover_backend ~n on =
       ( isop_fallback ~n ~on ~dc,
         { num_primes = 0; num_essential = 0; exact = false } )
 
-let minimize_table ?budget ?guard ?cover_backend tt =
-  let n = Truth_table.n_vars tt in
-  minimize ?budget ?guard ?cover_backend ~n (Truth_table.minterms tt)
+let minimize_table tt =
+  minimize ~n:(Truth_table.n_vars tt) (Truth_table.minterms tt)

@@ -24,16 +24,12 @@ val primes : n:int -> on:int list -> dc:int list -> Cube.t list
     calibration. *)
 
 val cover_exact :
-  guard:Nxc_guard.Budget.t ->
-  budget:int ->
-  Cube.t array ->
-  int list ->
-  int list option * bool * int
-(** [cover_exact ~guard ~budget primes on] is the branch and bound
+  budget:int -> Cube.t array -> int list -> int list option * bool * int
+(** [cover_exact ~budget primes on] is the branch and bound
     behind the [Bnb] backend: the fewest primes (as indices into
     [primes], most recently chosen first) covering every minterm of
     [on], whether the search completed within [budget] nodes and the
-    guard, and the number of nodes visited.  The best cover found so
+    ambient budget, and the number of nodes visited.  The best cover found so
     far is returned when the search is cut short.
     Test-only: tests check it against the list-based reference. *)
 
@@ -49,7 +45,7 @@ val cover_exact :
     On budget exhaustion the [Sat] backend degrades to [Bnb] under a
     [guard.degrade.sat_to_bnb] count (which, with the budget already
     dead, immediately winds down to the usual greedy fallback) — except
-    under a [Fail]-policy guard, where {!minimize_result} reports
+    under a [Fail]-policy budget, where {!minimize_result} reports
     [`Budget_exhausted] instead. *)
 
 type cover_backend = Bnb | Sat
@@ -68,7 +64,6 @@ type stats = {
 val minimize :
   ?dc:int list ->
   ?budget:int ->
-  ?guard:Nxc_guard.Budget.t ->
   ?cover_backend:cover_backend ->
   n:int ->
   int list ->
@@ -76,28 +71,21 @@ val minimize :
 (** [minimize ~n on] is a minimum (or near-minimum, see
     {!field-stats.exact}) cover of the ON-set minterms using the DC-set
     freely.  [budget] bounds the branch-and-bound node count (default
-    200_000); [guard] (default: the ambient budget) bounds total work;
+    200_000); the ambient budget bounds total work;
     [cover_backend] (default: the process-wide one set by
-    {!set_cover_backend}) picks the exact covering engine.  Total: on guard exhaustion it returns the
+    {!set_cover_backend}) picks the exact covering engine.  Total: on
+    budget exhaustion it returns the
     degraded ISOP cover described above and counts a
     [guard.degrade.qm_to_isop]. *)
 
 val minimize_result :
-  ?dc:int list ->
-  ?budget:int ->
-  ?guard:Nxc_guard.Budget.t ->
   ?cover_backend:cover_backend ->
   n:int ->
   int list ->
   (Cover.t * stats, Nxc_guard.Error.t) result
-(** Like {!minimize} but reports [`Budget_exhausted] instead of
-    computing the ISOP fallback when the guard trips during prime
-    generation (or, under a [Fail]-policy guard, during [Sat]-backend
-    covering). *)
+(** Like {!minimize} without don't-cares, but reports
+    [`Budget_exhausted] instead of computing the ISOP fallback when the
+    budget trips during prime generation (or, under a [Fail]-policy
+    budget, during [Sat]-backend covering). *)
 
-val minimize_table :
-  ?budget:int ->
-  ?guard:Nxc_guard.Budget.t ->
-  ?cover_backend:cover_backend ->
-  Truth_table.t ->
-  Cover.t * stats
+val minimize_table : Truth_table.t -> Cover.t * stats

@@ -8,8 +8,8 @@ let m_partial = Obs.Metrics.counter "sat.cover_partial"
 
 type outcome = { chosen : int list; optimal : bool }
 
-let min_cover ?guard ?(seed = 0) ~num_sets ~covered_by () =
-  let guard = Guard.Budget.resolve guard in
+let min_cover ~num_sets ~covered_by () =
+  let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_calls;
   Obs.Span.with_ ~name:"sat.min_cover"
     ~attrs:(fun () ->
@@ -19,7 +19,7 @@ let min_cover ?guard ?(seed = 0) ~num_sets ~covered_by () =
   if Array.exists (( = ) []) covered_by then
     Error (Guard.Error.unsat "Sat_cover: an element has no covering set")
   else begin
-    let s = Sat.Solver.create ~seed () in
+    let s = Sat.Solver.create () in
     let sel = Array.init num_sets (fun _ -> Sat.Solver.new_var s) in
     Array.iter
       (fun who -> Sat.Solver.add_clause s (List.map (fun i -> sel.(i)) who))
@@ -35,7 +35,7 @@ let min_cover ?guard ?(seed = 0) ~num_sets ~covered_by () =
       let bound = List.length best in
       if bound = 0 then Ok { chosen = best; optimal = true }
       else
-        match Sat.Solver.solve ~guard ~assumptions:[ -o.(bound - 1) ] s with
+        match Sat.Solver.solve ~assumptions:[ -o.(bound - 1) ] s with
         | Sat.Solver.Sat -> tighten (extract ())
         | Sat.Solver.Unsat ->
             Obs.Metrics.incr m_optimal;
@@ -44,7 +44,7 @@ let min_cover ?guard ?(seed = 0) ~num_sets ~covered_by () =
             Obs.Metrics.incr m_partial;
             Ok { chosen = best; optimal = false }
     in
-    match Sat.Solver.solve ~guard s with
+    match Sat.Solver.solve s with
     | Sat.Solver.Sat -> tighten (extract ())
     | Sat.Solver.Unsat ->
         (* cannot happen: every element had a covering set, and
@@ -53,7 +53,7 @@ let min_cover ?guard ?(seed = 0) ~num_sets ~covered_by () =
     | Sat.Solver.Unknown -> Error (Guard.Budget.error guard)
   end
 
-let min_cube_cover ?guard ?seed ~primes ~minterms () =
+let min_cube_cover ~primes ~minterms () =
   let covered_by =
     Array.of_list
       (List.map
@@ -65,4 +65,4 @@ let min_cube_cover ?guard ?seed ~primes ~minterms () =
            !who)
          minterms)
   in
-  min_cover ?guard ?seed ~num_sets:(Array.length primes) ~covered_by ()
+  min_cover ~num_sets:(Array.length primes) ~covered_by ()

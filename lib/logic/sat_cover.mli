@@ -23,8 +23,6 @@ type outcome = {
 }
 
 val min_cover :
-  ?guard:Nxc_guard.Budget.t ->
-  ?seed:int ->
   num_sets:int ->
   covered_by:int list array ->
   unit ->
@@ -33,13 +31,11 @@ val min_cover :
     chosen such that every element [e] has some chosen set in
     [covered_by.(e)].  Errors: [`Unsat] when an element has no
     covering set, [`Budget_exhausted] when the budget tripped before
-    {e any} certificate was found.  Deterministic for a fixed [seed]
-    (default 0), independent of any pool.
+    {e any} certificate was found.  Charges the ambient budget.
+    Deterministic (solver seed 0), independent of any pool.
     Test-only: tests and svcbench call the SAT cover directly. *)
 
 val min_cube_cover :
-  ?guard:Nxc_guard.Budget.t ->
-  ?seed:int ->
   primes:Cube.t array ->
   minterms:int list ->
   unit ->

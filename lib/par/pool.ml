@@ -133,18 +133,18 @@ type 'a chunk_out = {
   mutable failed : (exn * Printexc.raw_backtrace) option;
 }
 
-let sequential_map n f g =
-  Budget.with_current g (fun () ->
-      if n = 0 then [||]
-      else begin
-        let out = Array.make n (f 0) in
-        for i = 1 to n - 1 do
-          out.(i) <- f i
-        done;
-        out
-      end)
+let sequential_map n f =
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n (f 0) in
+    for i = 1 to n - 1 do
+      out.(i) <- f i
+    done;
+    out
+  end
 
-let parallel_map p n f g chunk =
+let parallel_map p n f chunk =
+  let g = Budget.current () in
   let nslots = slots p in
   let chunk =
     match chunk with
@@ -218,23 +218,23 @@ let parallel_map p n f g chunk =
   | None ->
       Array.map (function Some v -> v | None -> assert false) results
 
-let map_range ?pool ?guard ?chunk n f =
+let map_range ?pool ?chunk n f =
   if n < 0 then invalid_arg "Nxc_par.Pool.map_range: negative size";
-  let g = Budget.resolve guard in
   match pool with
-  | None -> sequential_map n f g
-  | Some p -> if n = 0 then [||] else parallel_map p n f g chunk
+  | None -> sequential_map n f
+  | Some p -> if n = 0 then [||] else parallel_map p n f chunk
 
-let map ?pool ?guard ?chunk f xs =
+let map ?pool ?chunk f xs =
   let a = Array.of_list xs in
-  map_range ?pool ?guard ?chunk (Array.length a) (fun i -> f a.(i))
-  |> Array.to_list
+  map_range ?pool ?chunk (Array.length a) (fun i -> f a.(i)) |> Array.to_list
 
-let reduce ?pool ?guard ?chunk ~init ~combine n f =
-  Array.fold_left combine init (map_range ?pool ?guard ?chunk n f)
+(* the OCaml runtime's default domain limit, the calling domain
+   included *)
+let max_jobs = 128
 
 let of_jobs jobs =
-  if jobs < 0 then invalid_arg "Nxc_par.Pool.of_jobs: negative --jobs"
+  if jobs < 0 || jobs > max_jobs then
+    invalid_arg "Nxc_par.Pool.of_jobs: --jobs out of range"
   else if jobs = 1 then None
   else if jobs = 0 then Some (create ())
   else Some (create ~workers:(jobs - 1) ())

@@ -69,20 +69,14 @@ val slots : t -> int
 (** Number of runner slots, i.e. [workers t + 1]: the calling domain
     participates in every batch. *)
 
-val map_range :
-  ?pool:t ->
-  ?guard:Nxc_guard.Budget.t ->
-  ?chunk:int ->
-  int ->
-  (int -> 'a) ->
-  'a array
+val map_range : ?pool:t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** [map_range n f] is [[| f 0; f 1; ...; f (n-1) |]].
 
     Without [?pool] the tasks run sequentially in index order on the
-    calling domain; with [?pool] they are dealt out chunk-wise to the
-    pool's runner slots.  Either way each task runs with the resolved
-    budget (or its partition slice) installed as the {e ambient}
-    budget, so task code reaches its guard through
+    calling domain, under the caller's ambient budget; with [?pool]
+    they are dealt out chunk-wise to the pool's runner slots, each
+    running under its partition slice of that budget installed as the
+    {e ambient} budget.  Either way task code reaches its guard through
     [Nxc_guard.Budget.current] and behaves identically in both modes.
 
     [chunk] is the number of consecutive indices a runner claims at a
@@ -90,34 +84,17 @@ val map_range :
     metric merges, span merges and exception choice are all in index
     order — see the module preamble for the determinism contract.
 
-    @param guard defaults to the ambient budget of the caller.
     @raise Invalid_argument if [n < 0]. *)
 
-val map :
-  ?pool:t ->
-  ?guard:Nxc_guard.Budget.t ->
-  ?chunk:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
+val map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] is [List.map f xs] through {!map_range}: same order,
     same determinism contract. *)
 
-val reduce :
-  ?pool:t ->
-  ?guard:Nxc_guard.Budget.t ->
-  ?chunk:int ->
-  init:'a ->
-  combine:('a -> 'b -> 'a) ->
-  int ->
-  (int -> 'b) ->
-  'a
-(** [reduce ~init ~combine n f] folds [combine] left-to-right over the
-    results of {!map_range}[ n f].  The tasks run in parallel; the fold
-    itself runs on the calling domain in index order, so [combine]
-    need not be associative for the result to be deterministic. *)
-
 (** {2 CLI plumbing} *)
+
+val max_jobs : int
+(** The largest [--jobs] value, [128]: the OCaml runtime's default
+    domain limit, which counts the calling domain too. *)
 
 val of_jobs : int -> t option
 (** Interpret a [--jobs] value: [1] (the default everywhere) means
@@ -125,7 +102,8 @@ val of_jobs : int -> t option
     [n >= 2] means a pool with [n - 1] workers (so [n] runner slots
     in total).  The caller owns the pool and must {!shutdown} it.
     Test-only: tests check the --jobs mapping with it.
-    @raise Invalid_argument if the value is negative. *)
+    @raise Invalid_argument if the value is negative or above
+    {!max_jobs}, before any domain is spawned. *)
 
 val with_jobs : int -> (t option -> 'a) -> 'a
 (** [with_jobs jobs f] is [f (of_jobs jobs)] with a guaranteed

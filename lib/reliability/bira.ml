@@ -90,9 +90,9 @@ let full_colmask chip =
   mask.(nw - 1) <- Bitslice.tail_mask (Defect.cols chip);
   mask
 
-let defect_matching ~guard chip =
+let defect_matching chip =
   match
-    matching ~guard chip
+    matching ~guard:(Guard.Budget.current ()) chip
       ~keep_r:(Array.make (Defect.rows chip) true)
       ~colmask:(full_colmask chip)
   with
@@ -250,13 +250,15 @@ let greedy_alloc ~guard st =
 
 (* Phase 2b: exact branch-and-bound over (replace row | replace column)
    decisions for the first uncovered defect in row-major order,
-   minimizing lines used.  One guard step and one node-budget unit per
-   node.  A node is pruned when the matching of its uncovered defects
-   exceeds its remaining spares, or when its used lines plus that
-   matching reach the best repair so far: it holds no strictly smaller
-   repair, so the first minimum found is the same as without the
-   bound. *)
-let exact_alloc st guard ~node_budget =
+   minimizing lines used.  One guard step per node, and at most
+   [node_budget] nodes.  A node is pruned when the matching of its
+   uncovered defects exceeds its remaining spares, or when its used
+   lines plus that matching reach the best repair so far: it holds no
+   strictly smaller repair, so the first minimum found is the same as
+   without the bound. *)
+let node_budget = 200_000
+
+let exact_alloc st guard =
   let n_r = Defect.rows st.chip in
   let keep_r = Array.copy st.keep_r and colmask = Array.copy st.colmask in
   let nw = Array.length colmask in
@@ -352,7 +354,8 @@ let survivors keep =
   done;
   Array.of_list !acc
 
-let greedy_survivors ~guard chip ~spare_rows ~spare_cols =
+let greedy_survivors chip ~spare_rows ~spare_cols =
+  let guard = Guard.Budget.current () in
   match
     phases ~guard chip ~spare_rows ~spare_cols ~alloc:(fun st _ ->
         greedy_alloc ~guard st)
@@ -361,9 +364,8 @@ let greedy_survivors ~guard chip ~spare_rows ~spare_cols =
   | exception (Unrepairable _ | Greedy_stuck) -> `Stuck
   | exception Out_of_budget -> `Out_of_budget
 
-let analyze ?guard ?(node_budget = 200_000) ?(mode = Exact) chip ~spare_rows
-    ~spare_cols =
-  let guard = Guard.Budget.resolve guard in
+let analyze ?(mode = Exact) chip ~spare_rows ~spare_cols =
+  let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_runs;
   let t0 = Obs.Clock.now_ns () in
   let finish r =
@@ -416,7 +418,7 @@ let analyze ?guard ?(node_budget = 200_000) ?(mode = Exact) chip ~spare_rows
       | Exact -> (
           (* allocation mutates nothing until committed, so the
              greedy fallback starts from the post-must-repair state *)
-          match exact_alloc st guard ~node_budget with
+          match exact_alloc st guard with
           | `Found sets -> `Alloc (commit st sets, false)
           | `Unsat ->
               raise
@@ -482,7 +484,7 @@ let failed_stats =
     must_cols_count = 0;
     degraded = false }
 
-let monte_carlo ?pool ?guard ?(mode = Exact) rng ~trials ~rows ~cols
+let monte_carlo ?pool ?(mode = Exact) rng ~trials ~rows ~cols
     ~spare_rows ~spare_cols ~profile =
   if trials <= 0 then invalid_arg "Bira.monte_carlo: trials must be positive";
   if rows <= 0 || cols <= 0 then invalid_arg "Bira.monte_carlo: empty array";
@@ -495,7 +497,7 @@ let monte_carlo ?pool ?guard ?(mode = Exact) rng ~trials ~rows ~cols
         ("cols", Obs.Json.Int (cols + spare_cols)) ])
   @@ fun () ->
   let per =
-    Rng.map_trials ?pool ?guard rng ~trials (fun r ->
+    Rng.map_trials ?pool rng ~trials (fun r ->
         let chip =
           Defect.generate r ~rows:(rows + spare_rows)
             ~cols:(cols + spare_cols) profile
@@ -504,7 +506,10 @@ let monte_carlo ?pool ?guard ?(mode = Exact) rng ~trials ~rows ~cols
            under a Degrade view of it — a sweep trial winds down to an
            unrepaired outcome rather than aborting the whole sweep *)
         let g = Guard.Budget.degrading (Guard.Budget.current ()) in
-        match analyze ~guard:g ~mode chip ~spare_rows ~spare_cols with
+        match
+          Guard.Budget.with_current g (fun () ->
+              analyze ~mode chip ~spare_rows ~spare_cols)
+        with
         | Ok sol ->
             { repaired = true;
               spare_rows_used = List.length sol.repair_rows;

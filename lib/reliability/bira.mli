@@ -56,8 +56,6 @@ type solution = {
 }
 
 val analyze :
-  ?guard:Nxc_guard.Budget.t ->
-  ?node_budget:int ->
   ?mode:mode ->
   Defect.t ->
   spare_rows:int ->
@@ -75,26 +73,24 @@ val analyze :
     names the matching).  A greedy dead end the matching does not
     certify is a heuristic miss, not a proof: its message says so, and
     the chip may still be repairable.  [`Budget_exhausted] only
-    when the [guard] (default: the ambient budget) trips under policy
-    [Fail].  Under the default [Degrade] policy exhaustion of the exact
-    search falls back to greedy and marks the solution [degraded].
-    [node_budget] (default [200_000]) caps branch-and-bound nodes
-    independently of the guard, like {!Defect_flow.exact_max}. *)
+    when the ambient budget trips under policy [Fail].  Under the
+    default [Degrade] policy exhaustion of the exact search falls back
+    to greedy and marks the solution [degraded].  The branch and bound
+    also stops after 200,000 nodes independently of the budget, like
+    {!Defect_flow.exact_max}. *)
 
 (** {2 The phases as a pre-solve}
 
     {!Sat_assign} runs the Kőnig bound and the greedy phases ahead of
     its SAT solver.  Neither bumps a [bira.*] counter; both charge one
-    step of [guard] per matched row or deleted line. *)
+    step of the ambient budget per matched row or deleted line. *)
 
-val defect_matching :
-  guard:Nxc_guard.Budget.t -> Defect.t -> (int * int) array option
+val defect_matching : Defect.t -> (int * int) array option
 (** A maximum matching of the chip's defect graph as [(row, col)]
     crosspoints, ascending by row: each is defective and no two share a
-    row or a column.  [None] when [guard] runs out. *)
+    row or a column.  [None] when the budget runs out. *)
 
 val greedy_survivors :
-  guard:Nxc_guard.Budget.t ->
   Defect.t ->
   spare_rows:int ->
   spare_cols:int ->
@@ -129,7 +125,6 @@ type mc = {
 
 val monte_carlo :
   ?pool:Nxc_par.Pool.t ->
-  ?guard:Nxc_guard.Budget.t ->
   ?mode:mode ->
   Rng.t ->
   trials:int ->
@@ -143,8 +138,8 @@ val monte_carlo :
     ~profile] fabricates [trials] random
     [(rows + spare_rows) x (cols + spare_cols)] chips and runs
     {!analyze} on each, through {!Rng.map_trials} (determinism and
-    budget contract there).  Trials always run the guard in [Degrade] mode (a sweep
-    must wind down, not abort), so only [`Unsat]/degraded outcomes
-    appear in the stats.
+    budget contract there).  Trials always run under a [Degrade] view
+    of the ambient budget (a sweep must wind down, not abort), so only
+    [`Unsat]/degraded outcomes appear in the stats.
     @raise Invalid_argument when [trials <= 0], a dimension is
     non-positive, or a spare count is negative. *)

@@ -92,9 +92,9 @@ let check_feasible chip ~k_rows ~k_cols =
     invalid_arg "Bism.run: logical array larger than the chip";
   if k_rows <= 0 || k_cols <= 0 then invalid_arg "Bism.run: empty array"
 
-let run ?guard rng scheme ~chip ~k_rows ~k_cols ~max_configs =
+let run rng scheme ~chip ~k_rows ~k_cols ~max_configs =
   check_feasible chip ~k_rows ~k_cols;
-  let guard = Guard.Budget.resolve guard in
+  let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_runs;
   Obs.Span.with_ ~name:"bism.run"
     ~attrs:(fun () ->
@@ -197,7 +197,7 @@ type mc = {
   mc_avg_diagnoses : float;
 }
 
-let monte_carlo ?pool ?guard rng scheme ~trials ~n ~profile ~k_rows ~k_cols
+let monte_carlo ?pool rng scheme ~trials ~n ~profile ~k_rows ~k_cols
     ~max_configs =
   if trials <= 0 then invalid_arg "Bism.monte_carlo: trials must be positive";
   Obs.Span.with_ ~name:"bism.monte_carlo"
@@ -205,10 +205,10 @@ let monte_carlo ?pool ?guard rng scheme ~trials ~n ~profile ~k_rows ~k_cols
       [ ("trials", Obs.Json.Int trials); ("n", Obs.Json.Int n) ])
   @@ fun () ->
   let per =
-    Rng.map_trials ?pool ?guard rng ~trials (fun r ->
+    Rng.map_trials ?pool rng ~trials (fun r ->
         let chip = Defect.generate r ~rows:n ~cols:n profile in
-        (* no explicit guard: [run] resolves the ambient budget, which
-           the pool points at this slot's partition slice *)
+        (* [run] reads the ambient budget, which the pool points at this
+           slot's partition slice *)
         fst (run r scheme ~chip ~k_rows ~k_cols ~max_configs))
   in
   let sum f = Array.fold_left (fun a s -> a + f s) 0 per in

@@ -37,12 +37,11 @@ val mapping_defect_free : Defect.t -> mapping -> bool
     defect-free. *)
 
 val run :
-  ?guard:Nxc_guard.Budget.t ->
   Rng.t -> scheme -> chip:Defect.t -> k_rows:int -> k_cols:int ->
   max_configs:int -> stats * mapping option
 (** Raises [Invalid_argument] when the logical array exceeds the
     physical one (a programming error; {!Nxc_core.Flow} pre-checks
-    feasibility).  One [guard] step (default: the ambient budget) is
+    feasibility).  One step of the ambient budget is
     consumed per programmed configuration; exhaustion ends every retry
     loop gracefully with [success = false] and the statistics gathered
     so far. *)
@@ -59,7 +58,6 @@ type mc = {
 
 val monte_carlo :
   ?pool:Nxc_par.Pool.t ->
-  ?guard:Nxc_guard.Budget.t ->
   Rng.t -> scheme -> trials:int -> n:int -> profile:Defect.profile ->
   k_rows:int -> k_cols:int -> max_configs:int -> mc * stats array
 (** [monte_carlo rng scheme ~trials ~n ~profile ...] fabricates

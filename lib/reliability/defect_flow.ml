@@ -108,9 +108,12 @@ let extract chip ~k =
   else None
 
 (* Exact branch and bound: at each step find a defective cell inside the
-   current selection and branch on deleting its row or its column. *)
-let exact_max ?(budget = 2_000_000) ?guard chip =
-  let guard = Guard.Budget.resolve guard in
+   current selection and branch on deleting its row or its column,
+   for at most [max_nodes] nodes. *)
+let max_nodes = 2_000_000
+
+let exact_max chip =
+  let guard = Guard.Budget.current () in
   let n_r = Defect.rows chip and n_c = Defect.cols chip in
   let best = ref { sel_rows = [||]; sel_cols = [||] } in
   let nodes = ref 0 in
@@ -119,7 +122,7 @@ let exact_max ?(budget = 2_000_000) ?guard chip =
   let exception Out_of_budget in
   let rec go keep_r keep_c alive_r alive_c =
     incr nodes;
-    if !nodes > budget || not (Guard.Budget.step guard) then
+    if !nodes > max_nodes || not (Guard.Budget.step guard) then
       raise Out_of_budget;
     if min alive_r alive_c <= recovered_k !best then () (* bound *)
     else begin
@@ -175,8 +178,7 @@ let exact_max ?(budget = 2_000_000) ?guard chip =
    only fall back to sacrificial greedy extraction when repair fails.
    A successful repair leaves the whole logical array usable, so the
    extraction step is an index prefix, not a search. *)
-let repair_then_extract ?guard ?mode chip ~spare_rows ~spare_cols ~k =
-  let guard = Guard.Budget.resolve guard in
+let repair_then_extract chip ~spare_rows ~spare_cols ~k =
   let rows = Defect.rows chip - spare_rows
   and cols = Defect.cols chip - spare_cols in
   if spare_rows < 0 || spare_cols < 0 || rows <= 0 || cols <= 0 then
@@ -187,7 +189,7 @@ let repair_then_extract ?guard ?mode chip ~spare_rows ~spare_cols ~k =
     Guard.Budget.degrade "repair_to_extract";
     extract chip ~k
   in
-  match Bira.analyze ~guard ?mode chip ~spare_rows ~spare_cols with
+  match Bira.analyze chip ~spare_rows ~spare_cols with
   | Error _ -> fallback ()
   | Ok sol -> (
       match Bisr.build chip ~rows ~cols sol with
@@ -254,8 +256,8 @@ let placement_compatible chip lattice rows cols =
     rows;
   !ok
 
-let place_lattice ?guard rng chip lattice ~attempts =
-  let guard = Guard.Budget.resolve guard in
+let place_lattice rng chip lattice ~attempts =
+  let guard = Guard.Budget.current () in
   let lr = Nxc_lattice.Lattice.rows lattice
   and lc = Nxc_lattice.Lattice.cols lattice in
   if lr > Defect.rows chip || lc > Defect.cols chip then None
@@ -333,17 +335,17 @@ let place_lattice ?guard rng chip lattice ~attempts =
 
 type sweep = { sweep_chips : int; placed_unaware : int; placed_aware : int }
 
-let placement_sweep ?pool ?guard rng ~lattice ~chips ~n ~profile ~attempts =
+let placement_sweep ?pool rng ~lattice ~chips ~n ~profile ~attempts =
   if chips <= 0 then invalid_arg "Defect_flow.placement_sweep: chips";
   let need =
     max (Nxc_lattice.Lattice.rows lattice) (Nxc_lattice.Lattice.cols lattice)
   in
   let per =
-    Rng.map_trials ?pool ?guard rng ~trials:chips (fun r ->
+    Rng.map_trials ?pool rng ~trials:chips (fun r ->
         let chip = Defect.generate r ~rows:n ~cols:n profile in
         let unaware = recovered_k (greedy_max chip) >= need in
-        (* no explicit guard: [place_lattice] resolves the ambient
-           budget, which the pool points at this slot's slice *)
+        (* [place_lattice] reads the ambient budget, which the pool
+           points at this slot's slice *)
         let aware = place_lattice r chip lattice ~attempts <> None in
         (unaware, aware))
   in

@@ -27,30 +27,28 @@ val extract : Defect.t -> k:int -> selection option
 (** A [k x k] defect-free selection via {!greedy_max}; [None] when the
     heuristic recovers fewer than [k]. *)
 
-val exact_max : ?budget:int -> ?guard:Nxc_guard.Budget.t -> Defect.t -> selection
+val exact_max : Defect.t -> selection
 (** Branch-and-bound maximum square selection.  Exponential: meant for
     arrays up to roughly 12x12 (calibration of {!greedy_max}).  Total:
-    [budget] caps explored nodes and [guard] (default: the ambient
-    budget) is consumed one step per node; when either trips the
+    it explores at most 2,000,000 nodes and consumes one step of the
+    ambient budget per node; when either limit trips the
     function degrades to the best of the partial search and
     {!greedy_max}, counting a [guard.degrade.exact_to_greedy]. *)
 
 val recovered_k : selection -> int
 
 val repair_then_extract :
-  ?guard:Nxc_guard.Budget.t ->
-  ?mode:Bira.mode ->
   Defect.t ->
   spare_rows:int -> spare_cols:int -> k:int ->
   selection option
 (** Spare-aware extraction: treat the last [spare_rows]/[spare_cols]
-    lines of the chip as redundancy, run {!Bira.analyze} +
+    lines of the chip as redundancy, run an exact {!Bira.analyze} +
     {!Bisr.build}, and on success return the first [k] remapped
     rows/columns — a defect-free [k x k] selection obtained without
     sacrificing any logical line.  When repair fails (unrepairable
-    within the spare budget, or [guard] trips under policy [Fail]) the
-    flow degrades to plain {!extract} over the {e full} physical array,
-    counting a [guard.degrade.repair_to_extract].
+    within the spare budget, or the ambient budget trips under policy
+    [Fail]) the flow degrades to plain {!extract} over the {e full}
+    physical array, counting a [guard.degrade.repair_to_extract].
     @raise Invalid_argument when the spare counts are negative, leave
     no logical array, or [k] exceeds the logical dimensions.
     Test-only: tests check repair before extraction. *)
@@ -94,15 +92,14 @@ val pp_cost : Format.formatter -> cost -> unit
     which is exactly the trade-off Fig. 6 illustrates. *)
 
 val place_lattice :
-  ?guard:Nxc_guard.Budget.t ->
   Rng.t -> Defect.t -> Nxc_lattice.Lattice.t -> attempts:int ->
   (int array * int array) option
 (** Randomized search with greedy row/column repair for a physical
     (row, column) selection on which every site is compatible.
     Returns (physical rows, physical cols) indexed by lattice
-    coordinates.  One [guard] step is consumed per attempt and the
-    repair loop stops early on a dead guard, so exhaustion simply
-    yields [None]. *)
+    coordinates.  One step of the ambient budget is consumed per
+    attempt and the repair loop stops early on a dead budget, so
+    exhaustion simply yields [None]. *)
 
 val placement_compatible :
   Defect.t -> Nxc_lattice.Lattice.t -> int array -> int array -> bool
@@ -123,7 +120,6 @@ type sweep = {
 
 val placement_sweep :
   ?pool:Nxc_par.Pool.t ->
-  ?guard:Nxc_guard.Budget.t ->
   Rng.t ->
   lattice:Nxc_lattice.Lattice.t ->
   chips:int ->

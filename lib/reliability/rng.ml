@@ -44,6 +44,6 @@ let sample_without_replacement t k n =
   shuffle t all;
   Array.sub all 0 k
 
-let map_trials ?pool ?guard rng ~trials f =
+let map_trials ?pool rng ~trials f =
   let rngs = Array.init trials (fun _ -> split rng) in
-  Nxc_par.Pool.map_range ?pool ?guard trials (fun i -> f rngs.(i))
+  Nxc_par.Pool.map_range ?pool trials (fun i -> f rngs.(i))

@@ -18,7 +18,7 @@ type verdict =
 
 (* bounded hybrid-BISM retry for the Degrade path: the exhausted budget
    must not also starve the fallback (it would wind down instantly and
-   report nothing), so it runs under an explicit unlimited guard with a
+   report nothing), so it runs under the unlimited budget with a
    small configuration cap — polynomial, prompt, like Qm's ISOP
    fallback *)
 let fallback_max_configs = 48
@@ -31,8 +31,9 @@ let undecided guard ~seed chip ~k_rows ~k_cols =
       Obs.Metrics.incr m_degraded;
       let rng = Rng.create seed in
       let _, m =
-        Bism.run ~guard:Guard.Budget.unlimited rng (Bism.Hybrid 8) ~chip
-          ~k_rows ~k_cols ~max_configs:fallback_max_configs
+        Guard.Budget.with_current Guard.Budget.unlimited (fun () ->
+            Bism.run rng (Bism.Hybrid 8) ~chip ~k_rows ~k_cols
+              ~max_configs:fallback_max_configs)
       in
       Ok (Degraded m)
 
@@ -61,7 +62,7 @@ let solve guard ~seed chip ~k_rows ~k_cols =
   done;
   Sat.Card.at_least s (Array.to_list r_var) ~k:k_rows;
   Sat.Card.at_least s (Array.to_list c_var) ~k:k_cols;
-  match Sat.Solver.solve ~guard s with
+  match Sat.Solver.solve s with
   | Sat.Solver.Sat ->
       (* any k_rows/k_cols of the selected lines work: every selected
          crosspoint is defect-free *)
@@ -83,7 +84,7 @@ let solve guard ~seed chip ~k_rows ~k_cols =
       Ok (Unmappable Refuted)
   | Sat.Solver.Unknown -> undecided guard ~seed chip ~k_rows ~k_cols
 
-let decide ?guard ?(seed = 0) chip ~k_rows ~k_cols =
+let decide ?(seed = 0) chip ~k_rows ~k_cols =
   let rows = Defect.rows chip and cols = Defect.cols chip in
   if k_rows < 1 || k_cols < 1 then
     Error (Guard.Error.invalid_input "Sat_assign: empty logical array")
@@ -93,7 +94,7 @@ let decide ?guard ?(seed = 0) chip ~k_rows ~k_cols =
          "Sat_assign: %dx%d logical array exceeds %dx%d chip" k_rows k_cols
          rows cols)
   else begin
-    let guard = Guard.Budget.resolve guard in
+    let guard = Guard.Budget.current () in
     Obs.Metrics.incr m_calls;
     Obs.Span.with_ ~name:"sat.assign"
       ~attrs:(fun () ->
@@ -103,14 +104,14 @@ let decide ?guard ?(seed = 0) chip ~k_rows ~k_cols =
     (* the pre-solve sandwich: the Kőnig bound refutes, Bira's greedy
        repair maps, and the solver sees only what neither decides *)
     let spare_rows = rows - k_rows and spare_cols = cols - k_cols in
-    match Bira.defect_matching ~guard chip with
+    match Bira.defect_matching chip with
     | None -> undecided guard ~seed chip ~k_rows ~k_cols
     | Some m when Array.length m > spare_rows + spare_cols ->
         Obs.Metrics.incr m_unmappable;
         Obs.Metrics.incr m_certified;
         Ok (Unmappable (Matching m))
     | Some _ -> (
-        match Bira.greedy_survivors ~guard chip ~spare_rows ~spare_cols with
+        match Bira.greedy_survivors chip ~spare_rows ~spare_cols with
         | `Out_of_budget -> undecided guard ~seed chip ~k_rows ~k_cols
         | `Stuck -> solve guard ~seed chip ~k_rows ~k_cols
         | `Survivors (rs, cs) ->
@@ -126,7 +127,7 @@ type mc = {
   sa_degraded : int;
 }
 
-let monte_carlo ?pool ?guard rng ~trials ~n ~profile ~k_rows ~k_cols =
+let monte_carlo ?pool rng ~trials ~n ~profile ~k_rows ~k_cols =
   if trials <= 0 then
     invalid_arg "Sat_assign.monte_carlo: trials must be positive";
   Obs.Span.with_ ~name:"sat.monte_carlo"
@@ -134,11 +135,11 @@ let monte_carlo ?pool ?guard rng ~trials ~n ~profile ~k_rows ~k_cols =
       [ ("trials", Obs.Json.Int trials); ("n", Obs.Json.Int n) ])
   @@ fun () ->
   let per =
-    Rng.map_trials ?pool ?guard rng ~trials (fun r ->
+    Rng.map_trials ?pool rng ~trials (fun r ->
         let seed = Rng.int r 0x3FFFFFFF in
         let chip = Defect.generate r ~rows:n ~cols:n profile in
-        (* no explicit guard: [decide] resolves the ambient budget,
-           which the pool points at this slot's partition slice *)
+        (* [decide] reads the ambient budget, which the pool points at
+           this slot's partition slice *)
         decide ~seed chip ~k_rows ~k_cols)
   in
   let count f = Array.fold_left (fun a x -> if f x then a + 1 else a) 0 per in

@@ -32,10 +32,11 @@
     {!Bism.mapping_defect_free} before it is returned.  Both bounds are
     sound and the solver is complete, so an unbudgeted verdict does not
     depend on which of the three answered.  The pre-solve charges one
-    guard step per matched row and per deleted line; when the budget
-    runs out, in the pre-solve or in the solver, the verdict degrades
-    to a hybrid-BISM retry under [guard.degrade.sat_to_greedy] — unless
-    the guard's policy is [Fail], in which case [`Budget_exhausted] is
+    step of the ambient budget per matched row and per deleted line;
+    when the budget runs out, in the pre-solve or in the solver, the
+    verdict degrades to a hybrid-BISM retry under
+    [guard.degrade.sat_to_greedy] — unless the budget's policy is
+    [Fail], in which case [`Budget_exhausted] is
     reported.  Metrics: [sat.assign_calls], [sat.assign_mappable] (of
     which [sat.assign_greedy_witness] came from the greedy repair),
     [sat.assign_unmappable] (of which [sat.assign_matching_certified]
@@ -58,7 +59,6 @@ type verdict =
           undecided *)
 
 val decide :
-  ?guard:Nxc_guard.Budget.t ->
   ?seed:int ->
   Defect.t ->
   k_rows:int ->
@@ -67,7 +67,7 @@ val decide :
 (** Decide whether a [k_rows x k_cols] logical array fits the chip.
     Deterministic for a fixed [seed] (default 0), pool-independent.
     Errors: [`Invalid_input] on an infeasible geometry,
-    [`Budget_exhausted] under a [Fail]-policy guard. *)
+    [`Budget_exhausted] under a [Fail]-policy budget. *)
 
 type mc = {
   sa_trials : int;
@@ -78,7 +78,6 @@ type mc = {
 
 val monte_carlo :
   ?pool:Nxc_par.Pool.t ->
-  ?guard:Nxc_guard.Budget.t ->
   Rng.t ->
   trials:int ->
   n:int ->

@@ -505,8 +505,8 @@ let search s assumptions =
   done;
   Option.get !result
 
-let solve ?guard ?(assumptions = []) s =
-  let guard = Guard.Budget.resolve guard in
+let solve ?(assumptions = []) s =
+  let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_solves;
   let t0 = Obs.Clock.now_ns () in
   let c0 = s.s_conflicts

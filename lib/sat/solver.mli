@@ -20,7 +20,7 @@
 
     {2 Budgets}
 
-    Solving charges the ambient (or explicit) {!Nxc_guard.Budget}: one
+    Solving charges the ambient {!Nxc_guard.Budget}: one
     step per conflict and one step per 64 propagations, so a budget in
     steps is roughly a budget in conflicts for hard instances and in
     propagations for easy ones.  On exhaustion {!solve} returns
@@ -62,7 +62,7 @@ val add_clause : t -> int list -> unit
 
     @raise Invalid_argument on [0] or an out-of-range variable. *)
 
-val solve : ?guard:Nxc_guard.Budget.t -> ?assumptions:int list -> t -> result
+val solve : ?assumptions:int list -> t -> result
 (** Decide satisfiability under the given assumption literals (all
     forced true for this call only — learned clauses persist, the
     assumptions do not).  Returns {!Unknown} if the budget trips

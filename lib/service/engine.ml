@@ -302,7 +302,6 @@ let plan_repair job rows cols spare_rows spare_cols density seed trials mode =
       in
       let overhead =
         Nxc_crossbar.Metrics.spare_overhead ~rows ~cols ~spare_rows ~spare_cols
-          ()
       in
       Ok
         (J.Obj

@@ -111,7 +111,9 @@ let degenerate_tables () =
     let steps = Random.State.int rand 100 in
     case "minimize" (fun () ->
         let guard = G.Budget.create ~label:"chaos" ~steps () in
-        let cover = L.Minimize.sop_table ~guard tt in
+        let cover =
+          G.Budget.with_current guard (fun () -> L.Minimize.sop_table tt)
+        in
         if not (Tt.equal (Tt.of_cover cover) tt) then
           fail "minimize: degraded cover not equivalent (n=%d steps=%d)" n
             steps)
@@ -150,9 +152,10 @@ let hostile_chips () =
     in
     case "flow" (fun () ->
         match
-          C.Flow.run_result ~max_configs:100 ~guard
-            (R.Rng.create (seed + (31 * i)))
-            ~chip f
+          G.Budget.with_current guard (fun () ->
+              C.Flow.run_result ~max_configs:100
+                (R.Rng.create (seed + (31 * i)))
+                ~chip f)
         with
         | Ok r ->
             (* a claimed-functional mapping must really compute f *)
@@ -175,7 +178,9 @@ let extraction () =
       G.Budget.create ~label:"chaos" ~steps:(Random.State.int rand 500) ()
     in
     case "exact_max" (fun () ->
-        let sel = R.Defect_flow.exact_max ~guard chip in
+        let sel =
+          G.Budget.with_current guard (fun () -> R.Defect_flow.exact_max chip)
+        in
         if not (R.Defect_flow.is_defect_free chip sel) then
           fail "exact_max: selection not defect-free (side=%d)" side)
   done
@@ -214,7 +219,10 @@ let repair () =
     in
     case "bira" (fun () ->
         let before = degrade_counter () in
-        match R.Bira.analyze ~guard chip ~spare_rows ~spare_cols with
+        match
+          G.Budget.with_current guard (fun () ->
+              R.Bira.analyze chip ~spare_rows ~spare_cols)
+        with
         | Ok sol ->
             (* no partial repair may escape: the remap the solution
                induces must exist and pass the BIST oracle *)
@@ -261,14 +269,18 @@ let sat_budget () =
   let on = Tt.minterms tt in
   let full =
     let guard = G.Budget.create ~label:"chaos-sat" ~steps:5_000_000 () in
-    ignore (L.Qm.minimize ~guard ~cover_backend:L.Qm.Sat ~n:5 on);
+    G.Budget.with_current guard (fun () ->
+        ignore (L.Qm.minimize ~cover_backend:L.Qm.Sat ~n:5 on));
     G.Budget.steps_used guard
   in
   let before = counter "guard.degrade.sat_to_bnb" in
   for steps = 1 to full do
     case "sat-cover" (fun () ->
         let guard = G.Budget.create ~label:"chaos-sat" ~steps () in
-        let cover, _ = L.Qm.minimize ~guard ~cover_backend:L.Qm.Sat ~n:5 on in
+        let cover, _ =
+          G.Budget.with_current guard (fun () ->
+              L.Qm.minimize ~cover_backend:L.Qm.Sat ~n:5 on)
+        in
         if not (Tt.equal (Tt.of_cover cover) tt) then
           fail "sat-cover: degraded cover not equivalent (steps=%d)" steps)
   done;
@@ -282,7 +294,10 @@ let sat_budget () =
         let guard =
           G.Budget.create ~label:"chaos-sat" ~policy:G.Budget.Fail ~steps ()
         in
-        match L.Qm.minimize_result ~guard ~cover_backend:L.Qm.Sat ~n:5 on with
+        match
+          G.Budget.with_current guard (fun () ->
+              L.Qm.minimize_result ~cover_backend:L.Qm.Sat ~n:5 on)
+        with
         | Ok (cover, _) ->
             if not (Tt.equal (Tt.of_cover cover) tt) then
               fail "sat-cover-fail: cover not equivalent (steps=%d)" steps
@@ -310,7 +325,8 @@ let sat_budget () =
     case "sat-assign" (fun () ->
         let guard = G.Budget.create ~label:"chaos-sat" ~policy ~steps () in
         match
-          R.Sat_assign.decide ~guard ~seed:(seed + i) chip ~k_rows:k ~k_cols:k
+          G.Budget.with_current guard (fun () ->
+              R.Sat_assign.decide ~seed:(seed + i) chip ~k_rows:k ~k_cols:k)
         with
         | Ok (R.Sat_assign.Mappable m) ->
             if not (R.Bism.mapping_defect_free chip m) then
@@ -343,7 +359,10 @@ let sat_budget () =
           (R.Defect.uniform 0.3)
       in
       let guard = G.Budget.create ~label:"chaos-sat" ~steps:3 () in
-      match R.Sat_assign.decide ~guard chip ~k_rows:6 ~k_cols:6 with
+      match
+        G.Budget.with_current guard (fun () ->
+            R.Sat_assign.decide chip ~k_rows:6 ~k_cols:6)
+      with
       | Ok (R.Sat_assign.Degraded _) -> ()
       | _ -> fail "sat-assign: tiny budget on hard chip must degrade");
   if counter "guard.degrade.sat_to_greedy" <= before then
@@ -444,7 +463,9 @@ let determinism () =
     case "determinism" (fun () ->
         let run () =
           let guard = G.Budget.create ~steps () in
-          let c = L.Minimize.sop_table ~guard tt in
+          let c =
+            G.Budget.with_current guard (fun () -> L.Minimize.sop_table tt)
+          in
           (L.Cover.to_string c, G.Budget.steps_used guard)
         in
         let a = run () and b = run () in
@@ -462,7 +483,9 @@ let adversarial_qm () =
   let tt = Tt.of_fun_int 12 (fun m -> m <> 0) in
   case "qm12" (fun () ->
       let guard = G.Budget.create ~label:"qm12" ~steps:300_000 () in
-      let cover, _ = L.Qm.minimize_table ~guard tt in
+      let cover, _ =
+        G.Budget.with_current guard (fun () -> L.Qm.minimize_table tt)
+      in
       if not (G.Budget.exhausted guard) then
         fail "qm12: expected the guard to trip";
       if not (Tt.equal (Tt.of_cover cover) tt) then

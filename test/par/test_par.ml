@@ -50,12 +50,6 @@ let semantics_tests =
       (fun (xs, pi) ->
         let f x = (2 * x) - 1 in
         List.map f xs = P.map ~pool:(pool_of pi) ~chunk:3 f xs);
-    qtest ~count:100 "reduce = fold over map"
-      QCheck.(pair (int_bound 60) (int_bound 7))
-      (fun (n, pi) ->
-        let f i = i + 1 in
-        let seq = Array.fold_left ( + ) 0 (Array.init n f) in
-        P.reduce ~pool:(pool_of pi) ~chunk:4 ~init:0 ~combine:( + ) n f = seq);
     qtest ~count:60 "raising tasks raise the lowest index, like List.map"
       QCheck.(
         triple (int_range 1 60) (int_bound 9) (int_bound 7))
@@ -205,9 +199,11 @@ let budget_tests =
            still return one stats record per trial *)
         let guard = Budget.create ~label:"t" ~steps:8 () in
         let mc, per =
-          R.Bism.monte_carlo ~pool:(pool_of 3) ~guard (R.Rng.create 3)
-            R.Bism.Greedy ~trials:10 ~n:24 ~profile:(R.Defect.uniform 0.1)
-            ~k_rows:10 ~k_cols:10 ~max_configs:100
+          Budget.with_current guard (fun () ->
+              R.Bism.monte_carlo ~pool:(pool_of 3) (R.Rng.create 3)
+                R.Bism.Greedy ~trials:10 ~n:24
+                ~profile:(R.Defect.uniform 0.1) ~k_rows:10 ~k_cols:10
+                ~max_configs:100)
         in
         check_int "all trials reported" 10 (Array.length per);
         check_int "aggregate sees all trials" 10 mc.R.Bism.mc_trials;

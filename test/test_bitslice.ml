@@ -122,7 +122,8 @@ let cover_matches (tt, budget, steps) =
     | None -> Nxc_guard.Budget.unlimited
     | Some s -> Nxc_guard.Budget.create ~steps:s ()
   in
-  Qm.cover_exact ~guard:(guard ()) ~budget primes on
+  Nxc_guard.Budget.with_current (guard ()) (fun () ->
+      Qm.cover_exact ~budget primes on)
   = Nxc_oracle.Logic_ref.cover_exact ~guard:(guard ()) ~budget primes on
 
 let qm_tests =

@@ -117,21 +117,28 @@ let qm_equiv_under_tiny_budget =
   Testutil.qtest ~count:100 "qm minimize degrades but stays equivalent"
     (Testutil.arb_table 4) (fun tt ->
       let guard = G.Budget.create ~steps:20 () in
-      let cover, _stats = L.Qm.minimize_table ~guard tt in
+      let cover, _stats =
+        G.Budget.with_current guard (fun () -> L.Qm.minimize_table tt)
+      in
       Tt.equal (tt_of_cover cover) tt)
 
 let minimize_equiv_under_tiny_budget =
   Testutil.qtest ~count:100 "sop_table with a dead guard stays equivalent"
     (Testutil.arb_table_sized 5) (fun tt ->
       let guard = G.Budget.create ~steps:0 () in
-      let cover = L.Minimize.sop_table ~guard tt in
+      let cover =
+        G.Budget.with_current guard (fun () -> L.Minimize.sop_table tt)
+      in
       Tt.equal (tt_of_cover cover) tt)
 
 let test_minimize_result_fail_policy () =
   (* an exhausted Fail-policy guard must surface as a typed error *)
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~policy:G.Budget.Fail ~steps:5 () in
-  match L.Minimize.sop_result ~guard (L.Boolfunc.make tt) with
+  match
+    G.Budget.with_current guard (fun () ->
+        L.Minimize.sop_result (L.Boolfunc.make tt))
+  with
   | Error (`Budget_exhausted _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %s" (G.Error.to_string e)
   | Ok _ -> Alcotest.fail "expected budget exhaustion"
@@ -139,7 +146,10 @@ let test_minimize_result_fail_policy () =
 let test_minimize_result_degrade_policy () =
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~steps:5 () in
-  match L.Minimize.sop_result ~guard (L.Boolfunc.make tt) with
+  match
+    G.Budget.with_current guard (fun () ->
+        L.Minimize.sop_result (L.Boolfunc.make tt))
+  with
   | Ok { L.Minimize.cover; degraded } ->
       Alcotest.(check bool) "degraded" true degraded;
       Alcotest.(check bool) "equivalent" true (Tt.equal (tt_of_cover cover) tt)
@@ -150,7 +160,9 @@ let test_determinism () =
   let tt = Tt.random 5 ~seed:99 in
   let run () =
     let guard = G.Budget.create ~steps:50 () in
-    let cover, _ = L.Qm.minimize_table ~guard tt in
+    let cover, _ =
+      G.Budget.with_current guard (fun () -> L.Qm.minimize_table tt)
+    in
     (List.map L.Cube.to_string (L.Cover.cubes cover), G.Budget.steps_used guard)
   in
   let a = run () and b = run () in
@@ -261,7 +273,10 @@ let test_flow_budget_fail_policy () =
     R.Defect.generate (R.Rng.create 3) ~rows:8 ~cols:8 (R.Defect.uniform 1.0)
   in
   let guard = G.Budget.create ~policy:G.Budget.Fail ~steps:10 () in
-  match C.Flow.run_result ~guard (R.Rng.create 4) ~chip f with
+  match
+    G.Budget.with_current guard (fun () ->
+        C.Flow.run_result (R.Rng.create 4) ~chip f)
+  with
   | Error (`Budget_exhausted _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %s" (G.Error.to_string e)
   | Ok r ->
@@ -275,8 +290,9 @@ let test_bism_guard_winds_down () =
   in
   let guard = G.Budget.create ~steps:7 () in
   let stats, mapping =
-    R.Bism.run ~guard (R.Rng.create 6) R.Bism.Blind ~chip ~k_rows:4 ~k_cols:4
-      ~max_configs:1_000_000
+    G.Budget.with_current guard (fun () ->
+        R.Bism.run (R.Rng.create 6) R.Bism.Blind ~chip ~k_rows:4 ~k_cols:4
+          ~max_configs:1_000_000)
   in
   Alcotest.(check bool) "no mapping" true (mapping = None);
   Alcotest.(check bool) "stopped early" true (stats.R.Bism.configurations <= 7)
@@ -289,8 +305,243 @@ let test_exact_max_degrades () =
   in
   let guard = G.Budget.create ~steps:0 () in
   ignore (G.Budget.step guard);
-  let sel = R.Defect_flow.exact_max ~guard chip in
+  let sel =
+    G.Budget.with_current guard (fun () -> R.Defect_flow.exact_max chip)
+  in
   Alcotest.(check bool) "defect-free" true (R.Defect_flow.is_defect_free chip sel)
+
+(* ------------------------------------------------------------------ *)
+(* The ambient budget is the only channel                              *)
+(* ------------------------------------------------------------------ *)
+
+let degrade_count site =
+  Nxc_obs.Metrics.(counter_value (counter ("guard.degrade." ^ site)))
+
+(* [f ()] and whether it bumped [guard.degrade.<site>] *)
+let bumping site f =
+  let before = degrade_count site in
+  let r = f () in
+  (r, degrade_count site > before)
+
+let budget_error = function Error (`Budget_exhausted _) -> true | _ -> false
+
+(* Every entry point that charges a budget, one row each.  A row runs
+   its entry point under the ambient budget and says whether the
+   documented outcome for that budget's policy held: a typed
+   [`Budget_exhausted], an inconclusive answer ([Unknown], [None], no
+   mapping), or a correct result plus a [guard.degrade.*] bump.  Inputs
+   are built before the starved budget is installed. *)
+let starved_rows () =
+  let f = L.Parse.expr "x1x2 + x2x3 + x1x3" in
+  let tt = L.Boolfunc.table f in
+  let n = Tt.n_vars tt and on = Tt.minterms tt in
+  let primes = Array.of_list (L.Qm.primes ~n ~on ~dc:[]) in
+  let equiv cover = Tt.equal (tt_of_cover cover) tt in
+  let rng () = R.Rng.create 5 in
+  let chip =
+    R.Defect.generate (R.Rng.create 77) ~rows:10 ~cols:10
+      (R.Defect.uniform 0.05)
+  in
+  let profile = R.Defect.uniform 0.3 in
+  let lattice = Nxc_lattice.Altun_riedel.synthesize f in
+  let ambient_dead () = not (G.Budget.step (G.Budget.current ())) in
+  let fail p = p = G.Budget.Fail in
+  [ ( "Solver.solve",
+      fun _ ->
+        let s = Nxc_sat.Solver.create () in
+        Nxc_sat.Solver.add_clause s [ Nxc_sat.Solver.new_var s ];
+        Nxc_sat.Solver.solve s = Nxc_sat.Solver.Unknown );
+    ( "Sat_cover.min_cover",
+      fun _ ->
+        let covered_by = [| [ 0 ]; [ 1; 2 ] |] in
+        budget_error (L.Sat_cover.min_cover ~num_sets:3 ~covered_by ()) );
+    ( "Sat_cover.min_cube_cover",
+      fun _ ->
+        budget_error (L.Sat_cover.min_cube_cover ~primes ~minterms:on ()) );
+    ( "Qm.cover_exact",
+      fun _ ->
+        let _, exact, _ = L.Qm.cover_exact ~budget:1000 primes on in
+        not exact );
+    ( "Qm.minimize",
+      fun _ ->
+        let (c, _), b = bumping "qm_to_isop" (fun () -> L.Qm.minimize ~n on) in
+        b && equiv c );
+    ("Qm.minimize_result", fun _ -> budget_error (L.Qm.minimize_result ~n on));
+    ( "Qm.minimize_table",
+      fun _ ->
+        let (c, _), b =
+          bumping "qm_to_isop" (fun () -> L.Qm.minimize_table tt)
+        in
+        b && equiv c );
+    ( "Minimize.sop",
+      fun _ ->
+        let c, b = bumping "qm_to_isop" (fun () -> L.Minimize.sop f) in
+        b && equiv c );
+    ( "Minimize.sop_table",
+      fun _ ->
+        let c, b = bumping "qm_to_isop" (fun () -> L.Minimize.sop_table tt) in
+        b && equiv c );
+    ( "Minimize.dual_sop",
+      fun _ ->
+        let c, b = bumping "qm_to_isop" (fun () -> L.Minimize.dual_sop f) in
+        b && Tt.equal (tt_of_cover c) (L.Boolfunc.table (L.Boolfunc.dual f)) );
+    ( "Minimize.sop_result",
+      fun p ->
+        match bumping "qm_to_isop" (fun () -> L.Minimize.sop_result f) with
+        | r, _ when fail p -> budget_error r
+        | Ok { L.Minimize.cover; degraded }, b -> b && degraded && equiv cover
+        | Error _, _ -> false );
+    ( "Npn.canonical",
+      fun _ ->
+        let (t, g), b = bumping "npn_semi" (fun () -> L.Npn.canonical tt) in
+        b && Tt.equal (L.Npn.apply t tt) g );
+    ( "Npn.canonical_key",
+      fun _ -> snd (bumping "npn_semi" (fun () -> L.Npn.canonical_key tt)) );
+    ( "Optimal.search",
+      fun _ ->
+        Nxc_lattice.Optimal.search f = Nxc_lattice.Optimal.Budget_exhausted );
+    ( "Optimal.minimum_area",
+      fun _ -> Nxc_lattice.Optimal.minimum_area f = None );
+    ( "Pool.map_range",
+      fun _ ->
+        Nxc_par.Pool.map_range 3 (fun _ -> ambient_dead ())
+        = [| true; true; true |] );
+    ( "Pool.map",
+      fun _ ->
+        Nxc_par.Pool.map (fun _ -> ambient_dead ()) [ 1; 2 ] = [ true; true ]
+    );
+    ( "Rng.map_trials",
+      fun _ ->
+        R.Rng.map_trials (rng ()) ~trials:3 (fun _ -> ambient_dead ())
+        = [| true; true; true |] );
+    ( "Bism.run",
+      fun _ ->
+        let stats, m =
+          R.Bism.run (rng ()) R.Bism.Blind ~chip ~k_rows:4 ~k_cols:4
+            ~max_configs:100
+        in
+        m = None && stats.R.Bism.configurations = 0 );
+    ( "Bism.monte_carlo",
+      fun _ ->
+        let mc, _ =
+          R.Bism.monte_carlo (rng ()) R.Bism.Blind ~trials:3 ~n:8 ~profile
+            ~k_rows:4 ~k_cols:4 ~max_configs:10
+        in
+        mc.R.Bism.mc_mapped = 0 );
+    ( "Bira.analyze",
+      fun p ->
+        match
+          bumping "bira_exact_to_greedy" (fun () ->
+              R.Bira.analyze chip ~spare_rows:3 ~spare_cols:3)
+        with
+        | r, _ when fail p -> budget_error r
+        | Ok sol, b -> b && sol.R.Bira.degraded
+        | Error (`Unsat _), b -> b (* the greedy fallback may miss *)
+        | Error _, _ -> false );
+    ("Bira.defect_matching", fun _ -> R.Bira.defect_matching chip = None);
+    ( "Bira.greedy_survivors",
+      fun _ ->
+        R.Bira.greedy_survivors chip ~spare_rows:3 ~spare_cols:3
+        = `Out_of_budget );
+    ( "Bira.monte_carlo",
+      fun _ ->
+        (* trials run under a Degrade view whatever the policy *)
+        let (mc, _), b =
+          bumping "bira_exact_to_greedy" (fun () ->
+              R.Bira.monte_carlo (rng ()) ~trials:3 ~rows:6 ~cols:6
+                ~spare_rows:2 ~spare_cols:2 ~profile:(R.Defect.uniform 0.05))
+        in
+        b && mc.R.Bira.mc_degraded = mc.R.Bira.mc_repaired );
+    ( "Sat_assign.decide",
+      fun p ->
+        match
+          bumping "sat_to_greedy" (fun () ->
+              R.Sat_assign.decide chip ~k_rows:6 ~k_cols:6)
+        with
+        | r, _ when fail p -> budget_error r
+        | Ok (R.Sat_assign.Degraded _), b -> b
+        | _ -> false );
+    ( "Sat_assign.monte_carlo",
+      fun p ->
+        let mc =
+          R.Sat_assign.monte_carlo (rng ()) ~trials:3 ~n:8 ~profile ~k_rows:4
+            ~k_cols:4
+        in
+        if fail p then
+          mc.R.Sat_assign.sa_mapped + mc.R.Sat_assign.sa_unmappable
+          + mc.R.Sat_assign.sa_degraded
+          = 0
+        else mc.R.Sat_assign.sa_degraded = 3 );
+    ( "Defect_flow.exact_max",
+      fun _ ->
+        let sel, b =
+          bumping "exact_to_greedy" (fun () -> R.Defect_flow.exact_max chip)
+        in
+        b && R.Defect_flow.is_defect_free chip sel );
+    ( "Defect_flow.repair_then_extract",
+      fun p ->
+        let site =
+          if fail p then "repair_to_extract" else "bira_exact_to_greedy"
+        in
+        let sel, b =
+          bumping site (fun () ->
+              R.Defect_flow.repair_then_extract chip ~spare_rows:3 ~spare_cols:3
+                ~k:5)
+        in
+        b
+        && match sel with
+           | None -> true
+           | Some s -> R.Defect_flow.is_defect_free chip s );
+    ( "Defect_flow.place_lattice",
+      fun _ ->
+        R.Defect_flow.place_lattice (rng ()) chip lattice ~attempts:10 = None );
+    ( "Defect_flow.placement_sweep",
+      fun _ ->
+        let s =
+          R.Defect_flow.placement_sweep (rng ()) ~lattice ~chips:2 ~n:8 ~profile
+            ~attempts:5
+        in
+        s.R.Defect_flow.placed_aware = 0 );
+    ( "Synth.synthesize",
+      fun _ ->
+        let impl = C.Synth.synthesize f in
+        impl.C.Synth.degraded && C.Synth.verify impl );
+    ( "Synth.synthesize_result",
+      fun p ->
+        match C.Synth.synthesize_result f with
+        | r when fail p -> budget_error r
+        | Ok impl -> impl.C.Synth.degraded && C.Synth.verify impl
+        | Error _ -> false );
+    ( "Flow.run_result",
+      fun p ->
+        match C.Flow.run_result (rng ()) ~chip f with
+        | r when fail p -> budget_error r
+        | Ok r -> r.C.Flow.impl.C.Synth.degraded && r.C.Flow.mapping = None
+        | Error _ -> false );
+    ( "Flow.run",
+      fun _ ->
+        let r = C.Flow.run (rng ()) ~chip f in
+        r.C.Flow.impl.C.Synth.degraded && r.C.Flow.mapping = None );
+    ( "Flow.run_defect_aware",
+      fun _ ->
+        let r = C.Flow.run_defect_aware (rng ()) ~chip f in
+        r.C.Flow.aware_impl.C.Synth.degraded && not r.C.Flow.placed ) ]
+
+let test_starved_entry_points () =
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun (policy, pname) ->
+          let b = G.Budget.create ~label:"starved" ~policy ~steps:0 () in
+          let ok = G.Budget.with_current b (fun () -> run policy) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: outcome" name pname)
+            true ok;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: charged the ambient budget" name pname)
+            true (G.Budget.exhausted b))
+        [ (G.Budget.Fail, "fail"); (G.Budget.Degrade, "degrade") ])
+    (starved_rows ())
 
 let () =
   Alcotest.run "guard"
@@ -320,4 +571,7 @@ let () =
          Alcotest.test_case "all defective" `Quick test_flow_all_defective;
          Alcotest.test_case "fail policy" `Quick test_flow_budget_fail_policy;
          Alcotest.test_case "bism winds down" `Quick test_bism_guard_winds_down;
-         Alcotest.test_case "exact_max degrades" `Quick test_exact_max_degrades ]) ]
+         Alcotest.test_case "exact_max degrades" `Quick test_exact_max_degrades ]);
+      ("ambient",
+       [ Alcotest.test_case "every entry point under a starved budget" `Quick
+           test_starved_entry_points ]) ]

@@ -192,7 +192,10 @@ let bira_tests =
           Nxc_guard.Budget.create ~label:"test" ~steps:1
             ~policy:Nxc_guard.Budget.Degrade ()
         in
-        match Bira.analyze ~guard:g chip ~spare_rows:3 ~spare_cols:3 with
+        match
+          Nxc_guard.Budget.with_current g (fun () ->
+              Bira.analyze chip ~spare_rows:3 ~spare_cols:3)
+        with
         | Ok sol -> check "marked degraded" true sol.Bira.degraded
         | Error (`Unsat _) -> () (* greedy fallback may legitimately fail *)
         | Error e ->
@@ -207,7 +210,10 @@ let bira_tests =
           Nxc_guard.Budget.create ~label:"test" ~steps:1
             ~policy:Nxc_guard.Budget.Fail ()
         in
-        match Bira.analyze ~guard:g chip ~spare_rows:3 ~spare_cols:3 with
+        match
+          Nxc_guard.Budget.with_current g (fun () ->
+              Bira.analyze chip ~spare_rows:3 ~spare_cols:3)
+        with
         | Error (`Budget_exhausted _) -> ()
         | Error e ->
             Alcotest.failf "expected `Budget_exhausted, got %s"
@@ -352,13 +358,13 @@ let flow_tests =
     Alcotest.test_case "spare overhead accounting" `Quick (fun () ->
         let o =
           Nxc_crossbar.Metrics.spare_overhead ~rows:10 ~cols:10 ~spare_rows:2
-            ~spare_cols:0 ()
+            ~spare_cols:0
         in
         (* 12x10 over 10x10 = +20% *)
         check "20%" true (abs_float (o.Nxc_crossbar.Metrics.area_overhead -. 0.2) < 1e-9);
         let z =
           Nxc_crossbar.Metrics.spare_overhead ~rows:10 ~cols:10 ~spare_rows:0
-            ~spare_cols:0 ()
+            ~spare_cols:0
         in
         check "free" true (z.Nxc_crossbar.Metrics.area_overhead = 0.0));
   ]

@@ -182,7 +182,7 @@ let test_budget_unknown () =
   php_cnf s 7;
   let tight = G.Budget.create ~steps:50 () in
   Alcotest.(check bool) "tiny budget -> Unknown" true
-    (S.solve ~guard:tight s = S.Unknown);
+    (G.Budget.with_current tight (fun () -> S.solve s) = S.Unknown);
   Alcotest.(check bool) "fresh budget -> Unsat" true (S.solve s = S.Unsat)
 
 let test_learnt_db_gauge () =
@@ -402,7 +402,10 @@ let test_cover_budget () =
   (* exhausted before the first certificate: typed budget error *)
   let covered_by = Array.init 10 (fun e -> [ e mod 7; (e + 3) mod 7 ]) in
   let dead = G.Budget.create ~steps:0 () in
-  (match SC.min_cover ~guard:dead ~num_sets:7 ~covered_by () with
+  (match
+     G.Budget.with_current dead (fun () ->
+         SC.min_cover ~num_sets:7 ~covered_by ())
+   with
   | Error (`Budget_exhausted _) -> ()
   | Ok _ -> Alcotest.fail "dead budget produced a certificate"
   | Error e -> Alcotest.failf "unexpected %s" (G.Error.to_string (e :> G.Error.t)))
@@ -573,7 +576,8 @@ let hard_chip () =
 let test_assign_budget_fail () =
   let chip = hard_chip () in
   let b = G.Budget.create ~policy:G.Budget.Fail ~steps:3 () in
-  match SA.decide ~guard:b chip ~k_rows:6 ~k_cols:6 with
+  match G.Budget.with_current b (fun () -> SA.decide chip ~k_rows:6 ~k_cols:6)
+  with
   | Error (`Budget_exhausted _) -> ()
   | Ok _ -> Alcotest.fail "tiny Fail budget must not produce a verdict"
   | Error e -> Alcotest.failf "unexpected %s" (G.Error.to_string (e :> G.Error.t))
@@ -585,7 +589,8 @@ let test_assign_budget_degrade () =
   in
   let before = Nxc_obs.Metrics.counter_value counter in
   let b = G.Budget.create ~policy:G.Budget.Degrade ~steps:3 () in
-  match SA.decide ~guard:b chip ~k_rows:6 ~k_cols:6 with
+  match G.Budget.with_current b (fun () -> SA.decide chip ~k_rows:6 ~k_cols:6)
+  with
   | Ok (SA.Degraded m) ->
       Alcotest.(check bool)
         "degrade counted" true

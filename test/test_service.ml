@@ -87,14 +87,17 @@ let test_npn_budget_charge () =
   Alcotest.(check bool) "exact form is not the semi form" false
     (Tt.equal exact_g semi_g);
   let b = G.Budget.create ~steps:48 () in
-  let t, g = Npn.canonical ~guard:b f in
+  let t, g = G.Budget.with_current b (fun () -> Npn.canonical f) in
   Alcotest.(check int) "48 steps" 48 (G.Budget.steps_used b);
   Alcotest.(check bool) "exact within 48 steps" true
     (t = exact_t && Tt.equal g exact_g);
   let counter name = Nxc_obs.Metrics.(counter_value (counter name)) in
   let degrade0 = counter "guard.degrade.npn_semi"
   and semi0 = counter "npn.semi" in
-  let t, g = Npn.canonical ~guard:(G.Budget.create ~steps:47 ()) f in
+  let t, g =
+    G.Budget.with_current (G.Budget.create ~steps:47 ()) (fun () ->
+        Npn.canonical f)
+  in
   Alcotest.(check bool) "semi form at 47 steps" true
     (t.Npn.perm = [| 0; 1; 2 |]
     && t.Npn.input_neg = [| false; false; false |]

@@ -20,7 +20,18 @@
    A module passed whole — a functor argument, [include], a first-class
    module — counts as a use of each of its values, so the report errs
    towards keeping.  Values with no caller outside their module come
-   first.  This is a report, not a gate; it always exits 0.
+   first.
+
+   A second section lists every optional parameter of those exports
+   with the number of call sites that set it, in three groups: bin/ and
+   lib/ ([prod]), bench/, examples/ and svcbench/ ([bench]), and test/
+   and tools/ ([test]).  A callee is resolved through its declaration
+   location, so calls through module aliases count; inside its own
+   module it is resolved by name.  A [?x:x] that only forwards a
+   parameter of the same name does not count as setting [?x].  Unset
+   parameters come first.
+
+   This is a report, not a gate; it always exits 0.
 
    Run from the repository root: `make unused-exports`. *)
 
@@ -59,12 +70,27 @@ let split_unit name =
 (* exports                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* ["Sub.value"] for every value of the interface *)
+(* the labels of a value type's optional parameters, in order *)
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Optional l, _, rest, _) -> l :: optional_labels rest
+  | Types.Tarrow (_, _, rest, _) -> optional_labels rest
+  | Types.Tpoly (ty, _) -> optional_labels ty
+  | _ -> []
+
+let loc_key (loc : Location.t) =
+  (loc.loc_start.pos_fname, loc.loc_start.pos_cnum)
+
+(* ["Sub.value"] for every value of the interface, with its declaration
+   location and optional labels *)
 let rec sig_values prefix (s : signature) =
   List.concat_map
     (fun item ->
       match item.sig_desc with
-      | Tsig_value vd -> [ prefix ^ vd.val_name.txt ]
+      | Tsig_value vd ->
+          [ ( prefix ^ vd.val_name.txt,
+              loc_key vd.val_val.val_loc,
+              optional_labels vd.val_val.val_type ) ]
       | Tsig_module
           { md_name = { txt = Some m; _ };
             md_type = { mty_desc = Tmty_signature s; _ }; _ } ->
@@ -100,7 +126,25 @@ type uses = {
   wholes : (string, unit) Hashtbl.t;  (* units used as a whole module *)
   locals : (string, unit) Hashtbl.t;
       (* this file's own top-level values it uses, as "Sub.value" *)
+  sets : (string * string * string, int) Hashtbl.t;
+      (* (unit, value, label) -> call sites that set that optional *)
 }
+
+(* Does an argument the type checker recorded for an optional parameter
+   set it?  An omitted one is a [None] at [Location.none]; [?x:x] where
+   [x] is the caller's own optional parameter [?x] forwards it.
+   [opt_params] holds the unique names of the enclosing functions'
+   optional parameters. *)
+let sets_optional opt_params label (e : expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { Types.cstr_name = "None"; _ }, [])
+    when e.exp_loc = Location.none ->
+      false
+  | Texp_ident (Path.Pident id, _, _) ->
+      not
+        (Ident.name id = label
+        && Hashtbl.mem opt_params (Ident.unique_name id))
+  | _ -> true
 
 (* The file's top-level values and submodules, by [Ident.unique_name]:
    value -> "Sub.value", submodule -> "Sub.".  A module's own .ml
@@ -137,7 +181,7 @@ let top_level (str : structure) =
   walk "" str;
   (values, modules)
 
-let uses_of units (str : structure) =
+let uses_of units by_loc unit_name (str : structure) =
   let aliases = Hashtbl.create 16 in
   let rec expand = function
     | Path.Pident id as p -> (
@@ -150,15 +194,22 @@ let uses_of units (str : structure) =
   let u =
     { values = Hashtbl.create 64;
       wholes = Hashtbl.create 4;
-      locals = Hashtbl.create 64 }
+      locals = Hashtbl.create 64;
+      sets = Hashtbl.create 16 }
   in
   let top_values, top_modules = top_level str in
+  let opt_params = Hashtbl.create 16 in
   let local = function
     | Path.Pident id -> Hashtbl.find_opt top_values (Ident.unique_name id)
     | Path.Pdot (Path.Pident m, v) ->
         Option.map (fun sub -> sub ^ v)
           (Hashtbl.find_opt top_modules (Ident.unique_name m))
     | _ -> None
+  in
+  let callee p (vd : Types.value_description) =
+    match Hashtbl.find_opt by_loc (loc_key vd.val_loc) with
+    | Some _ as export -> export
+    | None -> Option.map (fun v -> (unit_name, v)) (local p)
   in
   let alias_target me =
     match me.mod_desc with
@@ -179,6 +230,30 @@ let uses_of units (str : structure) =
               | Some (unit, (_ :: _ as rest)) ->
                   Hashtbl.replace u.values (unit, String.concat "." rest) ()
               | _ -> ())
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) ->
+              Option.iter
+                (fun (unit, v) ->
+                  List.iter
+                    (function
+                      | Asttypes.Optional l, Some arg
+                        when sets_optional opt_params l arg ->
+                          let k = (unit, v, l) in
+                          let n = Hashtbl.find_opt u.sets k in
+                          Hashtbl.replace u.sets k
+                            (1 + Option.value ~default:0 n)
+                      | _ -> ())
+                    args)
+                (callee p vd);
+              super.expr it e
+          | Texp_function { arg_label = Optional _; cases; _ } ->
+              List.iter
+                (fun c ->
+                  List.iter
+                    (fun id ->
+                      Hashtbl.replace opt_params (Ident.unique_name id) ())
+                    (pat_bound_idents c.c_lhs))
+                cases;
+              super.expr it e
           | Texp_letmodule (Some id, _, _, me, body) -> (
               match alias_target me with
               | Some p ->
@@ -238,6 +313,13 @@ let () =
           Hashtbl.replace units info.cmt_modname (sig_values "" s)
       | _ -> ())
     infos;
+  let by_loc = Hashtbl.create 1024 in
+  Hashtbl.iter
+    (fun unit values ->
+      List.iter
+        (fun (v, loc, _) -> Hashtbl.replace by_loc loc (unit, v))
+        values)
+    units;
   (* per implementation file: its unit, whether it is production code,
      and what it uses *)
   let impls =
@@ -245,10 +327,18 @@ let () =
       (fun (src, info) ->
         match info.Cmt_format.cmt_annots with
         | Cmt_format.Implementation str ->
-            let prod =
-              List.exists (fun d -> starts_with ~prefix:(d ^ "/") src) prod_dirs
+            let under dirs =
+              List.exists (fun d -> starts_with ~prefix:(d ^ "/") src) dirs
             in
-            Some (info.cmt_modname, prod, uses_of units str)
+            let prod = under prod_dirs in
+            let group =
+              if under [ "bin"; "lib" ] then 0
+              else if under [ "bench"; "examples"; "svcbench" ] then 1
+              else 2
+            in
+            Some
+              (info.cmt_modname, prod, group,
+               uses_of units by_loc info.cmt_modname str)
         | _ -> None)
       infos
   in
@@ -259,10 +349,10 @@ let () =
     Hashtbl.fold
       (fun unit values acc ->
         List.map
-          (fun v ->
+          (fun (v, _, _) ->
             let prod = ref 0 and test = ref 0 and own = ref 0 in
             List.iter
-              (fun (modname, is_prod, u) ->
+              (fun (modname, is_prod, _, u) ->
                 if modname = unit then begin
                   if Hashtbl.mem u.locals v then own := 1
                 end
@@ -287,4 +377,34 @@ let () =
     (List.length rows)
     (count (fun (p, t, _, _) -> p = 0 && t = 0))
     (count (fun (p, t, o, _) -> p = 0 && t = 0 && o = 0))
-    (count (fun (p, t, _, _) -> p = 0 && t > 0))
+    (count (fun (p, t, _, _) -> p = 0 && t > 0));
+  (* optional parameters: call sites that set each, per group *)
+  let optionals =
+    Hashtbl.fold
+      (fun unit values acc ->
+        List.concat_map
+          (fun (v, _, labels) ->
+            List.map
+              (fun l ->
+                let n = Array.make 3 0 in
+                List.iter
+                  (fun (_, _, group, u) ->
+                    Option.iter
+                      (fun k -> n.(group) <- n.(group) + k)
+                      (Hashtbl.find_opt u.sets (unit, v, l)))
+                  impls;
+                (n.(0) + n.(1) + n.(2) > 0, display unit ^ "." ^ v, l, n))
+              labels)
+          values
+        @ acc)
+      units []
+    |> List.sort compare
+  in
+  Printf.printf "\n%5s %5s %5s  optional parameter\n" "prod" "bench" "test";
+  List.iter
+    (fun (_, v, l, n) ->
+      Printf.printf "%5d %5d %5d  %s ?%s\n" n.(0) n.(1) n.(2) v l)
+    optionals;
+  Printf.printf "%d optional parameters on lib/ exports; %d set by no caller\n"
+    (List.length optionals)
+    (List.length (List.filter (fun (set, _, _, _) -> not set) optionals))
