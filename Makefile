@@ -1,5 +1,5 @@
-.PHONY: build test check doc bench bench-smoke svcbench-smoke smoke chaos \
-  unused-exports clean
+.PHONY: build test check doc bench bench-smoke svcbench-smoke \
+  svcbench-digests smoke chaos unused-exports clean
 
 build:
 	dune build @all
@@ -62,6 +62,16 @@ svcbench-smoke:
 	    *) echo "svcbench-smoke: $$w FAILED: $$last"; exit 1 ;; \
 	  esac; \
 	done
+
+# every stored simulation digest, not just one seed's: regenerate the
+# digests of seeds 0-63 of both batch workloads from the current
+# sources and diff them against svcbench/digests.txt (same order).
+# Reads svcbench/ only.  About 80 seconds on two cores.
+svcbench-digests:
+	dune build ./svcbench/main.exe
+	./_build/default/svcbench/main.exe --write-digests 0 63 \
+	  | diff svcbench/digests.txt - \
+	  && echo "svcbench-digests: all $$(wc -l < svcbench/digests.txt) equal"
 
 # report, not a gate: for every val in lib/**/*.mli, how many files
 # outside its module use it in bin/ lib/ examples/ and in test/ bench/

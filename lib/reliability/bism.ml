@@ -2,6 +2,7 @@
 
 module Obs = Nxc_obs
 module Guard = Nxc_guard
+module Bitslice = Nxc_logic.Bitslice
 
 let m_runs = Obs.Metrics.counter "bism.runs"
 let m_successes = Obs.Metrics.counter "bism.successes"
@@ -27,65 +28,128 @@ let mapping_defect_free chip mapping =
   Defect.selection_defect_free chip ~sel_rows:mapping.row_map
     ~sel_cols:mapping.col_map
 
-let defective_cells chip mapping =
-  let acc = ref [] in
-  Array.iteri
-    (fun lr pr ->
-      Array.iteri
-        (fun lc pc ->
-          if Defect.is_defective chip pr pc then acc := (lr, lc) :: !acc)
-        mapping.col_map)
-    mapping.row_map;
-  List.rev !acc
-
 let random_mapping rng chip ~k_rows ~k_cols =
   { row_map = Rng.sample_without_replacement rng k_rows (Defect.rows chip);
     col_map = Rng.sample_without_replacement rng k_cols (Defect.cols chip) }
 
+(* Scratch of the diagnose/remap loop, allocated once per greedy phase
+   so that the loop itself allocates nothing.  [row_used]/[col_used]
+   mark the physical lines the mapping holds; the counts are the
+   defects of each logical line not yet covered by a chosen line; the
+   chosen logical lines are kept in choice order. *)
+type remap = {
+  row_used : Bytes.t;
+  col_used : Bytes.t;
+  row_count : int array;
+  col_count : int array;
+  chosen_rows : int array;
+  chosen_cols : int array;
+  mutable n_rows : int;
+  mutable n_cols : int;
+}
+
+let remap_scratch chip m =
+  let used n map =
+    let b = Bytes.make n '\000' in
+    Array.iter (fun p -> Bytes.set b p '\001') map;
+    b
+  in
+  let kr = Array.length m.row_map and kc = Array.length m.col_map in
+  { row_used = used (Defect.rows chip) m.row_map;
+    col_used = used (Defect.cols chip) m.col_map;
+    row_count = Array.make kr 0;
+    col_count = Array.make kc 0;
+    chosen_rows = Array.make kr 0;
+    chosen_cols = Array.make kc 0;
+    n_rows = 0;
+    n_cols = 0 }
+
+let defective_bit words c =
+  (words.(c / Bitslice.word_bits) lsr (c mod Bitslice.word_bits)) land 1 = 1
+
+(* BISD on a failing configuration: count the defective cells of the
+   mapping per logical row and column, straight from the defect
+   bitmaps; returns the total *)
+let count_defects chip m s =
+  Array.fill s.row_count 0 (Array.length s.row_count) 0;
+  Array.fill s.col_count 0 (Array.length s.col_count) 0;
+  let total = ref 0 in
+  for lr = 0 to Array.length m.row_map - 1 do
+    let words = Defect.row_words chip m.row_map.(lr) in
+    for lc = 0 to Array.length m.col_map - 1 do
+      if defective_bit words m.col_map.(lc) then begin
+        s.row_count.(lr) <- s.row_count.(lr) + 1;
+        s.col_count.(lc) <- s.col_count.(lc) + 1;
+        incr total
+      end
+    done
+  done;
+  !total
+
+(* first index of the maximum: the tie rule of the replacement choice *)
+let argmax a =
+  let best = ref 0 in
+  for i = 1 to Array.length a - 1 do
+    if a.(i) > a.(!best) then best := i
+  done;
+  !best
+
 (* greedy resource replacement: cover the defective cells with a
-   minimal-ish set of logical rows/columns, then re-draw those from the
-   unused physical pool *)
-let replacement_sets defects ~k_rows ~k_cols =
-  let row_count = Array.make k_rows 0 and col_count = Array.make k_cols 0 in
-  List.iter
-    (fun (lr, lc) ->
-      row_count.(lr) <- row_count.(lr) + 1;
-      col_count.(lc) <- col_count.(lc) + 1)
-    defects;
-  let rows_to_replace = ref [] and cols_to_replace = ref [] in
+   minimal-ish set of logical rows/columns (the line with the most
+   uncovered defects first, rows on ties), to be re-drawn from the
+   unused physical pool.  Choosing a line takes its uncovered defects
+   off the crossing lines' counts.  A line whose count is 0 has no
+   uncovered defect, whether or not it was chosen, so only positive
+   counts are decremented. *)
+let replacement_sets chip m s ~defects =
+  s.n_rows <- 0;
+  s.n_cols <- 0;
   let remaining = ref defects in
-  while !remaining <> [] do
-    let best_row = ref 0 and best_col = ref 0 in
-    Array.iteri (fun i c -> if c > row_count.(!best_row) then best_row := i else ignore c) row_count;
-    Array.iteri (fun i c -> if c > col_count.(!best_col) then best_col := i else ignore c) col_count;
-    if row_count.(!best_row) >= col_count.(!best_col) then begin
-      rows_to_replace := !best_row :: !rows_to_replace;
-      remaining := List.filter (fun (lr, _) -> lr <> !best_row) !remaining
+  while !remaining > 0 do
+    let br = argmax s.row_count and bc = argmax s.col_count in
+    if s.row_count.(br) >= s.col_count.(bc) then begin
+      remaining := !remaining - s.row_count.(br);
+      s.row_count.(br) <- 0;
+      let words = Defect.row_words chip m.row_map.(br) in
+      for lc = 0 to Array.length m.col_map - 1 do
+        if s.col_count.(lc) > 0 && defective_bit words m.col_map.(lc) then
+          s.col_count.(lc) <- s.col_count.(lc) - 1
+      done;
+      s.chosen_rows.(s.n_rows) <- br;
+      s.n_rows <- s.n_rows + 1
     end
     else begin
-      cols_to_replace := !best_col :: !cols_to_replace;
-      remaining := List.filter (fun (_, lc) -> lc <> !best_col) !remaining
-    end;
-    (* recount on the reduced defect set *)
-    Array.fill row_count 0 k_rows 0;
-    Array.fill col_count 0 k_cols 0;
-    List.iter
-      (fun (lr, lc) ->
-        row_count.(lr) <- row_count.(lr) + 1;
-        col_count.(lc) <- col_count.(lc) + 1)
-      !remaining
-  done;
-  (!rows_to_replace, !cols_to_replace)
+      remaining := !remaining - s.col_count.(bc);
+      s.col_count.(bc) <- 0;
+      let pc = m.col_map.(bc) in
+      for lr = 0 to Array.length m.row_map - 1 do
+        if
+          s.row_count.(lr) > 0
+          && defective_bit (Defect.row_words chip m.row_map.(lr)) pc
+        then s.row_count.(lr) <- s.row_count.(lr) - 1
+      done;
+      s.chosen_cols.(s.n_cols) <- bc;
+      s.n_cols <- s.n_cols + 1
+    end
+  done
 
-let fresh_resource rng used pool_size =
-  let unused =
-    List.filter
-      (fun p -> not (Array.exists (( = ) p) used))
-      (List.init pool_size Fun.id)
-  in
-  match unused with
-  | [] -> None
-  | _ -> Some (List.nth unused (Rng.int rng (List.length unused)))
+(* Move logical line [i] of [map] to the [Rng.int rng free]-th unused
+   physical line in ascending order; [free] is the number of unused
+   lines (the pool minus the mapping's distinct lines).  [false], with
+   no draw, when none is left. *)
+let fresh_resource rng used map i ~free =
+  if free = 0 then false
+  else begin
+    let j = ref (Rng.int rng free) and p = ref 0 in
+    while Bytes.get used !p <> '\000' || !j > 0 do
+      if Bytes.get used !p = '\000' then decr j;
+      incr p
+    done;
+    Bytes.set used map.(i) '\000';
+    Bytes.set used !p '\001';
+    map.(i) <- !p;
+    true
+  end
 
 let check_feasible chip ~k_rows ~k_cols =
   if k_rows > Defect.rows chip || k_cols > Defect.cols chip then
@@ -119,36 +183,31 @@ let run rng scheme ~chip ~k_rows ~k_cols ~max_configs =
     let m = random_mapping rng chip ~k_rows ~k_cols in
     if try_mapping m then Some m else None
   in
-  let greedy_loop start =
-    (* mutate a copy of the starting mapping *)
-    let m = { row_map = Array.copy start.row_map;
-              col_map = Array.copy start.col_map } in
+  let greedy_loop m =
+    let s = remap_scratch chip m in
+    let free_rows = Defect.rows chip - k_rows
+    and free_cols = Defect.cols chip - k_cols in
+    (* re-draw the chosen lines, each side latest choice first *)
+    let redraw used map chosen n ~free =
+      let ok = ref true and i = ref (n - 1) in
+      while !ok && !i >= 0 do
+        ok := fresh_resource rng used map chosen.(!i) ~free;
+        decr i
+      done;
+      !ok
+    in
     let rec loop () =
       if not (config_allowed ()) then None
       else if try_mapping m then Some m
       else begin
         incr diagnoses;
-        let defects = defective_cells chip m in
-        let rows_r, cols_r = replacement_sets defects ~k_rows ~k_cols in
-        let ok =
-          List.for_all
-            (fun lr ->
-              match fresh_resource rng m.row_map (Defect.rows chip) with
-              | Some pr ->
-                  m.row_map.(lr) <- pr;
-                  true
-              | None -> false)
-            rows_r
-          && List.for_all
-               (fun lc ->
-                 match fresh_resource rng m.col_map (Defect.cols chip) with
-                 | Some pc ->
-                     m.col_map.(lc) <- pc;
-                     true
-                 | None -> false)
-               cols_r
-        in
-        if ok then loop () else None
+        replacement_sets chip m s ~defects:(count_defects chip m s);
+        if
+          redraw s.row_used m.row_map s.chosen_rows s.n_rows ~free:free_rows
+          && redraw s.col_used m.col_map s.chosen_cols s.n_cols
+               ~free:free_cols
+        then loop ()
+        else None
       end
     in
     loop ()

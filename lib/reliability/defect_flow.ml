@@ -18,8 +18,11 @@ let fill_colmask mask ~n_c keep_c =
         mask.(c / Bitslice.word_bits) lor (1 lsl (c mod Bitslice.word_bits))
   done
 
-(* Greedy deletion on index sets represented as boolean keep-masks. *)
-let greedy_max chip =
+(* Greedy deletion on index sets represented as boolean keep-masks.
+   Deletion never restores a line and the final balance keeps the
+   smaller side, so once fewer than [k] rows or columns survive no
+   selection of side [k] can come out: [None] right there. *)
+let greedy_down_to chip ~k =
   let n_r = Defect.rows chip and n_c = Defect.cols chip in
   let keep_r = Array.make n_r true and keep_c = Array.make n_c true in
   let alive_r = ref n_r and alive_c = ref n_c in
@@ -68,44 +71,49 @@ let greedy_max chip =
     if not !any then None else Some (!worst_r, !worst_rc, !worst_c, !worst_cc)
   in
   let rec loop () =
-    match defects_left () with
-    | None -> ()
-    | Some (r, rc, c, cc) ->
-        (* delete the line with more defects; on ties shrink the side
-           that is currently larger to stay near-square *)
-        let delete_row =
-          if rc > cc then true
-          else if cc > rc then false
-          else !alive_r >= !alive_c
-        in
-        if delete_row then begin
-          keep_r.(r) <- false;
-          decr alive_r
-        end
-        else begin
-          keep_c.(c) <- false;
-          decr alive_c
-        end;
-        loop ()
+    if min !alive_r !alive_c < k then false
+    else
+      match defects_left () with
+      | None -> true
+      | Some (r, rc, c, cc) ->
+          (* delete the line with more defects; on ties shrink the side
+             that is currently larger to stay near-square *)
+          let delete_row =
+            if rc > cc then true
+            else if cc > rc then false
+            else !alive_r >= !alive_c
+          in
+          if delete_row then begin
+            keep_r.(r) <- false;
+            decr alive_r
+          end
+          else begin
+            keep_c.(c) <- false;
+            decr alive_c
+          end;
+          loop ()
   in
-  loop ();
-  let rows =
-    Array.of_list (List.filter (fun r -> keep_r.(r)) (List.init n_r Fun.id))
-  in
-  let cols =
-    Array.of_list (List.filter (fun c -> keep_c.(c)) (List.init n_c Fun.id))
-  in
-  (* balance to a square selection *)
-  let k = min (Array.length rows) (Array.length cols) in
-  { sel_rows = Array.sub rows 0 k; sel_cols = Array.sub cols 0 k }
+  if not (loop ()) then None
+  else begin
+    let rows =
+      Array.of_list (List.filter (fun r -> keep_r.(r)) (List.init n_r Fun.id))
+    in
+    let cols =
+      Array.of_list (List.filter (fun c -> keep_c.(c)) (List.init n_c Fun.id))
+    in
+    (* balance to a square selection *)
+    let side = min (Array.length rows) (Array.length cols) in
+    Some { sel_rows = Array.sub rows 0 side; sel_cols = Array.sub cols 0 side }
+  end
+
+let greedy_max chip = Option.get (greedy_down_to chip ~k:0)
 
 let extract chip ~k =
-  let sel = greedy_max chip in
-  if recovered_k sel >= k then
-    Some
+  Option.map
+    (fun sel ->
       { sel_rows = Array.sub sel.sel_rows 0 k;
-        sel_cols = Array.sub sel.sel_cols 0 k }
-  else None
+        sel_cols = Array.sub sel.sel_cols 0 k })
+    (greedy_down_to chip ~k)
 
 (* Exact branch and bound: at each step find a defective cell inside the
    current selection and branch on deleting its row or its column,

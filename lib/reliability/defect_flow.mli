@@ -24,8 +24,13 @@ val greedy_max : Defect.t -> selection
     square. *)
 
 val extract : Defect.t -> k:int -> selection option
-(** A [k x k] defect-free selection via {!greedy_max}; [None] when the
-    heuristic recovers fewer than [k]. *)
+(** A [k x k] defect-free selection via {!greedy_max}: the first [k]
+    rows and columns of its result, or [None] when the heuristic
+    recovers fewer than [k].  The deletion stops as soon as fewer than
+    [k] rows or columns survive — deletion never restores a line, so
+    the answer is already [None] there — which makes a [k] out of
+    reach cheap; the result is the same as running {!greedy_max} to
+    the end. *)
 
 val exact_max : Defect.t -> selection
 (** Branch-and-bound maximum square selection.  Exponential: meant for

@@ -139,8 +139,12 @@ let monte_carlo ?pool rng ~trials ~n ~profile ~k_rows ~k_cols =
         let seed = Rng.int r 0x3FFFFFFF in
         let chip = Defect.generate r ~rows:n ~cols:n profile in
         (* [decide] reads the ambient budget, which the pool points at
-           this slot's partition slice *)
-        decide ~seed chip ~k_rows ~k_cols)
+           this slot's partition slice; run it under a Degrade view of
+           that budget, so an exhausted trial counts as degraded under
+           either policy, sequential or pooled *)
+        let g = Guard.Budget.degrading (Guard.Budget.current ()) in
+        Guard.Budget.with_current g (fun () ->
+            decide ~seed chip ~k_rows ~k_cols))
   in
   let count f = Array.fold_left (fun a x -> if f x then a + 1 else a) 0 per in
   { sa_trials = trials;

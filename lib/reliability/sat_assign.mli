@@ -86,5 +86,9 @@ val monte_carlo :
   k_cols:int ->
   mc
 (** Mapping-success sweep in the shape of {!Bism.monte_carlo}, through
-    {!Rng.map_trials} (determinism and budget contract there).  A degraded trial that still
-    finds a mapping counts in both [sa_mapped] and [sa_degraded]. *)
+    {!Rng.map_trials} (determinism and budget contract there).  Trials
+    always run {!decide} under a [Degrade] view of the ambient budget,
+    as {!Bira.monte_carlo} does, so a trial that exhausts it counts as
+    degraded whatever the policy and with or without a pool.  A
+    degraded trial that still finds a mapping counts in both
+    [sa_mapped] and [sa_degraded]. *)

@@ -29,10 +29,26 @@ let expected_max_k ?pool rng ~trials ~n ~profile =
          ( false,
            float_of_int (Defect_flow.recovered_k (Defect_flow.greedy_max chip)) )))
 
+(* One walk down from [n] serves every threshold: a per-threshold walk
+   from the same seed draws the same chips at each [k], so it would stop
+   at the very [k] this walk records for it.  [0] marks a threshold no
+   [k >= 1] has met yet. *)
+let guaranteed_ks ?pool rng ~trials ~n ~profile ~min_yields =
+  let ys = Array.of_list min_yields in
+  let ks = Array.make (Array.length ys) 0 in
+  let pending = ref (Array.length ys) and k = ref n in
+  while !pending > 0 && !k >= 1 do
+    let rate = recovery_rate ?pool rng ~trials ~n ~k:!k ~profile in
+    Array.iteri
+      (fun i y ->
+        if ks.(i) = 0 && rate >= y then begin
+          ks.(i) <- !k;
+          decr pending
+        end)
+      ys;
+    decr k
+  done;
+  Array.to_list ks
+
 let guaranteed_k ?pool rng ~trials ~n ~profile ~min_yield =
-  let rec search k =
-    if k < 1 then 0
-    else if recovery_rate ?pool rng ~trials ~n ~k ~profile >= min_yield then k
-    else search (k - 1)
-  in
-  search n
+  List.hd (guaranteed_ks ?pool rng ~trials ~n ~profile ~min_yields:[ min_yield ])

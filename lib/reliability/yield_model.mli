@@ -22,8 +22,24 @@ val expected_max_k :
     determinism contract as {!recovery_rate}.
     @raise Invalid_argument when [trials <= 0]. *)
 
+val guaranteed_ks :
+  ?pool:Nxc_par.Pool.t ->
+  Rng.t -> trials:int -> n:int -> profile:Defect.profile ->
+  min_yields:float list -> int list
+(** [guaranteed_ks rng ~trials ~n ~profile ~min_yields] walks [k] down
+    from [n] once, estimating {!recovery_rate} over [trials] fresh
+    chips at each [k] (drawn from [rng] in that order), and returns,
+    for each threshold in [min_yields] and in its order, the first [k]
+    whose rate reaches it, or [0] when none down to [k = 1] does.  The
+    walk stops as soon as every threshold has its [k].  Thresholds need
+    not be sorted or distinct.  The result equals {!guaranteed_k} per
+    threshold, each on a copy of [rng]'s state: the shared walk draws
+    the same chips at every [k].
+    @raise Invalid_argument when [trials <= 0], [n >= 1] and
+    [min_yields] is not empty. *)
+
 val guaranteed_k :
   ?pool:Nxc_par.Pool.t ->
   Rng.t -> trials:int -> n:int -> profile:Defect.profile -> min_yield:float -> int
 (** Largest [k] whose {!recovery_rate} estimate is at least
-    [min_yield]. *)
+    [min_yield]: the one-threshold case of {!guaranteed_ks}. *)

@@ -274,17 +274,16 @@ let plan_yield job n density seed trials =
         R.Yield_model.expected_max_k ?pool (R.Rng.create seed) ~trials ~n
           ~profile
       in
-      let at y =
-        R.Yield_model.guaranteed_k ?pool
+      let thresholds = [ ("k_at_50", 0.5); ("k_at_90", 0.9); ("k_at_99", 0.99) ] in
+      let ks =
+        R.Yield_model.guaranteed_ks ?pool
           (R.Rng.create (seed + 1))
-          ~trials ~n ~profile ~min_yield:y
+          ~trials ~n ~profile ~min_yields:(List.map snd thresholds)
       in
       Ok
         (J.Obj
-           [ ("mean_max_k", J.Float mean);
-             ("k_at_50", J.Int (at 0.5));
-             ("k_at_90", J.Int (at 0.9));
-             ("k_at_99", J.Int (at 0.99)) ]))
+           (("mean_max_k", J.Float mean)
+           :: List.map2 (fun (name, _) k -> (name, J.Int k)) thresholds ks)))
     ~exit_of:exit_zero
 
 let repair_mode_of_string = function

@@ -462,16 +462,13 @@ let starved_rows () =
         | Ok (R.Sat_assign.Degraded _), b -> b
         | _ -> false );
     ( "Sat_assign.monte_carlo",
-      fun p ->
+      fun _ ->
+        (* trials run under a Degrade view whatever the policy *)
         let mc =
           R.Sat_assign.monte_carlo (rng ()) ~trials:3 ~n:8 ~profile ~k_rows:4
             ~k_cols:4
         in
-        if fail p then
-          mc.R.Sat_assign.sa_mapped + mc.R.Sat_assign.sa_unmappable
-          + mc.R.Sat_assign.sa_degraded
-          = 0
-        else mc.R.Sat_assign.sa_degraded = 3 );
+        mc.R.Sat_assign.sa_degraded = 3 );
     ( "Defect_flow.exact_max",
       fun _ ->
         let sel, b =

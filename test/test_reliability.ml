@@ -729,6 +729,57 @@ let bism_tests =
            with
           | exception Invalid_argument _ -> true
           | _ -> false));
+    Alcotest.test_case "monte-carlo records are pinned" `Quick (fun () ->
+        List.iter
+          (fun (scheme, seed, k, d, mapped, configs, diags, per_trial) ->
+            let mc, per =
+              Bism.monte_carlo (Rng.create seed) scheme ~trials:6 ~n:32
+                ~profile:(Defect.uniform d) ~k_rows:k ~k_cols:k
+                ~max_configs:1000
+            in
+            let name = Printf.sprintf "seed %d k=%d d=%g" seed k d in
+            check_int (name ^ " mapped") mapped mc.Bism.mc_mapped;
+            Alcotest.(check (float 1e-9))
+              (name ^ " avg configs") configs mc.Bism.mc_avg_configs;
+            Alcotest.(check (float 1e-9))
+              (name ^ " avg diagnoses") diags mc.Bism.mc_avg_diagnoses;
+            Alcotest.(check string) (name ^ " per trial") per_trial
+              (String.concat " "
+                 (Array.to_list
+                    (Array.map
+                       (fun (s : Bism.stats) ->
+                         check_int "tests = configs k^2"
+                           (s.configurations * k * k) s.test_applications;
+                         Printf.sprintf "%c%d/%d"
+                           (if s.success then 'm' else 'x')
+                           s.configurations s.diagnoses)
+                       per))))
+          (* computed before the remap loop stopped allocating: each
+             trial as (m)apped or (x) failed, configurations/diagnoses *)
+          [ (Bism.Greedy, 11, 14, 0.08, 3, 3149. /. 6., 3146. /. 6.,
+             "x1000/1000 m65/64 m4/3 x1000/1000 m80/79 x1000/1000");
+            (Bism.Hybrid 10, 11, 14, 0.08, 3, 3206. /. 6., 3143. /. 6.,
+             "x1000/990 x1000/990 m32/21 m134/123 m40/29 x1000/990");
+            (Bism.Blind, 11, 14, 0.08, 0, 1000., 0.,
+             "x1000/0 x1000/0 x1000/0 x1000/0 x1000/0 x1000/0");
+            (Bism.Greedy, 11, 12, 0.05, 6, 40. /. 6., 34. /. 6.,
+             "m4/3 m7/6 m5/4 m6/5 m13/12 m5/4");
+            (Bism.Hybrid 10, 11, 12, 0.05, 6, 94. /. 6., 28. /. 6.,
+             "m13/2 m13/2 m15/4 m14/3 m14/3 m25/14");
+            (Bism.Blind, 11, 12, 0.05, 3, 607., 0.,
+             "m103/0 m107/0 m432/0 x1000/0 x1000/0 x1000/0");
+            (Bism.Greedy, 12, 14, 0.08, 3, 507.5, 507.,
+             "x1000/1000 x1000/1000 m15/14 x1000/1000 m20/19 m10/9");
+            (Bism.Hybrid 10, 12, 14, 0.08, 4, 2135. /. 6., 2071. /. 6.,
+             "m26/15 m18/7 m17/6 m74/63 x1000/990 x1000/990");
+            (Bism.Blind, 12, 14, 0.08, 0, 1000., 0.,
+             "x1000/0 x1000/0 x1000/0 x1000/0 x1000/0 x1000/0");
+            (Bism.Greedy, 12, 12, 0.05, 6, 38. /. 6., 32. /. 6.,
+             "m9/8 m2/1 m11/10 m7/6 m4/3 m5/4");
+            (Bism.Hybrid 10, 12, 12, 0.05, 6, 101. /. 6., 35. /. 6.,
+             "m20/9 m23/12 m13/2 m16/5 m15/4 m14/3");
+            (Bism.Blind, 12, 12, 0.05, 2, 789.5, 0.,
+             "x1000/0 x1000/0 m172/0 x1000/0 x1000/0 m565/0") ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -769,6 +820,33 @@ let flow_tests =
           check "exact >= greedy" true (e >= g);
           check "exact defect-free" true (Defect_flow.is_defect_free chip e_sel)
         done);
+    qtest ~count:150 "extract = greedy_max truncated to k, for every k"
+      QCheck.(
+        make
+          ~print:(fun (seed, rows, cols, clustered, d) ->
+            Printf.sprintf "seed %d %dx%d %s %.3f" seed rows cols
+              (if clustered then "clustered" else "uniform")
+              d)
+          Gen.(
+            int_bound 10_000 >>= fun seed ->
+            int_range 1 20 >>= fun rows ->
+            oneof [ return rows; int_range 1 20 ] >>= fun cols ->
+            bool >>= fun clustered ->
+            float_bound_inclusive 0.3 >|= fun d -> (seed, rows, cols, clustered, d)))
+      (fun (seed, rows, cols, clustered, d) ->
+        let profile = if clustered then Defect.clustered d else Defect.uniform d in
+        let chip = Defect.generate (Rng.create seed) ~rows ~cols profile in
+        let g = Defect_flow.greedy_max chip in
+        List.for_all
+          (fun k ->
+            Defect_flow.extract chip ~k
+            =
+            if Defect_flow.recovered_k g >= k then
+              Some
+                { Defect_flow.sel_rows = Array.sub g.Defect_flow.sel_rows 0 k;
+                  sel_cols = Array.sub g.Defect_flow.sel_cols 0 k }
+            else None)
+          (List.init (max rows cols + 2) Fun.id));
     Alcotest.test_case "flow costs: unaware map is O(N) vs O(N^2)" `Quick
       (fun () ->
         let aware = Defect_flow.aware_cost ~n:64 ~chips:1000 ~apps:10 in
@@ -874,6 +952,85 @@ let yield_tests =
           Yield_model.recovery_rate (Rng.create 55) ~trials:40 ~n:16 ~k ~profile
         in
         check "achieves the yield (resampled)" true (r >= 0.75));
+    Alcotest.test_case "a threshold equal to the rate is met" `Quick (fun () ->
+        let profile = Defect.uniform 0.02 in
+        let rate =
+          Yield_model.recovery_rate (Rng.create 56) ~trials:20 ~n:10 ~k:10
+            ~profile
+        in
+        check "rate strictly between 0 and 1" true (rate > 0.0 && rate < 1.0);
+        check_int "first step meets it" 10
+          (Yield_model.guaranteed_k (Rng.create 56) ~trials:20 ~n:10 ~profile
+             ~min_yield:rate));
+    (* one descent for several thresholds draws what one descent per
+       threshold draws, sequentially and on a 2-slot pool; the
+       per-threshold answers are also checked against a plain descent
+       over [recovery_rate] *)
+    qtest ~count:40 "guaranteed_ks = guaranteed_k per threshold"
+      QCheck.(
+        make
+          ~print:(fun (seed, n, trials, d, ys) ->
+            Printf.sprintf "seed %d n=%d trials=%d d=%.3f [%s]" seed n trials d
+              (String.concat "; " (List.map string_of_float ys)))
+          Gen.(
+            int_bound 10_000 >>= fun seed ->
+            int_range 1 16 >>= fun n ->
+            int_range 1 8 >>= fun trials ->
+            float_bound_inclusive 0.2 >>= fun d ->
+            list_size (int_range 0 6)
+              (oneof
+                 [ return 0.0; return 1.5; oneofl [ 0.5; 0.9 ];
+                   float_bound_inclusive 1.0 ])
+            >|= fun ys -> (seed, n, trials, d, ys)))
+      (fun (seed, n, trials, d, ys) ->
+        let profile = Defect.uniform d in
+        let each =
+          List.map
+            (fun min_yield ->
+              Yield_model.guaranteed_k (Rng.create seed) ~trials ~n ~profile
+                ~min_yield)
+            ys
+        in
+        let descent min_yield =
+          let rng = Rng.create seed in
+          let rec go k =
+            if k < 1 then 0
+            else if
+              Yield_model.recovery_rate rng ~trials ~n ~k ~profile >= min_yield
+            then k
+            else go (k - 1)
+          in
+          go n
+        in
+        let ks ?pool () =
+          Yield_model.guaranteed_ks ?pool (Rng.create seed) ~trials ~n ~profile
+            ~min_yields:ys
+        in
+        each = List.map descent ys
+        && ks () = each
+        && Nxc_par.Pool.with_pool ~workers:1 (fun pool -> ks ~pool ()) = each);
+    Alcotest.test_case "yield job results are pinned" `Quick (fun () ->
+        (* computed while the engine still ran one descent per
+           threshold *)
+        List.iter
+          (fun (seed, result) ->
+            let line =
+              Printf.sprintf
+                {|{"kind":"yield","n":32,"density":0.05,"seed":%d,"trials":30}|}
+                seed
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d" seed)
+              (Printf.sprintf
+                 {|{"id":null,"kind":"yield","status":"ok","exit":0,"result":%s}|}
+                 result)
+              (Nxc_obs.Json.to_string
+                 (Nxc_service.Engine.run_line line).Nxc_service.Engine.envelope))
+          [ (11,
+             {|{"mean_max_k":19.7666666667,"k_at_50":20,"k_at_90":18,"k_at_99":17}|});
+            (12,
+             {|{"mean_max_k":20.1666666667,"k_at_50":20,"k_at_90":18,"k_at_99":18}|})
+          ]);
   ]
 
 let () =
