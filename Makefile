@@ -73,12 +73,13 @@ svcbench-digests:
 	  | diff svcbench/digests.txt - \
 	  && echo "svcbench-digests: all $$(wc -l < svcbench/digests.txt) equal"
 
-# report, not a gate: for every val in lib/**/*.mli, how many files
-# outside its module use it in bin/ lib/ examples/ and in test/ bench/
-# tools/ svcbench/, and whether its own module does; then, for every
-# optional parameter of those vals, how many call sites set it
-# (resolved from the typed trees that `dune build @check` leaves in
-# _build)
+# gate: for every val in lib/**/*.mli, how many files outside its
+# module use it in bin/ lib/ examples/ and in test/ bench/ tools/
+# svcbench/, and whether its own module does; then, for every optional
+# parameter of those vals, how many call sites set it (resolved from
+# the typed trees that `dune build @check` leaves in _build).  Exits 1
+# on an uncalled export, a test-only export whose "Test-only:" reason
+# names no file that uses it, or a parameter only tests set.
 unused-exports:
 	dune build @check
 	dune exec tools/unused_exports.exe

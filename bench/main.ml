@@ -1562,7 +1562,7 @@ let e_npnkey () =
     List.map
       (fun (n, count) ->
         let tables =
-          List.init count (fun i -> Truth_table.random n ~seed:(7919 * (i + 1)))
+          List.init count (fun i -> Nxc_oracle.Logic_ref.random_table n ~seed:(7919 * (i + 1)))
         in
         let expect, oracle_ms =
           time (fun () ->

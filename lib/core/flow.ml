@@ -54,13 +54,15 @@ let verify_mapping chip lattice func mapping =
    scheme, hybrid adds diagnosis after a few retries, greedy diagnoses
    from the start.  Each rung gets a slice of the total configuration
    cap; moving down a rung is a counted degradation. *)
-let ladder max_configs =
-  let blind = max 1 (max_configs / 4) in
-  [ (R.Bism.Blind, blind);
-    (R.Bism.Hybrid 10, max 1 (max_configs / 4));
-    (R.Bism.Greedy, max 1 (max_configs - blind - max 1 (max_configs / 4))) ]
+let max_configs = 1000
 
-let run_result ?scheme ?(max_configs = 1000) rng ~chip func =
+let ladder =
+  let blind = max_configs / 4 and hybrid = max_configs / 4 in
+  [ (R.Bism.Blind, blind);
+    (R.Bism.Hybrid 10, hybrid);
+    (R.Bism.Greedy, max_configs - blind - hybrid) ]
+
+let run_result ?scheme rng ~chip func =
   Obs.Metrics.incr m_runs;
   Obs.Span.with_ ~name:"flow.run"
     ~attrs:(fun () -> [ ("name", Obs.Json.Str (Nxc_logic.Boolfunc.name func)) ])
@@ -80,7 +82,7 @@ let run_result ?scheme ?(max_configs = 1000) rng ~chip func =
         let stages =
           match scheme with
           | Some s -> [ (s, max_configs) ]
-          | None -> ladder max_configs
+          | None -> ladder
         in
         let rec attempt acc_stats escalated = function
           | [] -> (acc_stats, None, escalated)
@@ -122,22 +124,3 @@ let run rng ~chip func =
   with
   | Ok r -> r
   | Error _ -> assert false
-
-type aware_result = {
-  aware_impl : Synth.t;
-  placed : bool;
-  aware_functional : bool;
-}
-
-let run_defect_aware ?(attempts = 200) rng ~chip func =
-  Obs.Span.with_ ~name:"flow.defect_aware" @@ fun () ->
-  let aware_impl = Synth.synthesize func in
-  let lattice = Synth.best_lattice aware_impl in
-  match R.Defect_flow.place_lattice rng chip lattice ~attempts with
-  | None -> { aware_impl; placed = false; aware_functional = false }
-  | Some (rows, cols) ->
-      let mapping = { R.Bism.row_map = rows; col_map = cols } in
-      let aware_functional =
-        Lt.Checker.equivalent (lattice_with_defects lattice chip mapping) func
-      in
-      { aware_impl; placed = true; aware_functional }

@@ -25,7 +25,8 @@ val lattice_with_defects :
 (** Apply the chip's defects to the mapped sites: a stuck-open
     crosspoint forces the site to constant 0, a stuck-closed or bridge
     crosspoint to constant 1 (conservative).
-    Test-only: tests build faulty lattices with it. *)
+    Test-only: test/test_core.ml and test/test_extensions.ml — tests build
+    faulty lattices with it. *)
 
 val run :
   Nxc_reliability.Rng.t ->
@@ -38,39 +39,15 @@ val run :
 
 val run_result :
   ?scheme:Nxc_reliability.Bism.scheme ->
-  ?max_configs:int ->
   Nxc_reliability.Rng.t ->
   chip:Nxc_reliability.Defect.t ->
   Nxc_logic.Boolfunc.t ->
   (result, Nxc_guard.Error.t) Stdlib.result
 (** Like {!run} with graceful degradation: when [scheme] is omitted the
     mapping escalates Blind → Hybrid → Greedy, each rung taking a slice
-    of [max_configs] (total stays capped) and counted under
+    of a 1,000-configuration cap (250, 250, then 500) and counted under
     [guard.degrade.flow_escalation] / [flow.escalations].  The returned
     statistics aggregate all rungs.  A partial outcome (no mapping
     found) is still [Ok] with [functional = false]; only a [Fail]-policy
     budget exhausting before a mapping is found turns into
     [`Budget_exhausted]. *)
-
-(** {2 Defect-aware variant (Fig. 6a)}
-
-    Instead of demanding a defect-free region, match the specific
-    lattice configuration against the chip's defect kinds
-    ({!Nxc_reliability.Defect_flow.place_lattice}); survives much
-    higher densities at a per-application search cost. *)
-
-type aware_result = {
-  aware_impl : Synth.t;
-  placed : bool;
-  aware_functional : bool;
-}
-
-val run_defect_aware :
-  ?attempts:int ->
-  Nxc_reliability.Rng.t ->
-  chip:Nxc_reliability.Defect.t ->
-  Nxc_logic.Boolfunc.t ->
-  aware_result
-(** An oversized lattice or exhausted budget yields
-    [{ placed = false; _ }] cleanly.
-    Test-only: tests compare it with the defect-unaware flow. *)

@@ -49,7 +49,7 @@ let of_bits bits =
   Array.iteri (fun i b -> if b then v := !v lor (1 lsl i)) bits;
   !v
 
-let create ?chip ~word_bits ~data_words ~program () =
+let create ~word_bits ~data_words ~program () =
   if word_bits < 1 || word_bits > 8 then invalid_arg "Machine.create: word_bits";
   if List.length program > 256 then invalid_arg "Machine.create: program too long";
   if program = [] then invalid_arg "Machine.create: empty program";
@@ -64,7 +64,7 @@ let create ?chip ~word_bits ~data_words ~program () =
   List.iteri
     (fun addr instr -> Memory.write imem ~addr (to_bits 11 (encode instr)))
     program;
-  let dmem = Memory.create ?chip ~words:data_words ~width:word_bits ~spares:2 () in
+  let dmem = Memory.create ~words:data_words ~width:word_bits ~spares:2 () in
   (* zero flag: OR of the accumulator bits as a lattice *)
   let any_bit =
     L.Boolfunc.of_fun_int ~name:"nonzero" word_bits (fun m -> m <> 0)
@@ -79,13 +79,9 @@ let create ?chip ~word_bits ~data_words ~program () =
     nonzero = Lt.Altun_riedel.synthesize any_bit;
     st = { pc = 0; acc = 0; halted = false; steps = 0 } }
 
-let word_bits m = m.bits
-
 let lattice_sites m =
   Arith.adder_area m.alu + Arith.adder_area m.pc_alu
   + Lt.Lattice.area m.nonzero
-
-let state m = m.st
 
 let peek m addr = of_bits (Memory.read m.dmem ~addr)
 
@@ -130,7 +126,9 @@ let step m =
     end
   end
 
-let run ?(max_steps = 10_000) m =
+let max_steps = 10_000
+
+let run m =
   let rec go () =
     if m.st.halted || m.st.steps >= max_steps then m.st
     else begin

@@ -28,17 +28,13 @@ type instruction =
 type t
 
 val create :
-  ?chip:Nxc_reliability.Defect.t ->
   word_bits:int ->
   data_words:int ->
   program:instruction list ->
   unit ->
   t
 (** [word_bits] in [1..8]; the program may not exceed 256 instructions.
-    When [chip] is given it backs the {e data} memory (with two spare
-    rows), exercising the repair path. *)
-
-val word_bits : t -> int
+    The data memory is a perfect crossbar with two spare rows. *)
 
 val lattice_sites : t -> int
 (** Total lattice area of the machine's combinational logic (ALU,
@@ -51,16 +47,11 @@ type state = {
   steps : int;
 }
 
-val state : t -> state
-
 val peek : t -> int -> int
 (** Data-memory word. *)
 
-val step : t -> unit
-(** One fetch-decode-execute cycle; no-op once halted. *)
-
-val run : ?max_steps:int -> t -> state
-(** Run to halt (or the step bound, default 10_000). *)
+val run : t -> state
+(** Run to halt, or for at most 10_000 steps. *)
 
 val assemble_sum_1_to_n : n:int -> instruction list
 (** Demo program: sums 1..n by a JNZ loop into address 0. *)

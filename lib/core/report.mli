@@ -8,8 +8,3 @@ val size_header : string
 
 val size_table : Synth.sizes list -> string
 (** Header + rows + a summary line (totals and who-wins counts). *)
-
-val comparison_summary : Synth.sizes list -> string
-(** The Section III headline: on how many benchmarks the four-terminal
-    lattice beats the diode / FET arrays, and the mean area ratios.
-    Test-only: tests check the Section III summary with it. *)

@@ -18,7 +18,8 @@ val make :
   outputs:Nxc_logic.Boolfunc.t array ->
   t
 (** Each function must have arity [n_inputs + state_bits].
-    [next_state] has one function per state bit. *)
+    [next_state] has one function per state bit.
+    Test-only: test/test_core.ml — tests check it directly. *)
 
 val logic_area : t -> int
 (** Total lattice sites of all next-state and output logic. *)
@@ -39,4 +40,5 @@ val equivalent_to :
   t -> reference:(state:int -> input:int -> int * int) -> bool
 (** Exhaustive equivalence of one clock edge against a functional
     reference over all states and inputs.
-    Test-only: tests and the bench check machines with it. *)
+    Test-only: bench/main.ml and test/test_core.ml — tests and the bench
+    check machines with it. *)

@@ -142,8 +142,6 @@ let sizes impl =
     dred_size = Option.map lattice_dims impl.dred_lattice;
     best_lattice_area = Lt.Lattice.area (best_lattice impl) }
 
-type objective = Min_area | Min_delay | Min_energy
-
 type choice =
   | Use_diode of X.Diode.t
   | Use_fet of X.Fet.t
@@ -163,13 +161,7 @@ let lattice_report lattice =
     ~programmed:!programmed ~path_length:rows
     { X.Model.rows; cols }
 
-let metric objective (r : X.Metrics.report) =
-  match objective with
-  | Min_area -> r.X.Metrics.area_nm2
-  | Min_delay -> r.X.Metrics.delay_ps
-  | Min_energy -> r.X.Metrics.energy_aj
-
-let select ?(objective = Min_area) impl =
+let select impl =
   let lattice = best_lattice impl in
   let candidates =
     (Use_lattice lattice, lattice_report lattice)
@@ -182,5 +174,5 @@ let select ?(objective = Min_area) impl =
   in
   List.fold_left
     (fun ((_, br) as best) ((_, r) as cand) ->
-      if metric objective r < metric objective br then cand else best)
+      if r.X.Metrics.area_nm2 < br.X.Metrics.area_nm2 then cand else best)
     (List.hd candidates) (List.tl candidates)

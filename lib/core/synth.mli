@@ -56,9 +56,7 @@ val sizes : t -> sizes
 val best_lattice : t -> Nxc_lattice.Lattice.t
 (** Smallest of the three lattice variants. *)
 
-(** {2 Objective-driven selection} *)
-
-type objective = Min_area | Min_delay | Min_energy
+(** {2 Area-driven selection} *)
 
 type choice =
   | Use_diode of Nxc_crossbar.Diode.t
@@ -68,10 +66,12 @@ type choice =
 val lattice_report : Nxc_lattice.Lattice.t -> Nxc_crossbar.Metrics.report
 (** First-order metrics for a lattice: programmed = non-constant-0
     sites, worst path = one traversal per row.
-    Test-only: tests check lattice metrics with it. *)
+    Test-only: test/test_extensions.ml — tests check lattice metrics with
+    it. *)
 
-val select : ?objective:objective -> t -> choice * Nxc_crossbar.Metrics.report
-(** The implementation minimizing the chosen metric (area by default)
-    among the diode array, the FET array and the best lattice.  For
+val select : t -> choice * Nxc_crossbar.Metrics.report
+(** The implementation of least area among the diode array, the FET
+    array and the best lattice (the first of them on ties).  For
     constant functions the lattice (a single constant site) is the only
-    candidate. *)
+    candidate.
+    Test-only: test/test_extensions.ml — tests check it directly. *)

@@ -53,7 +53,7 @@ let literal_true (v, p) m =
 
 (* wired-AND: the row is high iff every programmed literal column is
    high (a diode to a low column pulls the row down) *)
-let row_value x m r =
+let row_high x m r =
   let cols = x.placement.Model.dims.Model.cols in
   let ok = ref true in
   for c = 0 to cols - 2 do
@@ -68,94 +68,10 @@ let eval_int x m =
   let cols = x.placement.Model.dims.Model.cols in
   let result = ref false in
   for r = 0 to rows - 1 do
-    if x.placement.Model.connected.(r).(cols - 1) && row_value x m r then
+    if x.placement.Model.connected.(r).(cols - 1) && row_high x m r then
       result := true
   done;
   !result
-
-let eval x a =
-  let m = ref 0 in
-  Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) a;
-  eval_int x !m
-
-(* ------------------------------------------------------------------ *)
-(* Word-parallel batch evaluation.                                     *)
-(*                                                                     *)
-(* One assignment (or caller-supplied vector) per bit, packed into     *)
-(* native-int words (the Bitslice layout).  Per word: materialize each *)
-(* literal column's word once, then every observed row wired-ANDs its  *)
-(* programmed columns and the output wired-ORs the rows — up to        *)
-(* word_bits scalar evaluations per word pass.                         *)
-(* ------------------------------------------------------------------ *)
-
-module Bitslice = L.Bitslice
-module Truth_table = L.Truth_table
-module Bitvec = L.Bitvec
-
-let eval_words x ~len ~nw ~var_word ~line ~out =
-  Model.count_kernel_call ();
-  let { Model.rows; cols } = x.placement.Model.dims in
-  let connected = x.placement.Model.connected in
-  let ops = ref 0 in
-  for w = 0 to nw - 1 do
-    let tail = if w = nw - 1 then Bitslice.tail_mask len else -1 in
-    for c = 0 to cols - 2 do
-      let v, p = x.literals.(c) in
-      let xw = var_word v w in
-      line.(c) <-
-        (match (p : Cube.polarity) with
-        | Pos -> xw
-        | Neg -> lnot xw land tail);
-      incr ops
-    done;
-    let acc = ref 0 in
-    for r = 0 to rows - 1 do
-      (* wired-OR only collects rows with an output diode *)
-      if connected.(r).(cols - 1) then begin
-        (* wired-AND of the row's programmed literal columns; an empty
-           row floats high through its pull-up, hence the [tail] seed *)
-        let row = ref tail in
-        for c = 0 to cols - 2 do
-          if connected.(r).(c) then begin
-            row := !row land line.(c);
-            incr ops
-          end
-        done;
-        acc := !acc lor !row
-      end
-    done;
-    out.(w) <- !acc
-  done;
-  Model.count_word_ops !ops
-
-let eval_all ?scratch x =
-  let s = match scratch with Some s -> s | None -> Model.domain_scratch () in
-  let len = 1 lsl x.n in
-  let nw = Bitslice.words_for len in
-  let pats = Model.scratch_pats s ~n_vars:x.n ~len in
-  let line = Model.scratch_line s x.placement.Model.dims.Model.cols in
-  let out = Model.scratch_out s nw in
-  eval_words x ~len ~nw ~var_word:(fun v w -> pats.(v).(w)) ~line ~out;
-  Truth_table.of_bitvec x.n (Bitvec.of_words len (Array.sub out 0 nw))
-
-let eval_vectors x vectors =
-  let s = Model.domain_scratch () in
-  let count = Array.length vectors in
-  let nw = Bitslice.words_for count in
-  let vw = Array.make_matrix (max x.n 1) (max nw 1) 0 in
-  Array.iteri
-    (fun j vec ->
-      if Array.length vec <> x.n then
-        invalid_arg "Diode.eval_vectors: vector arity";
-      let w = j / Bitslice.word_bits and b = j mod Bitslice.word_bits in
-      Array.iteri
-        (fun v bit -> if bit then vw.(v).(w) <- vw.(v).(w) lor (1 lsl b))
-        vec)
-    vectors;
-  let line = Model.scratch_line s x.placement.Model.dims.Model.cols in
-  let out = Model.scratch_out s nw in
-  eval_words x ~len:count ~nw ~var_word:(fun v w -> vw.(v).(w)) ~line ~out;
-  Bitvec.of_words count (Array.sub out 0 nw)
 
 let pp ppf x =
   let { Model.rows; cols } = dims x in

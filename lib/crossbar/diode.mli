@@ -26,6 +26,8 @@ val dims : t -> Model.dims
 (** Rows = products, cols = distinct literals + 1. *)
 
 val size_formula : Nxc_logic.Boolfunc.t -> Model.dims
+(** Test-only: bench/main.ml and test/test_crossbar.ml — the bench and the
+    tests call it. *)
 
 val placement : t -> Model.placement
 
@@ -35,39 +37,9 @@ val literal_columns : t -> (int * Nxc_logic.Cube.polarity) array
 (** Column index [c] carries this literal, for [c < cols - 1]; the last
     column is the output. *)
 
-val row_value : t -> int -> int -> bool
-(** [row_value xbar m r]: wired-AND value of row [r] under assignment
-    [m], computed from the placement.
-    Test-only: tests check the wired-AND rows with it. *)
-
 val eval_int : t -> int -> bool
-
-val eval : t -> bool array -> bool
-
-(** {2 Word-parallel batch evaluation}
-
-    Bit-sliced kernels in the {!Nxc_logic.Bitslice} layout: one input
-    assignment (or one caller-supplied vector) per bit, packed into
-    native-int words, so a single word pass evaluates up to
-    [Bitslice.word_bits] assignments.  Results are bit-identical to the
-    scalar {!eval} / {!eval_int} path — asserted by the property tests.
-
-    Both kernels are {e scratch-stateless}: a scratch may be reused
-    across calls with any crossbar shapes and arities and results never
-    depend on prior contents.  {!eval_vectors}, and {!eval_all} when no
-    scratch is given, use the calling domain's {!Model.domain_scratch},
-    so hot loops stay
-    allocation-free and seeded parallel sweeps under [Nxc_par] remain
-    deterministic. *)
-
-val eval_all : ?scratch:Model.scratch -> t -> Nxc_logic.Truth_table.t
-(** The full truth table of the crossbar over its function's inputs in
-    one batched sweep — the diode analogue of [Lattice.eval_all]. *)
-
-val eval_vectors : t -> bool array array -> Nxc_logic.Bitvec.t
-(** [eval_vectors x vectors] evaluates a caller-supplied vector block:
-    bit [j] of the result is [eval x vectors.(j)].  Each vector must
-    have the function's arity; raises [Invalid_argument] otherwise.  The
-    result is normalized (bits at or beyond the block size are 0). *)
+(** [eval_int xbar m]: the output column under assignment [m] (bit [i]
+    is [x{_i+1}]) — the wired-OR of the rows, each row the wired-AND of
+    its programmed literal columns. *)
 
 val pp : Format.formatter -> t -> unit

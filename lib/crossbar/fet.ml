@@ -84,7 +84,6 @@ let size_formula f =
 let placement x = x.placement
 let num_pullup x = Array.length x.pullup
 let num_pulldown x = Array.length x.pulldown
-let row_literals x = x.rows
 
 let pullup_conducts x m =
   Array.exists (fun p -> Cube.eval_int p m) x.pullup
@@ -99,98 +98,10 @@ let pulldown_conducts x m =
          (Cube.literals q))
     x.pulldown
 
-let is_complementary x =
-  let rec go m =
-    m >= 1 lsl x.n
-    || (pullup_conducts x m <> pulldown_conducts x m && go (m + 1))
-  in
-  go 0
-
 let eval_int x m =
   let up = pullup_conducts x m and down = pulldown_conducts x m in
   assert (up <> down);
   up
-
-let eval x a =
-  let m = ref 0 in
-  Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) a;
-  eval_int x !m
-
-(* ------------------------------------------------------------------ *)
-(* Word-parallel batch evaluation (Bitslice layout: one assignment or  *)
-(* caller vector per bit).  Per word: materialize each gate line's     *)
-(* conduction word once, then every column chain wired-ANDs its        *)
-(* programmed gates; pull-up chains OR into the output word, pull-down *)
-(* chains into its complement, and complementarity is asserted word-   *)
-(* wise — the batched form of [eval_int]'s per-assignment assert.      *)
-(* ------------------------------------------------------------------ *)
-
-module Bitslice = L.Bitslice
-module Truth_table = L.Truth_table
-module Bitvec = L.Bitvec
-
-let eval_words x ~len ~nw ~var_word ~gates ~out =
-  Model.count_kernel_call ();
-  let { Model.rows; cols } = x.placement.Model.dims in
-  let connected = x.placement.Model.connected in
-  let nup = Array.length x.pullup in
-  let ops = ref 0 in
-  for w = 0 to nw - 1 do
-    let tail = if w = nw - 1 then Bitslice.tail_mask len else -1 in
-    for r = 0 to rows - 1 do
-      let v, p = x.rows.(r) in
-      let xw = var_word v w in
-      gates.(r) <-
-        (match (p : Cube.polarity) with
-        | Pos -> xw
-        | Neg -> lnot xw land tail);
-      incr ops
-    done;
-    let up = ref 0 and down = ref 0 in
-    for c = 0 to cols - 1 do
-      let chain = ref tail in
-      for r = 0 to rows - 1 do
-        if connected.(r).(c) then begin
-          chain := !chain land gates.(r);
-          incr ops
-        end
-      done;
-      if c < nup then up := !up lor !chain else down := !down lor !chain
-    done;
-    (* exactly one network conducts per assignment *)
-    assert (!up lxor !down = tail);
-    out.(w) <- !up
-  done;
-  Model.count_word_ops !ops
-
-let eval_all ?scratch x =
-  let s = match scratch with Some s -> s | None -> Model.domain_scratch () in
-  let len = 1 lsl x.n in
-  let nw = Bitslice.words_for len in
-  let pats = Model.scratch_pats s ~n_vars:x.n ~len in
-  let gates = Model.scratch_line s x.placement.Model.dims.Model.rows in
-  let out = Model.scratch_out s nw in
-  eval_words x ~len ~nw ~var_word:(fun v w -> pats.(v).(w)) ~gates ~out;
-  Truth_table.of_bitvec x.n (Bitvec.of_words len (Array.sub out 0 nw))
-
-let eval_vectors x vectors =
-  let s = Model.domain_scratch () in
-  let count = Array.length vectors in
-  let nw = Bitslice.words_for count in
-  let vw = Array.make_matrix (max x.n 1) (max nw 1) 0 in
-  Array.iteri
-    (fun j vec ->
-      if Array.length vec <> x.n then
-        invalid_arg "Fet.eval_vectors: vector arity";
-      let w = j / Bitslice.word_bits and b = j mod Bitslice.word_bits in
-      Array.iteri
-        (fun v bit -> if bit then vw.(v).(w) <- vw.(v).(w) lor (1 lsl b))
-        vec)
-    vectors;
-  let gates = Model.scratch_line s x.placement.Model.dims.Model.rows in
-  let out = Model.scratch_out s nw in
-  eval_words x ~len:count ~nw ~var_word:(fun v w -> vw.(v).(w)) ~gates ~out;
-  Bitvec.of_words count (Array.sub out 0 nw)
 
 let pp ppf x =
   let { Model.rows; cols } = dims x in

@@ -24,15 +24,21 @@ type t = {
 
 val fold_columns : Diode.t -> t
 (** Greedy maximum pairing of conflict-free literal columns.
-    Test-only: tests and the bench measure folding with it. *)
+    Test-only: bench/main.ml and test/test_extensions.ml — tests and the
+    bench measure folding with it. *)
 
 val folded_dims : Diode.t -> Model.dims
 (** Dimensions after folding (output column included).
-    Test-only: tests and the bench measure folding with it. *)
+    Test-only: bench/main.ml and test/test_extensions.ml — tests and the
+    bench measure folding with it. *)
 
 val valid : Diode.t -> t -> bool
 (** Every fold pair is conflict-free: no product row uses both
-    literals.  Guaranteed by construction; re-checked in tests. *)
+    literals.  Guaranteed by construction; re-checked in tests.
+    Test-only: bench/main.ml and test/test_extensions.ml — the bench and the
+    tests call it. *)
 
 val saving : t -> float
-(** Fraction of literal columns eliminated. *)
+(** Fraction of literal columns eliminated.
+    Test-only: bench/main.ml and test/test_extensions.ml — the bench and the
+    tests call it. *)

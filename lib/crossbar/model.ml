@@ -1,7 +1,5 @@
 type dims = { rows : int; cols : int }
 
-let crosspoints d = d.rows * d.cols
-
 type placement = { dims : dims; connected : bool array array }
 
 let placement_of_matrix m =
@@ -25,70 +23,6 @@ let iter_programmed f p =
   Array.iteri
     (fun r row -> Array.iteri (fun c b -> if b then f r c) row)
     p.connected
-
-(* ------------------------------------------------------------------ *)
-(* Shared word-parallel kernel scratch.                                *)
-(*                                                                     *)
-(* The diode and FET batch evaluators lay one input assignment (or one *)
-(* caller-supplied test vector) per bit across native-int words, the   *)
-(* same layout as Bitslice/Lattice.eval_all.  The buffers here are the *)
-(* reusable per-domain state: variable patterns over the assignment    *)
-(* space, one conduction word per nanowire, and the packed output.     *)
-(* Buffers grow monotonically and results never depend on prior        *)
-(* contents, so one scratch serves any interleaving of shapes.         *)
-(* ------------------------------------------------------------------ *)
-
-module Bitslice = Nxc_logic.Bitslice
-
-let m_kernel_calls = Nxc_obs.Metrics.counter "bitslice.kernel_calls"
-let m_word_ops = Nxc_obs.Metrics.counter "bitslice.word_ops"
-
-type scratch = {
-  mutable pats : int array array;
-      (* pats.(v) = variable pattern of v over [pats_len] assignment bits *)
-  mutable pats_len : int;
-  mutable line : int array; (* one conduction word per nanowire *)
-  mutable out : int array; (* words_for len output words *)
-}
-
-let scratch () = { pats = [||]; pats_len = -1; line = [||]; out = [||] }
-
-(* One scratch per domain: kernels called without an explicit scratch
-   share it, so Monte-Carlo loops stay allocation-free under Nxc_par
-   without threading a scratch through every caller. *)
-let scratch_key = Domain.DLS.new_key scratch
-
-let domain_scratch () = Domain.DLS.get scratch_key
-
-let scratch_pats s ~n_vars ~len =
-  if s.pats_len <> len || Array.length s.pats < n_vars then begin
-    let nw = Bitslice.words_for len in
-    let reusable = if s.pats_len = len then Array.length s.pats else 0 in
-    s.pats <-
-      Array.init (max n_vars reusable) (fun v ->
-          if v < reusable then s.pats.(v)
-          else begin
-            let p = Array.make nw 0 in
-            Bitslice.fill_var p ~len ~v;
-            p
-          end);
-    s.pats_len <- len
-  end;
-  s.pats
-
-let ensure_words a n = if Array.length a >= n then a else Array.make n 0
-
-let scratch_line s n =
-  s.line <- ensure_words s.line n;
-  s.line
-
-let scratch_out s n =
-  s.out <- ensure_words s.out n;
-  s.out
-
-let count_kernel_call () = Nxc_obs.Metrics.incr m_kernel_calls
-
-let count_word_ops n = Nxc_obs.Metrics.add m_word_ops n
 
 type tech = {
   tech_name : string;

@@ -9,8 +9,6 @@
 
 type dims = { rows : int; cols : int }
 
-val crosspoints : dims -> int
-
 type placement = {
   dims : dims;
   connected : bool array array;
@@ -25,45 +23,6 @@ val programmed : placement -> int
 (** Number of programmed crosspoints. *)
 
 val iter_programmed : (int -> int -> unit) -> placement -> unit
-
-(** {1 Word-parallel kernel scratch}
-
-    Shared buffers of the bit-sliced crossbar evaluators
-    ({!Diode.eval_all}, {!Fet.eval_all} and their vector-block
-    variants).  The layout is the {!Nxc_logic.Bitslice} convention: one
-    input assignment (or caller-supplied vector) per bit, packed into
-    native-int words.  A scratch may be reused across calls with any
-    crossbar shapes and arities — buffers grow on demand and results
-    are independent of prior contents — but it must not be shared
-    between domains; {!domain_scratch} hands out a per-domain instance
-    via [Domain.DLS] for exactly that reason. *)
-
-type scratch
-(** Reusable kernel buffers: variable patterns over the assignment
-    space, per-nanowire conduction words, packed output words. *)
-
-val scratch : unit -> scratch
-(** A fresh scratch.  Hot loops should allocate one and thread it
-    through every call; one-shot callers can rely on the per-domain
-    default instead. *)
-
-val domain_scratch : unit -> scratch
-(** The calling domain's scratch ([Domain.DLS]-backed) — what the
-    kernels use when no explicit scratch is given.  Safe under
-    [Nxc_par] because every worker domain gets its own. *)
-
-(**/**)
-
-(* Kernel-internal buffer accessors (used by [Diode]/[Fet]; not part of
-   the supported surface). *)
-
-val scratch_pats : scratch -> n_vars:int -> len:int -> int array array
-val scratch_line : scratch -> int -> int array
-val scratch_out : scratch -> int -> int array
-val count_kernel_call : unit -> unit
-val count_word_ops : int -> unit
-
-(**/**)
 
 (** Technology parameters used by {!Metrics} for first-order area /
     delay / energy estimates.  Defaults are order-of-magnitude values

@@ -98,10 +98,6 @@ let dims x =
   { Model.rows = num_products x;
     cols = Array.length x.literals + num_outputs x }
 
-let products x = Array.copy x.products
-
-let connected_outputs x r = Array.copy x.drives.(r)
-
 let eval_int x m =
   let out = Array.make (num_outputs x) false in
   Array.iteri

@@ -23,11 +23,7 @@ val dims : t -> Model.dims
 (** Rows = shared products; cols = distinct literals + one output
     column per function. *)
 
-val products : t -> Nxc_logic.Cube.t array
-
-val connected_outputs : t -> int -> bool array
-(** [connected_outputs x r]: which outputs row [r] drives.
-    Test-only: tests check product sharing with it. *)
-
 val eval_int : t -> int -> bool array
-(** All outputs under one assignment. *)
+(** All outputs under one assignment.
+    Test-only: bench/main.ml and test/test_extensions.ml — the bench and the
+    tests call it. *)

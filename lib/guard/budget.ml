@@ -108,7 +108,6 @@ let alive t = not t.core.dead
 let exhausted t = t.core.dead
 let steps_used t = t.core.steps
 let policy t = t.policy
-let label t = t.core.label
 let degrading t = if t.policy = Degrade then t else { t with policy = Degrade }
 
 let error t : Error.t =

@@ -60,11 +60,11 @@ val alive : t -> bool
 val exhausted : t -> bool
 
 val steps_used : t -> int
-(** Test-only: tests, chaos and the bench read budget use through it. *)
+(** Test-only: bench/main.ml, test/chaos/chaos.ml, test/par/test_par.ml,
+    test/test_guard.ml and test/test_service.ml — tests, chaos and the bench
+    read budget use through it. *)
 
 val policy : t -> policy
-
-val label : t -> string
 
 val degrading : t -> t
 (** A [Degrade]-policy view of the same budget: step accounting and

@@ -24,7 +24,9 @@ val synthesize_from_covers :
 
 val size_formula : Nxc_logic.Boolfunc.t -> int * int
 (** [(rows, cols)] = (products of f{^D}, products of f): Fig. 5 without
-    building the lattice. *)
+    building the lattice.
+    Test-only: bench/main.ml and test/test_lattice.ml — the bench and the
+    tests call it. *)
 
 val paper_example : unit -> Nxc_logic.Boolfunc.t * Lattice.t
 (** The paper's Fig. 4: the 3x2 lattice with columns [(x1,x2,x3)] and

@@ -12,16 +12,19 @@
 
 val pad_to_rows : Lattice.t -> int -> Lattice.t
 (** Append all-[One] rows at the bottom up to the requested height.
-    Test-only: tests build padded lattices with it. *)
+    Test-only: test/test_extensions.ml and test/test_lattice.ml — tests
+    build padded lattices with it. *)
 
 val pad_to_cols : Lattice.t -> int -> Lattice.t
 (** Append all-[Zero] columns at the right up to the requested width.
-    Test-only: tests build padded lattices with it. *)
+    Test-only: test/test_extensions.ml and test/test_lattice.ml — tests
+    build padded lattices with it. *)
 
 val disjunction : Lattice.t -> Lattice.t -> Lattice.t
 (** OR of two lattices over the same variable set.
     Size: [max r1 r2] x [c1 + c2 + 1].
-    Test-only: tests compose lattices with it. *)
+    Test-only: test/test_extensions.ml and test/test_lattice.ml — tests
+    compose lattices with it. *)
 
 val conjunction : Lattice.t -> Lattice.t -> Lattice.t
 (** AND of two lattices over the same variable set.
@@ -39,8 +42,10 @@ val of_const : int -> bool -> Lattice.t
 
 val of_cube : int -> Nxc_logic.Cube.t -> Lattice.t
 (** Vertical chain of the cube's literals (a single column).
-    Test-only: tests check single-cube lattices with it. *)
+    Test-only: test/test_lattice.ml — tests check single-cube lattices with
+    it. *)
 
 val of_cover : int -> Nxc_logic.Cover.t -> Lattice.t
 (** Naive SOP lattice: disjunction of cube columns — the baseline the
-    Altun–Riedel construction improves on. *)
+    Altun–Riedel construction improves on.
+    Test-only: test/test_lattice.ml — tests check it directly. *)

@@ -6,10 +6,10 @@ module Tt = L.Truth_table
    decomposition and one [synth] per component.  Each is the OR of
    [lit_eq AND L(f_eq)], [lit_neq AND L(f_neq)] and [L(f_int)], in that
    order; a constant-0 component drops its branch. *)
-let polarity_pair ?strategy ~synth ~var f =
+let polarity_pair ~synth ~var f =
   let n = L.Boolfunc.n_vars f in
   (* with pol = false, f_eq is the x_var = 0 side *)
-  let d = L.Pcircuit.decompose ?strategy ~var ~pol:false f in
+  let d = L.Pcircuit.decompose ~var ~pol:false f in
   let part lit component =
     match Tt.is_const component with
     | Some false -> None
@@ -33,26 +33,26 @@ let polarity_pair ?strategy ~synth ~var f =
 
 (* A component's lattice: direct Altun–Riedel synthesis, or at
    [depth > 0] a (depth-limited) decomposition when that is smaller. *)
-let rec synth_component ?strategy ~depth component =
+let rec synth_component ~depth component =
   let f = L.Boolfunc.make component in
   let direct = Altun_riedel.synthesize f in
   if depth <= 0 then direct
   else
-    let dec = synthesize_at ?strategy ~depth f in
+    let dec = synthesize_at ~depth f in
     if Lattice.area dec < Lattice.area direct then dec else direct
 
 (* Every (var, pol) candidate, var-major and pol = false first; the
    first strict minimum of the area wins. *)
-and synthesize_at ?strategy ~depth f =
+and synthesize_at ~depth f =
   let n = L.Boolfunc.n_vars f in
   match L.Boolfunc.is_const f with
   | Some b -> Compose.of_const (max 1 n) b
   | None ->
-      let synth = synth_component ?strategy ~depth:(depth - 1) in
+      let synth = synth_component ~depth:(depth - 1) in
       let lattices =
         List.concat_map
           (fun var ->
-            let l_false, l_true = polarity_pair ?strategy ~synth ~var f in
+            let l_false, l_true = polarity_pair ~synth ~var f in
             [ l_false; l_true ])
           (List.init n Fun.id)
       in
@@ -60,17 +60,17 @@ and synthesize_at ?strategy ~depth f =
         (fun best l -> if Lattice.area l < Lattice.area best then l else best)
         (List.hd lattices) (List.tl lattices)
 
-let synthesize_with ?strategy ~var ~pol f =
+let synthesize_with ~var ~pol f =
   match L.Boolfunc.is_const f with
   | Some b -> Compose.of_const (L.Boolfunc.n_vars f) b
   | None ->
       let l_false, l_true =
-        polarity_pair ?strategy
-          ~synth:(synth_component ?strategy ~depth:(-1))
+        polarity_pair
+          ~synth:(synth_component ~depth:(-1))
           ~var f
       in
       if pol then l_true else l_false
 
-let synthesize ?strategy f = synthesize_at ?strategy ~depth:0 f
+let synthesize f = synthesize_at ~depth:0 f
 
 let synthesize_recursive ?(depth = 2) f = synthesize_at ~depth f

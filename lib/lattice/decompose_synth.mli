@@ -12,18 +12,12 @@
     lattice is often smaller than direct synthesis — the expectation the
     paper reports as experimentally confirmed. *)
 
-val synthesize_with :
-  ?strategy:Nxc_logic.Pcircuit.strategy ->
-  var:int ->
-  pol:bool ->
-  Nxc_logic.Boolfunc.t ->
-  Lattice.t
+val synthesize_with : var:int -> pol:bool -> Nxc_logic.Boolfunc.t -> Lattice.t
 (** Decompose around the given variable/polarity and compose: the
     candidate {!synthesize} scores for [(var, pol)].
-    Test-only: tests pin the split variable with it. *)
+    Test-only: test/test_lattice.ml — tests pin the split variable with it. *)
 
-val synthesize :
-  ?strategy:Nxc_logic.Pcircuit.strategy -> Nxc_logic.Boolfunc.t -> Lattice.t
+val synthesize : Nxc_logic.Boolfunc.t -> Lattice.t
 (** Try every (var, pol) choice and keep the smallest composed lattice
     (the first, in var-major order with [pol = false] first, on ties).
     The two polarities around one variable split [f] into the same
@@ -31,11 +25,12 @@ val synthesize :
     variable. *)
 
 val synthesize_recursive : ?depth:int -> Nxc_logic.Boolfunc.t -> Lattice.t
-(** Recursive P-circuits ([Projected] strategy): the decomposition's
+(** Recursive P-circuits: the decomposition's
     components are themselves decomposed (up to [depth] levels,
     default 2) when that shrinks
     their lattices — the natural extension of Bernasconi et al.'s
     scheme.  Every branch falls back to direct Altun–Riedel synthesis
     when decomposition does not pay.  [synthesize_recursive ~depth:0]
     is {!synthesize}.
-    Test-only: tests and the bench compare it with one-level decomposition. *)
+    Test-only: bench/main.ml and test/test_extensions.ml — tests and the
+    bench compare it with one-level decomposition. *)

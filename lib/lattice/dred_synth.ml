@@ -40,9 +40,3 @@ let synthesize f =
       (match projection_lattice with
       | None -> Some chi
       | Some pl -> Some (Compose.conjunction chi pl))
-
-let best_of f =
-  let direct = Altun_riedel.synthesize f in
-  match synthesize f with
-  | Some l when Lattice.area l < Lattice.area direct -> l
-  | Some _ | None -> direct

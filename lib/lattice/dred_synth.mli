@@ -12,8 +12,5 @@ val synthesize : Nxc_logic.Boolfunc.t -> Lattice.t option
 
 val chi_lattice : n:int -> Nxc_logic.Affine.space -> Lattice.t
 (** Conjunction of the per-constraint parity lattices.
-    Test-only: tests check affine-space lattices with it. *)
-
-val best_of : Nxc_logic.Boolfunc.t -> Lattice.t
-(** The smaller of direct Altun–Riedel synthesis and the D-reduction
-    based lattice when one exists. *)
+    Test-only: test/test_lattice.ml — tests check affine-space lattices with
+    it. *)

@@ -90,11 +90,6 @@ let eval_int l m =
     ~starts:(List.init l.cols (fun c -> (0, c)))
     ~finished:(fun (r, _) -> r = l.rows - 1)
 
-let eval_lr l m =
-  connected l m
-    ~starts:(List.init l.rows (fun r -> (r, 0)))
-    ~finished:(fun (_, c) -> c = l.cols - 1)
-
 let transpose l =
   { l with
     rows = l.cols;
@@ -265,5 +260,3 @@ let pp ppf l =
       Format.pp_print_string ppf "|";
       if r < l.rows - 1 then Format.pp_print_newline ppf ())
     l.sites
-
-let to_string l = Format.asprintf "%a" pp l

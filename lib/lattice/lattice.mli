@@ -6,8 +6,7 @@
     neighbours, when 0 it isolates.  The lattice computes 1 on an input
     assignment iff a path of conducting sites connects the top edge to
     the bottom edge (Fig. 4).  Left-to-right connectivity computes the
-    dual function for Altun–Riedel lattices — exposed here as
-    {!eval_lr}. *)
+    dual function for Altun–Riedel lattices ({!eval_all_lr}). *)
 
 type site =
   | Zero  (** permanently open switch *)
@@ -40,11 +39,6 @@ val map : (int -> int -> site -> site) -> t -> t
 
 val eval_int : t -> int -> bool
 (** Top-to-bottom connectivity under an assignment. *)
-
-val eval_lr : t -> int -> bool
-(** Left-to-right connectivity — for lattices built by
-    {!Altun_riedel.synthesize} this computes the dual function.
-    Test-only: tests check the left-to-right dual reading with it. *)
 
 (** {1 Bit-sliced evaluation}
 
@@ -83,7 +77,7 @@ val eval_all_lr : ?scratch:scratch -> ?n_vars:int -> t -> Nxc_logic.Truth_table.
     Altun–Riedel lattices); equivalent to [eval_all] of {!transpose}. *)
 
 val transpose : t -> t
-(** Test-only: tests check the dual reading with it. *)
+(** Test-only: test/test_lattice.ml — tests check the dual reading with it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Grid rendering, one row per line, e.g.
@@ -91,5 +85,3 @@ val pp : Format.formatter -> t -> unit
     | x1  x2' 1  |
     | x3  0   x1 |
     v} *)
-
-val to_string : t -> string

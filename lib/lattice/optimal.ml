@@ -18,7 +18,10 @@ let dims_of_area area =
   in
   go 1 []
 
-let search ?pool ?(max_area = 9) ?(budget = 5_000_000) f =
+(* total candidate assignments a search may try *)
+let budget = 5_000_000
+
+let search ?(max_area = 9) f =
   let n = L.Boolfunc.n_vars f in
   let alphabet =
     List.concat_map
@@ -31,9 +34,7 @@ let search ?pool ?(max_area = 9) ?(budget = 5_000_000) f =
   let tried = ref 0 in
   (* Enumerate the assignments of one dimension pair as a base-k
      counter, trying at most [cap] candidates against the ambient
-     budget.  Returns the verdict plus the local candidate count — no
-     shared state, so a pool can run dimension pairs of the same area
-     concurrently. *)
+     budget.  Returns the verdict plus the local candidate count. *)
   let try_dims ~cap (r, c) =
     let guard = Guard.Budget.current () in
     let cells = r * c in
@@ -80,9 +81,8 @@ let search ?pool ?(max_area = 9) ?(budget = 5_000_000) f =
     done;
     (!count, !verdict)
   in
-  (* A sequential area scan threads the one budget through the pairs in
-     order, exactly like the historical single-loop implementation. *)
-  let seq_area area =
+  (* An area scan threads the one budget through the pairs in order. *)
+  let scan_area area =
     let rec go = function
       | [] -> `Done
       | d :: rest -> (
@@ -92,36 +92,10 @@ let search ?pool ?(max_area = 9) ?(budget = 5_000_000) f =
     in
     go (dims_of_area area)
   in
-  (* A parallel area scan gives each dimension pair an equal share of
-     the remaining candidate budget and lets the first non-exhausted
-     verdict in pair order decide — the pair a sequential scan would
-     have reached first.  Under budget pressure the two modes may
-     exhaust at different points (the usual partitioning contract). *)
-  let par_area p area =
-    let ds = dims_of_area area in
-    let remaining = budget - !tried in
-    if remaining <= 0 then `Out
-    else begin
-      let cap = max 1 (remaining / List.length ds) in
-      let results =
-        Nxc_par.Pool.map ~pool:p (fun d -> try_dims ~cap d) ds
-      in
-      List.iter (fun (count, _) -> tried := !tried + count) results;
-      let rec decide = function
-        | [] -> `Done
-        | (_, `Done) :: rest -> decide rest
-        | (_, v) :: _ -> v
-      in
-      decide results
-    end
-  in
   let rec by_area area =
     if area > max_area then Proved_larger max_area
     else
-      let verdict =
-        match pool with None -> seq_area area | Some p -> par_area p area
-      in
-      match verdict with
+      match scan_area area with
       | `Done -> by_area (area + 1)
       | `Hit lattice -> Found lattice
       | `Out -> Budget_exhausted

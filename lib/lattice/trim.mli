@@ -7,11 +7,9 @@
     be weakened to constants.  This pass greedily removes such slack,
     re-checking functional equivalence after every candidate edit. *)
 
-val drop_row : Lattice.t -> int -> Lattice.t option
-(** [None] when the lattice has a single row.
-    Test-only: tests check single-row trimming with it. *)
-
 val trim : Lattice.t -> Nxc_logic.Boolfunc.t -> Lattice.t
 (** Greedy fixpoint of function-preserving row/column deletions and
     site-to-constant weakenings.  The result is equivalent to [f]
-    (assuming the input was) and never larger. *)
+    (assuming the input was) and never larger.
+    Test-only: bench/main.ml and test/test_extensions.ml — the bench and the
+    tests call it. *)

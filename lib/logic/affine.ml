@@ -47,9 +47,6 @@ type space = {
 
 let dimension s = List.length s.free_vars
 
-let full_space n =
-  { n; constraints = []; pivot_vars = []; free_vars = List.init n Fun.id }
-
 let mem s x =
   List.for_all (fun (mask, rhs) -> parity (x land mask) = rhs) s.constraints
 
@@ -81,10 +78,6 @@ let solve s free_assignment =
       if value then x := !x lor (1 lsl pv))
     s.pivot_vars s.constraints;
   !x
-
-let points s =
-  let k = dimension s in
-  List.init (1 lsl k) (fun fa -> solve s fa) |> List.sort compare
 
 let affine_hull ~n pts =
   match pts with

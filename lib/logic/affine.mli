@@ -20,19 +20,18 @@ type space = {
 }
 
 val dimension : space -> int
-(** Number of free variables: [log2] of the space's cardinality. *)
-
-val full_space : int -> space
-(** Test-only: tests use it as the whole-space corner case. *)
+(** Number of free variables: [log2] of the space's cardinality.
+    Test-only: bench/main.ml and test/test_logic_algs.ml — the bench and the
+    tests call it. *)
 
 val mem : space -> int -> bool
-
-val points : space -> int list
-(** All members, encoded as minterms; exponential in [dimension]. *)
+(** Test-only: test/oracle/logic_ref.ml and test/test_logic_algs.ml — the
+    reference implementations build on it. *)
 
 val affine_hull : n:int -> int list -> space
 (** Smallest affine space containing the given nonempty point set.
-    Test-only: tests use it to check D-reduction's affine spaces. *)
+    Test-only: test/test_lattice.ml and test/test_logic_algs.ml — tests use
+    it to check D-reduction's affine spaces. *)
 
 val chi : space -> Truth_table.t
 (** Characteristic function of the space (over [n] variables). *)
@@ -55,4 +54,5 @@ val d_reduction : Boolfunc.t -> reduction option
 
 val reconstruct : n:int -> reduction -> Truth_table.t
 (** Rebuild [chi_A AND f_A] over the original variables — used by tests
-    to validate a reduction. *)
+    to validate a reduction.
+    Test-only: test/test_logic_algs.ml — tests check it directly. *)

@@ -5,10 +5,6 @@ type t = { len : int; words : int array }
 
 let word_bits = Bitslice.word_bits
 
-let num_words v = Array.length v.words
-
-let get_word v i = v.words.(i)
-
 let normalize v =
   let nw = Array.length v.words in
   if nw > 0 then
@@ -71,16 +67,6 @@ let init len f =
   done;
   v
 
-let iteri f v =
-  for w = 0 to Array.length v.words - 1 do
-    let base = w * word_bits in
-    let hi = min word_bits (v.len - base) in
-    let word = v.words.(w) in
-    for b = 0 to hi - 1 do
-      f (base + b) ((word lsr b) land 1 <> 0)
-    done
-  done
-
 (* Visit set bits only: peel each word's lowest set bit until empty, so
    sparse vectors cost O(words + set bits) rather than O(len). *)
 let fold_true f v acc =
@@ -95,14 +81,6 @@ let fold_true f v acc =
     done
   done;
   !acc
-
-let first_set v =
-  let rec go w =
-    if w >= Array.length v.words then None
-    else if v.words.(w) = 0 then go (w + 1)
-    else Some ((w * word_bits) + Bitslice.lowest_set v.words.(w))
-  in
-  go 0
 
 let first_diff a b =
   if a.len <> b.len then invalid_arg "Bitvec: length mismatch";
@@ -130,7 +108,3 @@ let lnot v =
 
 let land_ = word_op ( land )
 let lor_ = word_op ( lor )
-let lxor_ = word_op ( lxor )
-
-let pp ppf v =
-  iteri (fun _ b -> Format.pp_print_char ppf (if b then '1' else '0')) v

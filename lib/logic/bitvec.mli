@@ -36,11 +36,6 @@ val land_ : t -> t -> t
 
 val lor_ : t -> t -> t
 
-val lxor_ : t -> t -> t
-
-val pp : Format.formatter -> t -> unit
-(** Bits as a ['0'/'1'] string, index 0 leftmost. *)
-
 (** {1 Word-level access}
 
     Bits are packed into native ints as described in {!Bitslice}:
@@ -48,22 +43,10 @@ val pp : Format.formatter -> t -> unit
     with unused tail bits kept zero.  These entry points let evaluation
     kernels produce or consume whole words without per-bit traffic. *)
 
-val num_words : t -> int
-(** Test-only: tests check the word layout through it. *)
-
-val get_word : t -> int -> int
-(** [get_word v w] is the [w]-th backing word.  No bounds check beyond
-    the array's own.
-    Test-only: tests check the word layout through it. *)
-
 val of_words : int -> int array -> t
 (** [of_words len ws] builds a [len]-bit vector from a word array of
     exactly [Bitslice.words_for len] entries (copied, then tail
     normalized).  @raise Invalid_argument on a size mismatch. *)
-
-val first_set : t -> int option
-(** Index of the lowest set bit, if any.
-    Test-only: tests check the word layout through it. *)
 
 val first_diff : t -> t -> int option
 (** Index of the lowest bit where the two vectors differ; [None] when

@@ -24,15 +24,6 @@ val table : t -> Truth_table.t
 
 val eval_int : t -> int -> bool
 
-val equal : t -> t -> bool
-(** Semantic equality (names ignored). *)
-
 val dual : t -> t
 
-val complement : t -> t
-
 val is_const : t -> bool option
-
-val band : t -> t -> t
-val bor : t -> t -> t
-val bxor : t -> t -> t

@@ -13,9 +13,6 @@ let n_vars f = f.n
 let cubes f = f.cubes
 let num_cubes f = List.length f.cubes
 
-let num_literals f =
-  List.fold_left (fun acc c -> acc + Cube.num_literals c) 0 f.cubes
-
 let distinct_literals f =
   List.concat_map Cube.literals f.cubes |> List.sort_uniq compare
 
@@ -27,15 +24,6 @@ let eval_int f m = List.exists (fun c -> Cube.eval_int c m) f.cubes
 let union f g =
   if f.n <> g.n then invalid_arg "Cover.union: arity mismatch";
   { n = f.n; cubes = dedup (f.cubes @ g.cubes) }
-
-let product f g =
-  if f.n <> g.n then invalid_arg "Cover.product: arity mismatch";
-  let cubes =
-    List.concat_map
-      (fun a -> List.filter_map (fun b -> Cube.intersect a b) g.cubes)
-      f.cubes
-  in
-  { n = f.n; cubes = dedup cubes }
 
 let cofactor f v p =
   { f with cubes = dedup (List.filter_map (fun c -> Cube.cofactor c v p) f.cubes) }
@@ -112,15 +100,6 @@ let single_cube_containment f =
   in
   { f with cubes = List.filter keep f.cubes }
 
-let irredundant f =
-  let rec go kept = function
-    | [] -> List.rev kept
-    | c :: rest ->
-        let others = { f with cubes = List.rev_append kept rest } in
-        if covers_cube others c then go kept rest else go (c :: kept) rest
-  in
-  { f with cubes = go [] f.cubes }
-
 (* Complement by the unate-recursive paradigm: split on a binate
    variable, complement cofactors, reattach literals. *)
 let rec complement f =
@@ -166,12 +145,6 @@ let rec complement f =
                 g.cubes }
         in
         single_cube_containment (union (attach Pos c1) (attach Neg c0))
-
-let minterms f =
-  List.concat_map Cube.minterms f.cubes |> List.sort_uniq compare
-
-let of_minterms n ms =
-  make n (List.map (Cube.of_minterm n) (List.sort_uniq compare ms))
 
 let pp ppf f =
   if f.cubes = [] then Format.pp_print_char ppf '0'

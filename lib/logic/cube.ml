@@ -45,12 +45,6 @@ let literals c =
   in
   go (c.n - 1) []
 
-let popcount = Bitslice.popcount
-
-let num_literals c = popcount c.mask
-
-let num_positive c = popcount c.bits
-
 let is_top c = c.mask = 0
 
 let eval_int c m = m land c.mask = c.bits
@@ -69,12 +63,6 @@ let intersect a b =
   if a.bits land common <> b.bits land common then None
   else Some { n = a.n; mask = a.mask lor b.mask; bits = a.bits lor b.bits }
 
-let shares_literal a b =
-  check_same a b;
-  let common = a.mask land b.mask in
-  (* same polarity on at least one commonly constrained variable *)
-  lnot (a.bits lxor b.bits) land common <> 0
-
 let common_literals a b =
   check_same a b;
   let agree = lnot (a.bits lxor b.bits) land (a.mask land b.mask) in
@@ -86,14 +74,6 @@ let common_literals a b =
   in
   go (a.n - 1) []
 
-let merge a b =
-  check_same a b;
-  if a.mask <> b.mask then None
-  else
-    let diff = a.bits lxor b.bits in
-    if popcount diff <> 1 then None
-    else Some { n = a.n; mask = a.mask land lnot diff; bits = a.bits land lnot diff }
-
 let cofactor c v p =
   if v < 0 || v >= c.n then invalid_arg "Cube.cofactor";
   match polarity_of c v with
@@ -102,22 +82,6 @@ let cofactor c v p =
       let bit = 1 lsl v in
       Some { c with mask = c.mask land lnot bit; bits = c.bits land lnot bit }
   | Some _ -> None
-
-let minterms c =
-  let free = ref [] in
-  for v = c.n - 1 downto 0 do
-    if c.mask land (1 lsl v) = 0 then free := v :: !free
-  done;
-  let rec expand base = function
-    | [] -> [ base ]
-    | v :: rest -> expand base rest @ expand (base lor (1 lsl v)) rest
-  in
-  List.sort compare (expand c.bits !free)
-
-let of_minterm n m =
-  check_n n;
-  let full = (1 lsl n) - 1 in
-  { n; mask = full; bits = m land full }
 
 let of_masks n ~mask ~bits =
   check_n n;
@@ -134,8 +98,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash c = Hashtbl.hash (c.n, c.mask, c.bits)
-
 let pp ppf c =
   if is_top c then Format.pp_print_char ppf '1'
   else
@@ -143,5 +105,3 @@ let pp ppf c =
       (fun (v, p) ->
         Format.fprintf ppf "x%d%s" (v + 1) (match p with Pos -> "" | Neg -> "'"))
       (literals c)
-
-let to_string c = Format.asprintf "%a" pp c

@@ -38,13 +38,6 @@ val literals : t -> (int * polarity) list
 val polarity_of : t -> int -> polarity option
 (** Polarity of one variable, [None] when free. *)
 
-val num_literals : t -> int
-
-val num_positive : t -> int
-(** Number of variables constrained to [Pos].  Two mergeable cubes
-    ({!merge}) always sit on adjacent positive counts, which is what
-    lets Quine–McCluskey bucket implicants by this value. *)
-
 val is_top : t -> bool
 
 val eval_int : t -> int -> bool
@@ -58,30 +51,12 @@ val contains : t -> t -> bool
 val intersect : t -> t -> t option
 (** Product of two cubes; [None] when they conflict on a variable. *)
 
-val shares_literal : t -> t -> bool
-(** True when some variable is constrained to the same polarity in both
-    cubes.  By the Altun–Riedel duality lemma this always holds between a
-    product of [f] and a product of [f{^D}].
-    Test-only: the duality-lemma oracle is built on it. *)
-
 val common_literals : t -> t -> (int * polarity) list
-
-val merge : t -> t -> t option
-(** Quine–McCluskey combination: defined when the cubes constrain the
-    same variable set and differ in exactly one polarity. *)
 
 val cofactor : t -> int -> polarity -> t option
 (** [cofactor c v p] is the cube with variable [v] fixed to [p]:
     [None] if [c] has the opposite literal, otherwise [c] with [v]
     freed. *)
-
-val minterms : t -> int list
-(** All satisfying assignments, encoded as integers.  Exponential in the
-    number of free variables; intended for small [n]. *)
-
-val of_minterm : int -> int -> t
-(** [of_minterm n m] is the full cube with every variable constrained
-    according to the bits of [m]. *)
 
 val of_masks : int -> mask:int -> bits:int -> t
 (** [of_masks n ~mask ~bits] constrains the variables on the set bits
@@ -93,9 +68,5 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 (** Prints e.g. [x1x3'] ; the universal cube prints as [1]. *)
-
-val to_string : t -> string

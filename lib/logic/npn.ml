@@ -33,10 +33,6 @@ let apply t f =
 
 let exhaustive_limit = 6
 
-let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
-
-let num_transforms n = (1 lsl (n + 1)) * factorial n
-
 (* all permutations of [0 .. n-1], in a fixed deterministic order *)
 let permutations n =
   let rec go prefix remaining acc =
@@ -160,8 +156,6 @@ let table_key f =
     Buffer.add_char buf "0123456789abcdef".[!v]
   done;
   Buffer.contents buf
-
-let canonical_key f = table_key (snd (canonical f))
 
 let flip = function Cube.Pos -> Cube.Neg | Cube.Neg -> Cube.Pos
 

@@ -16,7 +16,7 @@
     same transform, not just the same class, and [output_neg] of the
     chosen transform depends only on the function's NP-subclass.
 
-    Functions with more than {!exhaustive_limit} variables (and
+    Functions with more than six variables (and
     exhaustive searches cut short by an exhausted
     {!Nxc_guard.Budget.t}, counted under [guard.degrade.npn_semi]) fall
     back to a {e semi}-canonical form: only output negation is
@@ -32,25 +32,14 @@ type transform = {
   output_neg : bool;  (** negate the output after the N/P steps *)
 }
 
-val identity : int -> transform
-(** The identity transform over [n] inputs. *)
-
 val apply : transform -> Truth_table.t -> Truth_table.t
 (** [apply t f] is the function [g] with
     [g(x) = t.output_neg XOR f(y)] where
     [y{_i} = x{_t.perm.(i)} XOR t.input_neg.(i)].
-    Test-only: the NPN oracle and tests apply transforms with it.
+    Test-only: bench/main.ml, test/oracle/npn_ref.ml, test/test_guard.ml and
+    test/test_service.ml — the NPN oracle and tests apply transforms with
+    it.
     @raise Invalid_argument on an arity mismatch. *)
-
-val exhaustive_limit : int
-(** Largest arity (6) searched exhaustively; above it {!canonical}
-    returns the semi-canonical form.
-    Test-only: tests probe the semi-canonical arities with it. *)
-
-val num_transforms : int -> int
-(** [num_transforms n] is [2{^n+1}·n!], the size of the search space
-    {!canonical} covers below {!exhaustive_limit}.
-    Test-only: tests check the transform enumeration with it. *)
 
 val canonical : Truth_table.t -> transform * Truth_table.t
 (** [canonical f] is [(t, g)] with [apply t f = g] and [g] minimal over
@@ -65,11 +54,6 @@ val canonical : Truth_table.t -> transform * Truth_table.t
 val table_key : Truth_table.t -> string
 (** Exact content key of a table: arity plus the table bits in hex.
     Equal tables, and nothing else, share a key. *)
-
-val canonical_key : Truth_table.t -> string
-(** [table_key (snd (canonical f))]: all members of an NPN class map to
-    this one key (below {!exhaustive_limit}).
-    Test-only: tests check NPN class keys with it. *)
 
 val cover_to_canon : transform -> Cover.t -> Cover.t
 (** [cover_to_canon t c] relabels a cover of [f] into the input

@@ -214,33 +214,6 @@ let expr_impl ?n s =
   let n = arity_of ?n ~table:true ast in
   Boolfunc.of_fun_int ~name:s n (eval_ast ast)
 
-let expr_cover_impl s =
-  let ast = parse_tokens (tokenize s) in
-  let arity = arity_of ~table:false ast in
-  (* flatten OR of AND of (possibly negated) vars; anything else is
-     rejected so the products are preserved exactly *)
-  let rec sum acc = function
-    | Or (a, b) -> sum (sum acc b) a
-    | t -> t :: acc
-  in
-  let rec prod acc = function
-    | And (a, b) -> prod (prod acc b) a
-    | Var v -> (v, Cube.Pos) :: acc
-    | Not (Var v) -> (v, Cube.Neg) :: acc
-    | Const true when acc = [] -> acc
-    | _ -> err "expr_cover: not in sum-of-products form"
-  in
-  let terms = sum [] ast in
-  let cubes =
-    List.filter_map
-      (fun t ->
-        match t with
-        | Const false -> None
-        | t -> Some (Cube.of_literals arity (prod [] t)))
-      terms
-  in
-  Cover.make arity cubes
-
 (* ------------------------------------------------------------------ *)
 (* PLA                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -369,106 +342,6 @@ let legacy f =
   | v -> v
   | exception Err e -> raise (Parse_error (Guard.Error.to_string e))
 
-let expr_result ?n s = wrap (fun () -> expr_impl ?n s)
+let expr_result s = wrap (fun () -> expr_impl s)
 let expr ?n s = legacy (fun () -> expr_impl ?n s)
-let expr_cover s = legacy (fun () -> expr_cover_impl s)
 let pla_of_string_result text = wrap (fun () -> pla_of_string_impl text)
-
-let cube_to_pla_input n c =
-  String.init n (fun i ->
-      match Cube.polarity_of c i with
-      | None -> '-'
-      | Some Pos -> '1'
-      | Some Neg -> '0')
-
-(* labels land in space-separated .ilb/.ob directives, so whitespace
-   inside a name would change the token count and make the emitted text
-   unparseable; squash it (function names are often full expressions) *)
-let sanitize_label s =
-  let s = if s = "" then "_" else s in
-  String.map
-    (fun ch -> match ch with ' ' | '\t' | '\n' | '\r' -> '_' | c -> c)
-    s
-
-let pla_to_string p =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf ".i %d\n.o %d\n" p.inputs p.outputs);
-  let add_labels directive names =
-    Buffer.add_string buf
-      (directive ^ " "
-      ^ String.concat " " (List.map sanitize_label names)
-      ^ "\n")
-  in
-  (match p.input_labels with
-  | Some names -> add_labels ".ilb" names
-  | None -> ());
-  (match p.output_labels with
-  | Some names -> add_labels ".ob" names
-  | None -> ());
-  (* group rows by input cube so shared products print once *)
-  let tbl = Hashtbl.create 64 in
-  Array.iteri
-    (fun o cover ->
-      List.iter
-        (fun c ->
-          let cur =
-            match Hashtbl.find_opt tbl c with
-            | Some s -> s
-            | None ->
-                let s = Bytes.make p.outputs '0' in
-                Hashtbl.add tbl c s;
-                s
-          in
-          Bytes.set cur o '1')
-        (Cover.cubes cover))
-    p.on_sets;
-  Array.iteri
-    (fun o cover ->
-      List.iter
-        (fun c ->
-          let cur =
-            match Hashtbl.find_opt tbl c with
-            | Some s -> s
-            | None ->
-                let s = Bytes.make p.outputs '0' in
-                Hashtbl.add tbl c s;
-                s
-          in
-          Bytes.set cur o '-')
-        (Cover.cubes cover))
-    p.dc_sets;
-  let rows =
-    Hashtbl.fold
-      (fun c out acc -> (cube_to_pla_input p.inputs c, Bytes.to_string out) :: acc)
-      tbl []
-    |> List.sort compare
-  in
-  Buffer.add_string buf (Printf.sprintf ".p %d\n" (List.length rows));
-  List.iter
-    (fun (i, o) -> Buffer.add_string buf (i ^ " " ^ o ^ "\n"))
-    rows;
-  Buffer.add_string buf ".e\n";
-  Buffer.contents buf
-
-let pla_of_functions fs =
-  match fs with
-  | [] -> invalid_arg "Parse.pla_of_functions: empty"
-  | f0 :: _ ->
-      let n = Boolfunc.n_vars f0 in
-      List.iter
-        (fun f ->
-          if Boolfunc.n_vars f <> n then
-            invalid_arg "Parse.pla_of_functions: arity mismatch")
-        fs;
-      let covers =
-        List.map
-          (fun f ->
-            Cover.of_minterms n (Truth_table.minterms (Boolfunc.table f)))
-          fs
-      in
-      { inputs = n;
-        outputs = List.length fs;
-        input_labels = None;
-        output_labels = Some (List.map Boolfunc.name fs);
-        on_sets = Array.of_list covers;
-        dc_sets = Array.of_list (List.map (fun _ -> Cover.bottom n) fs) }

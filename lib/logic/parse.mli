@@ -35,14 +35,7 @@ val expr : ?n:int -> string -> Boolfunc.t
     the highest variable index used.  The arity is capped at
     [Truth_table.max_vars].  Raises {!Parse_error}. *)
 
-val expr_result :
-  ?n:int -> string -> (Boolfunc.t, Nxc_guard.Error.t) result
-
-val expr_cover : string -> Cover.t
-(** Parse an expression that is syntactically a sum of products (no
-    parentheses or XOR) directly into a cover, preserving its products
-    verbatim.
-    Test-only: tests write covers verbatim with it. *)
+val expr_result : string -> (Boolfunc.t, Nxc_guard.Error.t) result
 
 type pla = {
   inputs : int;
@@ -54,10 +47,3 @@ type pla = {
 }
 
 val pla_of_string_result : string -> (pla, Nxc_guard.Error.t) result
-
-val pla_to_string : pla -> string
-
-val pla_of_functions : Boolfunc.t list -> pla
-(** Exact (minterm-level) PLA of a function vector; all functions must
-    share an arity.
-    Test-only: tests round-trip PLA text with it. *)

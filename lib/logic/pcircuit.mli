@@ -25,17 +25,7 @@ type t = {
   f_int : Truth_table.t;
 }
 
-type strategy =
-  | Projected  (** [f_eq = f|xi=p \ I], [f_neq = f|xi<>p \ I], [f_int = I] *)
-  | Shannon    (** [f_eq = f|xi=p], [f_neq = f|xi<>p], [f_int = 0] *)
-
-val decompose : ?strategy:strategy -> var:int -> pol:bool -> Boolfunc.t -> t
-(** Raises [Invalid_argument] if [var] is out of range. *)
-
-val best : Boolfunc.t -> t
-(** [Projected] decomposition over all (var, pol) choices minimizing the summed
-    SOP product counts of the three components — the proxy the lattice
-    synthesizer cares about. *)
-
-val is_valid : Boolfunc.t -> t -> bool
-(** Test-only: tests check decompositions with it. *)
+val decompose : var:int -> pol:bool -> Boolfunc.t -> t
+(** The decomposition with [f_eq = f|xi=p \ I], [f_neq = f|xi<>p \ I]
+    and [f_int = I].  Raises [Invalid_argument] if [var] is out of
+    range. *)

@@ -187,19 +187,17 @@ let greedy_cover primes_arr on_list =
   done;
   !chosen
 
-(* ISOP over the [on <= g <= on + dc] interval: the graceful-degradation
-   target when the guard trips during prime generation.  Polynomial in
-   the table size, so it terminates promptly even with a dead guard. *)
-let isop_fallback ~n ~on ~dc =
+(* ISOP of the ON-set: the graceful-degradation target when the guard
+   trips during prime generation.  Polynomial in the table size, so it
+   terminates promptly even with a dead guard. *)
+let isop_fallback ~n ~on =
   let lower = Truth_table.of_minterms n on in
-  let upper =
-    match dc with
-    | [] -> lower
-    | dc -> Truth_table.bor lower (Truth_table.of_minterms n dc)
-  in
-  Isop.isop ~lower upper
+  Isop.isop ~lower lower
 
-let minimize_with ~dc ~budget ~backend ~n on =
+(* the branch-and-bound node cap of every minimization *)
+let node_budget = 200_000
+
+let minimize_with ~backend ~n on =
   let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_calls;
   Obs.Span.with_ ~name:"qm.minimize"
@@ -209,7 +207,7 @@ let minimize_with ~dc ~budget ~backend ~n on =
   if on = [] then
     Ok (Cover.bottom n, { num_primes = 0; num_essential = 0; exact = true })
   else
-    match primes_guarded guard ~n ~on ~dc with
+    match primes_guarded guard ~n ~on ~dc:[] with
     | exception Guard_exhausted ->
         Obs.Metrics.incr m_budget_exhausted;
         Error (Guard.Budget.error guard)
@@ -243,7 +241,7 @@ let minimize_with ~dc ~budget ~backend ~n on =
                (Array.to_list primes_arr))
         in
         let bnb () =
-          match cover_exact ~budget rest_primes remaining with
+          match cover_exact ~budget:node_budget rest_primes remaining with
           | Some sol, ex, _ -> (sol, ex)
           | None, _, _ -> (greedy_cover rest_primes remaining, false)
         in
@@ -285,25 +283,23 @@ let minimize_with ~dc ~budget ~backend ~n on =
 let backend_of = function Some b -> b | None -> !default_backend
 
 let minimize_result ?cover_backend ~n on =
-  minimize_with ~dc:[] ~budget:200_000 ~backend:(backend_of cover_backend) ~n
-    on
+  minimize_with ~backend:(backend_of cover_backend) ~n on
 
-let minimize ?(dc = []) ?(budget = 200_000) ?cover_backend ~n on =
-  let backend = backend_of cover_backend in
+let minimize ~n on =
   (* a Degrade view keeps the total contract: the SAT covering backend
      never fails here, it falls back under guard.degrade.sat_to_bnb *)
   match
     Guard.Budget.with_current
       (Guard.Budget.degrading (Guard.Budget.current ()))
-      (fun () -> minimize_with ~dc ~budget ~backend ~n on)
+      (fun () -> minimize_result ~n on)
   with
   | Ok r -> r
   | Error _ ->
       (* graceful degradation: prime generation ran out of budget; an
-         ISOP cover of the same (on, dc) interval is still function-
-         equivalent, just not minimal *)
+         ISOP cover of the ON-set is still function-equivalent, just not
+         minimal *)
       Guard.Budget.degrade "qm_to_isop";
-      ( isop_fallback ~n ~on ~dc,
+      ( isop_fallback ~n ~on,
         { num_primes = 0; num_essential = 0; exact = false } )
 
 let minimize_table tt =

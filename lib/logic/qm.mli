@@ -12,8 +12,8 @@
     guard trips during the covering step the usual greedy fallback
     applies (the prime set is complete, so the result stays
     function-equivalent); when it trips during prime {e generation} the
-    implicant set is unusable, and {!minimize} degrades to a
-    Minato–Morreale ISOP cover of the same [(on, dc)] interval — still
+    implicant set is unusable, and {!minimize_table} degrades to a
+    Minato–Morreale ISOP cover of the ON-set — still
     correct, not minimal — while {!minimize_result} reports
     [`Budget_exhausted] so callers with a [Fail] policy can refuse to
     degrade. *)
@@ -21,7 +21,9 @@
 val primes : n:int -> on:int list -> dc:int list -> Cube.t list
 (** All prime implicants of the function given by ON-set and DC-set
     minterms.  Unbudgeted (never degrades): intended for tests and
-    calibration. *)
+    calibration.
+    Test-only: test/test_bitslice.ml, test/test_guard.ml and
+    test/test_logic_algs.ml — tests check it directly. *)
 
 val cover_exact :
   budget:int -> Cube.t array -> int list -> int list option * bool * int
@@ -31,7 +33,8 @@ val cover_exact :
     [on], whether the search completed within [budget] nodes and the
     ambient budget, and the number of nodes visited.  The best cover found so
     far is returned when the search is cut short.
-    Test-only: tests check it against the list-based reference. *)
+    Test-only: test/test_bitslice.ml and test/test_guard.ml — tests check it
+    against the list-based reference. *)
 
 (** {2 Covering backends}
 
@@ -61,31 +64,23 @@ type stats = {
   exact : bool;  (** false when any covering fallback was taken *)
 }
 
-val minimize :
-  ?dc:int list ->
-  ?budget:int ->
-  ?cover_backend:cover_backend ->
-  n:int ->
-  int list ->
-  Cover.t * stats
-(** [minimize ~n on] is a minimum (or near-minimum, see
-    {!field-stats.exact}) cover of the ON-set minterms using the DC-set
-    freely.  [budget] bounds the branch-and-bound node count (default
-    200_000); the ambient budget bounds total work;
-    [cover_backend] (default: the process-wide one set by
-    {!set_cover_backend}) picks the exact covering engine.  Total: on
-    budget exhaustion it returns the
-    degraded ISOP cover described above and counts a
-    [guard.degrade.qm_to_isop]. *)
-
 val minimize_result :
   ?cover_backend:cover_backend ->
   n:int ->
   int list ->
   (Cover.t * stats, Nxc_guard.Error.t) result
-(** Like {!minimize} without don't-cares, but reports
+(** Like {!minimize_table} on the ON-set minterms, but reports
     [`Budget_exhausted] instead of computing the ISOP fallback when the
     budget trips during prime generation (or, under a [Fail]-policy
     budget, during [Sat]-backend covering). *)
 
 val minimize_table : Truth_table.t -> Cover.t * stats
+(** A minimum (or near-minimum, see {!field-stats.exact}) cover of the
+    table's ON-set.  The branch and bound explores at most 200_000
+    nodes; the ambient budget bounds total work; the process-wide
+    {!set_cover_backend} picks the exact covering engine.  Total: on
+    budget exhaustion during prime generation it returns the degraded
+    ISOP cover described above and counts a
+    [guard.degrade.qm_to_isop].
+    Test-only: bench/main.ml, test/chaos/chaos.ml, test/test_guard.ml and
+    test/test_logic_algs.ml — the bench and the tests call it. *)

@@ -33,7 +33,8 @@ val min_cover :
     covering set, [`Budget_exhausted] when the budget tripped before
     {e any} certificate was found.  Charges the ambient budget.
     Deterministic (solver seed 0), independent of any pool.
-    Test-only: tests and svcbench call the SAT cover directly. *)
+    Test-only: test/test_guard.ml and test/test_sat.ml — tests call the SAT
+    cover directly. *)
 
 val min_cube_cover :
   primes:Cube.t array ->

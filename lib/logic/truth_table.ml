@@ -22,15 +22,6 @@ let of_bitvec n bits =
   if Bitvec.length bits <> 1 lsl n then invalid_arg "Truth_table.of_bitvec";
   { n; bits = Bitvec.copy bits }
 
-let of_fun n f =
-  check_n n;
-  let x = Array.make (max n 1) false in
-  of_fun_int n (fun m ->
-      for i = 0 to n - 1 do
-        x.(i) <- m land (1 lsl i) <> 0
-      done;
-      f x)
-
 let of_cover c = of_fun_int (Cover.n_vars c) (Cover.eval_int c)
 
 let of_minterms n ms =
@@ -41,10 +32,6 @@ let of_minterms n ms =
       Bitvec.set f.bits m true)
     ms;
   f
-
-let var n i =
-  if i < 0 || i >= n then invalid_arg "Truth_table.var";
-  of_fun_int n (fun m -> m land (1 lsl i) <> 0)
 
 let eval_int f m = Bitvec.get f.bits m
 
@@ -78,7 +65,6 @@ let lift2 op a b =
 let bnot f = { f with bits = Bitvec.lnot f.bits }
 let band = lift2 Bitvec.land_
 let bor = lift2 Bitvec.lor_
-let bxor = lift2 Bitvec.lxor_
 let bsub a b = band a (bnot b)
 
 let implies a b = count_ones (bsub a b) = 0
@@ -87,34 +73,13 @@ let dual f =
   let full = size f - 1 in
   of_fun_int f.n (fun m -> not (eval_int f (m lxor full)))
 
-let is_self_dual f = equal f (dual f)
-
 let cofactor f v b =
   if v < 0 || v >= f.n then invalid_arg "Truth_table.cofactor";
   let bit = 1 lsl v in
   of_fun_int f.n (fun m ->
       eval_int f (if b then m lor bit else m land lnot bit))
 
-let exists f v = bor (cofactor f v false) (cofactor f v true)
-
 let depends_on f v = not (equal (cofactor f v false) (cofactor f v true))
-
-let support f =
-  List.filter (depends_on f) (List.init f.n Fun.id)
-
-let restrict_to_support f =
-  let sup = support f in
-  let k = List.length sup in
-  let sup_arr = Array.of_list sup in
-  let g =
-    of_fun_int k (fun m ->
-        let full = ref 0 in
-        Array.iteri
-          (fun i v -> if m land (1 lsl i) <> 0 then full := !full lor (1 lsl v))
-          sup_arr;
-        eval_int f !full)
-  in
-  (g, sup)
 
 let lift f n map =
   check_n n;
@@ -138,13 +103,8 @@ let mix seed i =
   z := (!z lxor (!z lsr 27)) * m2;
   !z lxor (!z lsr 31)
 
-let random n ~seed = of_fun_int n (fun m -> mix seed m land 1 = 1)
-
 let random_with_density n ~seed ~density =
   let threshold =
     int_of_float (density *. 1073741824.0 (* 2^30 *))
   in
   of_fun_int n (fun m -> mix seed m land 0x3FFFFFFF < threshold)
-
-let pp ppf f =
-  Format.fprintf ppf "tt%d:%a" f.n Bitvec.pp f.bits

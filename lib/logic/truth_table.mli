@@ -14,11 +14,6 @@ val n_vars : t -> int
 val size : t -> int
 (** [2{^n}], the number of rows. *)
 
-val create : int -> bool -> t
-(** Constant function. *)
-
-val of_fun : int -> (bool array -> bool) -> t
-
 val of_fun_int : int -> (int -> bool) -> t
 (** [of_fun_int n f] tabulates [f] over minterm encodings. *)
 
@@ -32,9 +27,6 @@ val of_cover : Cover.t -> t
 
 val of_minterms : int -> int list -> t
 
-val var : int -> int -> t
-(** [var n i] is the projection function x{_i}. *)
-
 val eval_int : t -> int -> bool
 
 val equal : t -> t -> bool
@@ -46,7 +38,8 @@ val first_diff : t -> t -> int option
 val compare : t -> t -> int
 (** Arity first; at equal arity the table with 0 at the lowest
     minterm where the two differ is smaller, which is the order of the
-    ['0'/'1'] strings {!pp} prints.  Word-level, no formatting. *)
+    ['0'/'1'] strings that list the minterms from 0 up.  Word-level, no
+    formatting. *)
 
 val count_ones : t -> int
 
@@ -61,8 +54,6 @@ val band : t -> t -> t
 
 val bor : t -> t -> t
 
-val bxor : t -> t -> t
-
 val bsub : t -> t -> t
 (** [bsub f g] is f AND NOT g. *)
 
@@ -72,35 +63,16 @@ val dual : t -> t
 (** f{^D}(x) = NOT f(NOT x): the heart of the FET-array and lattice size
     formulas (Figures 3 and 5 of the paper). *)
 
-val is_self_dual : t -> bool
-(** Test-only: tests check self-duality with it. *)
-
 val cofactor : t -> int -> bool -> t
 (** [cofactor f v b] fixes variable [v] to [b]; the result keeps arity
     [n] but no longer depends on [v]. *)
 
-val exists : t -> int -> t
-(** Existential quantification of one variable (arity preserved). *)
-
 val depends_on : t -> int -> bool
-
-val support : t -> int list
-(** Test-only: tests check supports with it. *)
-
-val restrict_to_support : t -> t * int list
-(** Drop non-support variables; returns the compacted table and the list
-    mapping new variable indices to original ones.
-    Test-only: tests check support compaction with it. *)
 
 val lift : t -> int -> int array -> t
 (** [lift f n map] re-expresses [f] (arity [Array.length map]) as a
     function of [n] variables, where old variable [i] becomes new
     variable [map.(i)]. *)
 
-val random : int -> seed:int -> t
-(** Deterministic pseudo-random function of [n] variables. *)
-
 val random_with_density : int -> seed:int -> density:float -> t
 (** Random function whose on-set fraction approximates [density]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -26,8 +26,6 @@ let threshold = ref Debug
 
 let write_mutex = Mutex.create ()
 
-let enabled () = !dest_ref <> None
-
 let set_level l = threshold := l
 
 let disable () =

@@ -20,12 +20,12 @@ val enable : ?dest:string -> unit -> unit
     exit). *)
 
 val disable : unit -> unit
-(** Turn the log off, flushing and closing a file destination. *)
-
-val enabled : unit -> bool
+(** Turn the log off, flushing and closing a file destination.
+    Test-only: test/test_obs.ml — tests check it directly. *)
 
 val set_level : level -> unit
-(** Drop events below this level (default: [Debug] — everything). *)
+(** Drop events below this level (default: [Debug] — everything).
+    Test-only: test/test_obs.ml — tests check it directly. *)
 
 val event : ?level:level -> name:string -> (string * Json.t) list -> unit
 (** [event ~name data] records the event into the flight-recorder ring

@@ -174,10 +174,6 @@ let hdr_observe h v =
   | None -> hdr_observe_cell h v
   | Some b -> hdr_observe_cell (hdr_in b h.x_name) v
 
-let hdr_count h = h.x_count
-
-let hdr_sum h = h.x_sum
-
 (* Quantile walk: smallest bucket upper bound whose cumulative count
    reaches the rank, clamped to the observed [min, max] so exact
    extremes (p0/p100, single samples) come out exact. *)
@@ -254,7 +250,7 @@ let names () = List.map fst (sorted_metrics ())
 (* Keep in sync with the scheme documented in metrics.mli; the
    namespace-lint test walks [names ()] against this list. *)
 let namespaces =
-  [ "bira"; "bism"; "bisr"; "bist"; "bitslice"; "defect";
+  [ "bira"; "bism"; "bist"; "bitslice"; "defect";
     "fault_model"; "flow"; "guard"; "isop"; "lattice"; "loadgen"; "minimize";
     "montecarlo"; "npn"; "par"; "qm"; "sat"; "service"; "synth"; "test" ]
 

@@ -4,7 +4,7 @@
     Naming scheme: ["<namespace>.<metric>"] — all segments lowercase
     [a-z0-9_], starting with a letter, joined by dots.  The namespace is
     the subsystem that owns the instrument and must be one of: [bira],
-    [bism], [bisr], [bist], [bitslice], [defect],
+    [bism], [bist], [bitslice], [defect],
     [fault_model], [flow], [guard], [isop], [lattice], [loadgen],
     [minimize], [montecarlo],
     [npn], [par], [qm], [sat], [service], [synth] (plus [test] for instruments
@@ -60,28 +60,25 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 (** Current value recorded {e in the global registry} (buffered deltas
     from unmerged parallel sections are not visible here).
-    Test-only: tests, chaos and the benchmarks read counters with it. *)
+    Test-only: bench/main.ml, svcbench/main.ml, svcbench/replay.ml,
+    test/chaos/chaos.ml, test/par/test_par.ml, test/test_guard.ml,
+    test/test_logic_algs.ml, test/test_obs.ml, test/test_sat.ml and
+    test/test_service.ml — tests, chaos and the benchmarks read counters
+    with it. *)
 
 val set : gauge -> float -> unit
 (** [set g v] overwrites the gauge's value. *)
 
 val gauge_value : gauge -> float
 (** Current value recorded in the global registry.
-    Test-only: tests and svcbench read gauges with it. *)
+    Test-only: svcbench/replay.ml, test/test_obs.ml and test/test_sat.ml —
+    tests and svcbench read gauges with it. *)
 
 (** {2 HDR histograms} *)
 
 val hdr_observe : hdr -> int -> unit
 (** [hdr_observe h v] records [v >= 0] into its log-linear bucket.
     @raise Invalid_argument when [v < 0]. *)
-
-val hdr_count : hdr -> int
-(** Number of values observed.
-    Test-only: tests read histogram state with it. *)
-
-val hdr_sum : hdr -> int
-(** Sum of all observed values.
-    Test-only: tests read histogram state with it. *)
 
 val hdr_quantile : hdr -> float -> int
 (** [hdr_quantile h q] for [q] in [[0, 1]] (clamped) is the smallest
@@ -90,22 +87,23 @@ val hdr_quantile : hdr -> float -> int
     nothing was observed.  Relative error is bounded by the 6.25%
     bucket width (exact below 16 and at the observed extremes), and the
     result is deterministic for deterministic inputs.
-    Test-only: tests and the bench read quantiles with it. *)
+    Test-only: bench/main.ml and test/test_obs.ml — tests and the bench read
+    quantiles with it. *)
 
 val hdr_bucket_of : int -> int
 (** [hdr_bucket_of v] is the bucket index [hdr_observe] files [v]
     under.
-    Test-only: tests check the HDR bucket layout with it.
+    Test-only: test/test_obs.ml — tests check the HDR bucket layout with it.
     @raise Invalid_argument when [v < 0]. *)
 
 val hdr_bucket_range : int -> int * int
 (** [hdr_bucket_range i] is the inclusive [(lo, hi)] range of HDR
     bucket [i].
-    Test-only: tests check the HDR bucket layout with it. *)
+    Test-only: test/test_obs.ml — tests check the HDR bucket layout with it. *)
 
 val hdr_num_buckets : int
 (** Total number of HDR buckets.
-    Test-only: tests check the HDR bucket layout with it. *)
+    Test-only: test/test_obs.ml — tests check the HDR bucket layout with it. *)
 
 (** {2 Parallel-section buffers}
 
@@ -132,19 +130,23 @@ val merge : buffer -> unit
 
 (** Zero every registered instrument, keeping registrations. *)
 val reset : unit -> unit
+(** Test-only: bench/main.ml, svcbench/main.ml, test/par/test_par.ml and
+    test/test_obs.ml — the service benchmark and the tests drive it. *)
 
 (** {2 Naming} *)
 
 val names : unit -> string list
 (** Sorted names of every instrument currently registered in the
-    caller's sink. *)
+    caller's sink.
+    Test-only: test/test_obs.ml — tests check it directly. *)
 
 val valid_name : string -> bool
 (** [valid_name n] is true iff [n] follows the documented
     ["<namespace>.<metric>"] scheme: a known namespace, at least one
     further segment, all segments lowercase [a-z0-9_] starting with a
     letter.
-    Test-only: the namespace-lint test checks every name with it. *)
+    Test-only: test/test_obs.ml — the namespace-lint test checks every name
+    with it. *)
 
 (** {2 Reporting} *)
 

@@ -20,9 +20,6 @@ type entry = {
   data : (string * Json.t) list;
 }
 
-val capacity : int
-(** Ring size: the number of most-recent entries retained per domain. *)
-
 val record : ?kind:string -> name:string -> (string * Json.t) list -> unit
 (** [record ~name data] appends an entry (stamped with {!Clock.now_ns})
     to the calling domain's ring, evicting the oldest entry when full.
@@ -33,11 +30,11 @@ val entries : unit -> entry list
 
 val clear : unit -> unit
 (** Drop the calling domain's entries and reset its sequence counter.
-    Test-only: tests reset the flight recorder with it. *)
+    Test-only: test/test_obs.ml — tests reset the flight recorder with it. *)
 
 val collect : (unit -> 'a) -> 'a * entry list
 (** [collect f] runs [f] with a fresh ring and returns the entries it
-    recorded (oldest first, at most {!capacity}), restoring the
+    recorded (oldest first, at most 256), restoring the
     surrounding ring afterwards.  If [f] raises, its entries are folded
     into the surrounding ring (as {!absorb} would) before the exception
     propagates, so the forensics survive. *)
@@ -51,4 +48,6 @@ val entry_json : entry -> Json.t
 (** [{"seq": .., "t_ns": .., "kind": .., "name": .., "data": {..}}]. *)
 
 val export_jsonl : Format.formatter -> unit
-(** One JSON object per retained entry, one per line, oldest first. *)
+(** One JSON object per retained entry, one per line, oldest first.
+    Test-only: bench/main.ml and test/chaos/chaos.ml — the bench and the
+    tests call it. *)

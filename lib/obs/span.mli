@@ -27,6 +27,8 @@ type t = {
 val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
+(** Test-only: svcbench/main.ml, svcbench/replay.ml, test/par/test_par.ml
+    and test/test_obs.ml — the service benchmark and the tests drive it. *)
 
 (** [with_ ~name f] runs [f] inside a span.  [attrs] is a thunk so the
     disabled path never builds the attribute list.  Exception-safe: the
@@ -37,10 +39,13 @@ val with_ : ?attrs:(unit -> attr list) -> name:string -> (unit -> 'a) -> 'a
 (** Drop the calling domain's recorded spans and reset its id
     counter. *)
 val reset : unit -> unit
+(** Test-only: svcbench/replay.ml, test/par/test_par.ml and test/test_obs.ml
+    — the service benchmark and the tests drive it. *)
 
 (** Completed spans of the calling domain, earliest finish first. *)
 val completed : unit -> t list
-(** Test-only: tests and svcbench read finished spans with it. *)
+(** Test-only: test/par/test_par.ml and test/test_obs.ml — tests read
+    finished spans with it. *)
 
 val collect : (unit -> 'a) -> 'a * t list
 (** [collect f] runs [f] and returns the spans it completed, earliest

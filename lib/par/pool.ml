@@ -98,11 +98,6 @@ let shutdown t =
     t.joined <- true
   end
 
-let with_pool ?workers f =
-  let t = create ?workers () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let workers t = t.n_workers
 let slots t = t.n_workers + 1
 
 (* Run [work] on every runner slot and wait for the stragglers.  The
@@ -143,14 +138,11 @@ let sequential_map n f =
     out
   end
 
-let parallel_map p n f chunk =
+let parallel_map p n f =
   let g = Budget.current () in
   let nslots = slots p in
-  let chunk =
-    match chunk with
-    | Some c -> max 1 c
-    | None -> max 1 ((n + (4 * nslots) - 1) / (4 * nslots))
-  in
+  (* roughly four chunks per slot *)
+  let chunk = max 1 ((n + (4 * nslots) - 1) / (4 * nslots)) in
   let nchunks = (n + chunk - 1) / chunk in
   let results = Array.make n None in
   let outs =
@@ -218,15 +210,15 @@ let parallel_map p n f chunk =
   | None ->
       Array.map (function Some v -> v | None -> assert false) results
 
-let map_range ?pool ?chunk n f =
+let map_range ?pool n f =
   if n < 0 then invalid_arg "Nxc_par.Pool.map_range: negative size";
   match pool with
   | None -> sequential_map n f
-  | Some p -> if n = 0 then [||] else parallel_map p n f chunk
+  | Some p -> if n = 0 then [||] else parallel_map p n f
 
-let map ?pool ?chunk f xs =
+let map ?pool f xs =
   let a = Array.of_list xs in
-  map_range ?pool ?chunk (Array.length a) (fun i -> f a.(i)) |> Array.to_list
+  map_range ?pool (Array.length a) (fun i -> f a.(i)) |> Array.to_list
 
 (* the OCaml runtime's default domain limit, the calling domain
    included *)

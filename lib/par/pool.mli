@@ -3,9 +3,9 @@
 
     The pool exists for the pipeline's embarrassingly parallel hot
     loops — Monte-Carlo trials ([Nxc_reliability.Bism.monte_carlo],
-    [Yield_model], [Lifetime]), defect-map sweeps and the
-    [Nxc_lattice.Optimal] candidate search — all of which map an index
-    range through a pure-up-to-RNG task function.
+    [Yield_model], [Lifetime]), defect-map sweeps and the service
+    engine's planning passes — all of which map an index range through
+    a pure-up-to-RNG task function.
 
     {b Determinism.}  [map_range] returns results in index order and
     callers pre-split their RNG into one independent stream per task
@@ -50,26 +50,21 @@ val create : ?workers:int -> unit -> t
 (** [create ()] spawns [workers] worker domains (default
     [Domain.recommended_domain_count - 1], clamped to [>= 0]).  The
     domains idle on a condition variable between batches; call
-    {!shutdown} to join them. *)
+    {!shutdown} to join them.
+    Test-only: svcbench/main.ml, test/par/test_par.ml, test/test_repair.ml
+    and test/test_sat.ml — the service benchmark and the tests drive it. *)
 
 val shutdown : t -> unit
 (** Ask the workers to exit and join them.  Idempotent.  A pool must
     not be used after shutdown.
-    Test-only: tests and the bench own pools directly. *)
-
-val with_pool : ?workers:int -> (t -> 'a) -> 'a
-(** [with_pool f] is [f (create ())] with a guaranteed {!shutdown},
-    exception-safe.
-    Test-only: tests and chaos run pools with it. *)
-
-val workers : t -> int
-(** Number of worker domains (which may be [0]). *)
+    Test-only: svcbench/main.ml, test/par/test_par.ml, test/test_repair.ml
+    and test/test_sat.ml — tests and the bench own pools directly. *)
 
 val slots : t -> int
-(** Number of runner slots, i.e. [workers t + 1]: the calling domain
-    participates in every batch. *)
+(** Number of runner slots, i.e. the worker domains plus one: the
+    calling domain participates in every batch. *)
 
-val map_range : ?pool:t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
+val map_range : ?pool:t -> int -> (int -> 'a) -> 'a array
 (** [map_range n f] is [[| f 0; f 1; ...; f (n-1) |]].
 
     Without [?pool] the tasks run sequentially in index order on the
@@ -79,14 +74,14 @@ val map_range : ?pool:t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
     {e ambient} budget.  Either way task code reaches its guard through
     [Nxc_guard.Budget.current] and behaves identically in both modes.
 
-    [chunk] is the number of consecutive indices a runner claims at a
-    time (default: enough for roughly four chunks per slot).  Results,
+    A runner claims [ceil (n / (4 * slots))] consecutive indices at a
+    time, so a batch splits into roughly four chunks per slot.  Results,
     metric merges, span merges and exception choice are all in index
     order — see the module preamble for the determinism contract.
 
     @raise Invalid_argument if [n < 0]. *)
 
-val map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] is [List.map f xs] through {!map_range}: same order,
     same determinism contract. *)
 
@@ -96,15 +91,11 @@ val max_jobs : int
 (** The largest [--jobs] value, [128]: the OCaml runtime's default
     domain limit, which counts the calling domain too. *)
 
-val of_jobs : int -> t option
-(** Interpret a [--jobs] value: [1] (the default everywhere) means
-    sequential ([None]); [0] means one slot per recommended domain;
-    [n >= 2] means a pool with [n - 1] workers (so [n] runner slots
-    in total).  The caller owns the pool and must {!shutdown} it.
-    Test-only: tests check the --jobs mapping with it.
+val with_jobs : int -> (t option -> 'a) -> 'a
+(** [with_jobs jobs f] runs [f] with the pool a [--jobs] value asks
+    for and a guaranteed {!shutdown} of it: [1] (the default
+    everywhere) means sequential ([None]); [0] means one slot per
+    recommended domain; [n >= 2] means a pool with [n - 1] workers (so
+    [n] runner slots in total).
     @raise Invalid_argument if the value is negative or above
     {!max_jobs}, before any domain is spawned. *)
-
-val with_jobs : int -> (t option -> 'a) -> 'a
-(** [with_jobs jobs f] is [f (of_jobs jobs)] with a guaranteed
-    {!shutdown} of the pool, if one was created. *)

@@ -15,8 +15,8 @@
     defective.  A {e repair} is a set of at most [spare_rows] rows and
     [spare_cols] columns of the full physical array whose removal
     leaves no defective crosspoint; the surviving lines then furnish
-    the [rows x cols] logical array (the {!Bisr} remap table does the
-    address translation).
+    the [rows x cols] logical array, logical line [i] being the [i]-th
+    surviving physical line.
 
     Analysis runs in the classical two phases:
 
@@ -77,7 +77,10 @@ val analyze :
     default [Degrade] policy exhaustion of the exact search falls back
     to greedy and marks the solution [degraded].  The branch and bound
     also stops after 200,000 nodes independently of the budget, like
-    {!Defect_flow.exact_max}. *)
+    {!Defect_flow.exact_max}.
+    Test-only: bench/main.ml, test/chaos/chaos.ml, test/test_guard.ml,
+    test/test_repair.ml and test/test_sat.ml — the bench and the tests call
+    it. *)
 
 (** {2 The phases as a pre-solve}
 

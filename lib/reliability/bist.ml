@@ -243,12 +243,6 @@ let coverage p faults =
     ( float_of_int (total - List.length undetected) /. float_of_int total,
       undetected )
 
-let passes p oracle =
-  List.for_all
-    (fun tc ->
-      List.for_all (fun t -> oracle tc.config t.vector = t.expected) tc.tests)
-    p.configs
-
 let minimize_vectors p faults =
   (* detection matrix: for every fault, the (config, vector) pairs that
      catch it *)
@@ -294,8 +288,6 @@ let minimize_vectors p faults =
   let p' = { p with configs } in
   (p', before - num_vectors p')
 
-let syndrome_multi p faults = syndrome_multi_packed (pack p) faults
-
 let application_universe (cfg : Fm.config) =
   let used_rows = Array.make cfg.Fm.rows false in
   let used_cols = Array.make cfg.Fm.cols false in
@@ -319,7 +311,3 @@ let application_universe (cfg : Fm.config) =
     | Fm.Bridge_cols c -> used_cols.(c) || used_cols.(c + 1)
   in
   List.filter touches (Fm.universe ~rows:cfg.Fm.rows ~cols:cfg.Fm.cols)
-
-let plan_for (cfg : Fm.config) =
-  let full = plan ~rows:cfg.Fm.rows ~cols:cfg.Fm.cols in
-  fst (minimize_vectors full (application_universe cfg))

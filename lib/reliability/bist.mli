@@ -64,12 +64,6 @@ val syndrome : plan -> Fault_model.fault -> (int * int) list
 val coverage : plan -> Fault_model.fault list -> float * Fault_model.fault list
 (** Fraction detected and the undetected remainder. *)
 
-val passes : plan -> (Fault_model.config -> bool array -> bool) -> bool
-(** Run the plan against an oracle evaluation function (e.g. a chip with
-    a hidden defect map) and report pass/fail.  Used by BISM as its
-    application-independent go/no-go test.
-    Test-only: tests run plans against a hidden-defect oracle. *)
-
 val minimize_vectors : plan -> Fault_model.fault list -> plan * int
 (** Greedy test-set compaction (the paper's "minimality of test vector
     set"): keep only vectors needed to detect every given fault the
@@ -77,12 +71,8 @@ val minimize_vectors : plan -> Fault_model.fault list -> plan * int
     compacted plan (configurations left without vectors are dropped)
     and the number of vectors removed.  Coverage of the given fault
     list is preserved exactly.
-    Test-only: tests check the paper's minimal test-set claim. *)
-
-val syndrome_multi : plan -> Fault_model.fault list -> (int * int) list
-(** Failing pairs under several simultaneous faults
-    ({!Fault_model.eval_multi}).
-    Test-only: tests check the multi-fault detection claims with it. *)
+    Test-only: test/test_extensions.ml — tests check the paper's minimal
+    test-set claim. *)
 
 (** {2 Packed plans}
 
@@ -94,8 +84,8 @@ val syndrome_multi : plan -> Fault_model.fault list -> (int * int) list
     [Bitslice.word_bits] vectors per word operation — and failing pairs
     are recovered by XOR-ing observed against expected words and
     walking set bits in ascending lane order.  Results are bit-identical
-    to one {!Fault_model.eval_multi} per (configuration, vector) pair,
-    including pair ordering.
+    to one scalar evaluation per (configuration, vector) pair, including
+    pair ordering.
 
     A packed plan is immutable and safe to share across domains
     (syndrome collection uses per-domain scratch), which is what keeps
@@ -117,16 +107,11 @@ val syndrome_packed : packed -> Fault_model.fault -> (int * int) list
     The paper's BIST is application-dependent (reference [14]): only
     the resources a configured application actually uses need testing.
     Restricting the fault universe to those resources and compacting
-    the plan against it yields much smaller per-application test
-    sets. *)
+    the plan against it ({!minimize_vectors}) yields much smaller
+    per-application test sets. *)
 
 val application_universe : Fault_model.config -> Fault_model.fault list
 (** Faults touching the configuration's used rows, used columns, or
     their adjacent bridges.
-    Test-only: tests check the application-dependent BIST claim. *)
-
-val plan_for : Fault_model.config -> plan
-(** The full-array plan compacted against {!application_universe} —
-    still 100% coverage of the application's faults (asserted in the
-    tests), usually far fewer vectors.
-    Test-only: tests check its 100% application coverage claim. *)
+    Test-only: test/test_extensions.ml — tests check the
+    application-dependent BIST claim. *)

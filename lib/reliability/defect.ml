@@ -79,8 +79,8 @@ let uniform density =
   { density; frac_open = 0.80; frac_closed = 0.15; clusters = 0;
     cluster_radius = 0.0 }
 
-let clustered ?(clusters = 3) density =
-  { (uniform density) with clusters; cluster_radius = 0.15 }
+let clustered density =
+  { (uniform density) with clusters = 3; cluster_radius = 0.15 }
 
 let pick_kind rng p =
   let x = Rng.float rng 1.0 in

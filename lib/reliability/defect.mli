@@ -33,19 +33,17 @@ val uniform : float -> profile
 (** Uniform profile with the customary 80/15/5 open/closed/bridge
     split. *)
 
-val clustered : ?clusters:int -> float -> profile
-
-val validate_profile : profile -> (profile, Nxc_guard.Error.t) result
-(** Typed sanity check: [density], [frac_open] and [frac_closed] must
-    lie in [[0, 1]] (and sum at most 1 pairwise for the fractions),
-    [clusters] and [cluster_radius] must be non-negative.  A profile
-    outside these ranges would not crash generation — it would
-    silently produce a nonsense map — so {!generate} rejects it here.
-    Test-only: tests check the validation edges with it. *)
+val clustered : float -> profile
+(** [density] spread around three contamination centers. *)
 
 val generate : Rng.t -> rows:int -> cols:int -> profile -> t
-(** @raise Invalid_argument on non-positive dimensions or a profile
-    {!validate_profile} rejects. *)
+(** The profile is checked first: [density], [frac_open] and
+    [frac_closed] must lie in [[0, 1]] (the two fractions summing to at
+    most 1), [clusters] and [cluster_radius] must be non-negative.  A
+    profile outside these ranges would not crash generation — it would
+    silently produce a nonsense map.
+    @raise Invalid_argument on non-positive dimensions or a rejected
+    profile. *)
 
 val rows : t -> int
 val cols : t -> int
@@ -53,8 +51,6 @@ val cols : t -> int
 val kind_at : t -> int -> int -> kind option
 
 val is_defective : t -> int -> int -> bool
-
-val count : t -> int
 
 val actual_density : t -> float
 

@@ -3,10 +3,6 @@ module Bitslice = Nxc_logic.Bitslice
 
 type selection = { sel_rows : int array; sel_cols : int array }
 
-let is_defect_free chip sel =
-  Defect.selection_defect_free chip ~sel_rows:sel.sel_rows
-    ~sel_cols:sel.sel_cols
-
 let recovered_k sel = min (Array.length sel.sel_rows) (Array.length sel.sel_cols)
 
 (* the kept-column word mask shared by the scans below *)
@@ -182,33 +178,6 @@ let exact_max chip =
   let g = greedy_max chip in
   if recovered_k g > recovered_k !best then g else !best
 
-(* Repair-then-extract: spend the spare lines first (BIRA/BISR), and
-   only fall back to sacrificial greedy extraction when repair fails.
-   A successful repair leaves the whole logical array usable, so the
-   extraction step is an index prefix, not a search. *)
-let repair_then_extract chip ~spare_rows ~spare_cols ~k =
-  let rows = Defect.rows chip - spare_rows
-  and cols = Defect.cols chip - spare_cols in
-  if spare_rows < 0 || spare_cols < 0 || rows <= 0 || cols <= 0 then
-    invalid_arg "Defect_flow.repair_then_extract: spares";
-  if k <= 0 || k > min rows cols then
-    invalid_arg "Defect_flow.repair_then_extract: k";
-  let fallback () =
-    Guard.Budget.degrade "repair_to_extract";
-    extract chip ~k
-  in
-  match Bira.analyze chip ~spare_rows ~spare_cols with
-  | Error _ -> fallback ()
-  | Ok sol -> (
-      match Bisr.build chip ~rows ~cols sol with
-      | Error _ -> fallback ()
-      | Ok remap ->
-          let sel =
-            { sel_rows = Array.sub remap.Bisr.row_map 0 k;
-              sel_cols = Array.sub remap.Bisr.col_map 0 k }
-          in
-          if is_defect_free chip sel then Some sel else fallback ())
-
 type cost = {
   flow : string;
   map_entries_per_chip : int;
@@ -248,21 +217,6 @@ let site_compatible kind (site : Nxc_lattice.Lattice.site) =
   | Some Defect.Stuck_open, Nxc_lattice.Lattice.Zero -> true
   | Some Defect.Stuck_closed, Nxc_lattice.Lattice.One -> true
   | Some (Defect.Stuck_open | Defect.Stuck_closed | Defect.Bridge), _ -> false
-
-let placement_compatible chip lattice rows cols =
-  let ok = ref true in
-  Array.iteri
-    (fun r pr ->
-      Array.iteri
-        (fun c pc ->
-          if
-            not
-              (site_compatible (Defect.kind_at chip pr pc)
-                 (Nxc_lattice.Lattice.site lattice r c))
-          then ok := false)
-        cols)
-    rows;
-  !ok
 
 let place_lattice rng chip lattice ~attempts =
   let guard = Guard.Budget.current () in

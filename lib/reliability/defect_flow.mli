@@ -15,9 +15,6 @@
 
 type selection = { sel_rows : int array; sel_cols : int array }
 
-val is_defect_free : Defect.t -> selection -> bool
-(** Test-only: tests and chaos check selections with it. *)
-
 val greedy_max : Defect.t -> selection
 (** Repeatedly delete the row or column containing the most defects
     (ties: shrink the larger side) until none remain, then balance to a
@@ -41,22 +38,6 @@ val exact_max : Defect.t -> selection
     {!greedy_max}, counting a [guard.degrade.exact_to_greedy]. *)
 
 val recovered_k : selection -> int
-
-val repair_then_extract :
-  Defect.t ->
-  spare_rows:int -> spare_cols:int -> k:int ->
-  selection option
-(** Spare-aware extraction: treat the last [spare_rows]/[spare_cols]
-    lines of the chip as redundancy, run an exact {!Bira.analyze} +
-    {!Bisr.build}, and on success return the first [k] remapped
-    rows/columns — a defect-free [k x k] selection obtained without
-    sacrificing any logical line.  When repair fails (unrepairable
-    within the spare budget, or the ambient budget trips under policy
-    [Fail]) the flow degrades to plain {!extract} over the {e full}
-    physical array, counting a [guard.degrade.repair_to_extract].
-    @raise Invalid_argument when the spare counts are negative, leave
-    no logical array, or [k] exceeds the logical dimensions.
-    Test-only: tests check repair before extraction. *)
 
 (** {2 Flow cost model (Fig. 6)}
 
@@ -104,11 +85,9 @@ val place_lattice :
     Returns (physical rows, physical cols) indexed by lattice
     coordinates.  One step of the ambient budget is consumed per
     attempt and the repair loop stops early on a dead budget, so
-    exhaustion simply yields [None]. *)
-
-val placement_compatible :
-  Defect.t -> Nxc_lattice.Lattice.t -> int array -> int array -> bool
-(** Test-only: tests check placements with it. *)
+    exhaustion simply yields [None].
+    Test-only: test/test_extensions.ml and test/test_guard.ml — tests check
+    it directly. *)
 
 (** {2 Monte-Carlo placement sweep}
 
@@ -136,5 +115,6 @@ val placement_sweep :
     fabricates [chips] random [n x n] chips and tries both flows on
     each, one chip per trial of {!Rng.map_trials} (determinism and
     budget contract there).
-    Test-only: tests and the bench run the Fig. 6 sweep.
+    Test-only: bench/main.ml, test/par/test_par.ml and test/test_guard.ml —
+    tests and the bench run the Fig. 6 sweep.
     @raise Invalid_argument when [chips <= 0]. *)

@@ -49,117 +49,30 @@ let universe ~rows ~cols =
 
 let num_faults ~rows ~cols = List.length (universe ~rows ~cols)
 
-(* Per-domain line-value scratch: [eval_multi] / [eval_block] are the
-   innermost loops of every BIST/BISD/yield Monte-Carlo trial, so the
-   column/row arrays are reused across calls instead of allocated per
-   evaluation.  All loops below are bounded by [cfg.rows]/[cfg.cols],
-   so oversized buffers are harmless. *)
+(* Per-domain word scratch: [eval_block] is the innermost loop of every
+   BIST/BISD/yield Monte-Carlo trial, so the packed column/row lines are
+   reused across calls instead of allocated per evaluation.  All loops
+   below are bounded by [cfg.rows]/[cfg.cols], so oversized buffers are
+   harmless. *)
 type scratch = {
-  mutable col : bool array;
-  mutable row : bool array;
   mutable colw : int array; (* word-packed column lines, one bit/vector *)
   mutable roww : int array; (* word-packed row lines *)
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { col = [||]; row = [||]; colw = [||]; roww = [||] })
-
-let ensure_bools a n = if Array.length a >= n then a else Array.make n false
+let scratch_key = Domain.DLS.new_key (fun () -> { colw = [||]; roww = [||] })
 
 let ensure_words a n = if Array.length a >= n then a else Array.make n 0
-
-let eval_multi ~faults cfg vector =
-  if Array.length vector <> cfg.cols then
-    invalid_arg "Fault_model.eval: vector length";
-  let s = Domain.DLS.get scratch_key in
-  s.col <- ensure_bools s.col cfg.cols;
-  s.row <- ensure_bools s.row cfg.rows;
-  (* column line values: bridges first (wired-AND of the healthy
-     values), then stuck lines override *)
-  let col_val = s.col in
-  Array.blit vector 0 col_val 0 cfg.cols;
-  List.iter
-    (fun fault ->
-      match fault with
-      | Bridge_cols c ->
-          let v = col_val.(c) && col_val.(c + 1) in
-          col_val.(c) <- v;
-          col_val.(c + 1) <- v
-      | Xpoint_stuck_open _ | Xpoint_stuck_closed _ | Row_stuck _
-      | Col_stuck _ | Output_open _ | Bridge_rows _ -> ())
-    faults;
-  List.iter
-    (fun fault ->
-      match fault with
-      | Col_stuck (c, v) -> col_val.(c) <- v
-      | Xpoint_stuck_open _ | Xpoint_stuck_closed _ | Row_stuck _
-      | Bridge_cols _ | Output_open _ | Bridge_rows _ -> ())
-    faults;
-  (* effective device placement *)
-  let has_device r c =
-    let forced_open =
-      List.exists (function Xpoint_stuck_open (fr, fc) -> fr = r && fc = c | _ -> false) faults
-    in
-    let forced_closed =
-      List.exists (function Xpoint_stuck_closed (fr, fc) -> fr = r && fc = c | _ -> false) faults
-    in
-    if forced_open then false
-    else forced_closed || cfg.programmed.(r).(c)
-  in
-  (* row line values: wired-AND over devices; empty row pulls up to 1 *)
-  let row_val = s.row in
-  for r = 0 to cfg.rows - 1 do
-    let value = ref true in
-    for c = 0 to cfg.cols - 1 do
-      if has_device r c && not col_val.(c) then value := false
-    done;
-    row_val.(r) <- !value
-  done;
-  List.iter
-    (fun fault ->
-      match fault with
-      | Bridge_rows r ->
-          let v = row_val.(r) && row_val.(r + 1) in
-          row_val.(r) <- v;
-          row_val.(r + 1) <- v
-      | Xpoint_stuck_open _ | Xpoint_stuck_closed _ | Col_stuck _
-      | Row_stuck _ | Output_open _ | Bridge_cols _ -> ())
-    faults;
-  List.iter
-    (fun fault ->
-      match fault with
-      | Row_stuck (r, v) -> row_val.(r) <- v
-      | Xpoint_stuck_open _ | Xpoint_stuck_closed _ | Col_stuck _
-      | Bridge_rows _ | Output_open _ | Bridge_cols _ -> ())
-    faults;
-  (* wired-OR over observed rows *)
-  let out = ref false in
-  for r = 0 to cfg.rows - 1 do
-    let observable =
-      cfg.observed.(r)
-      && not
-           (List.exists
-              (function Output_open fr -> fr = r | _ -> false)
-              faults)
-    in
-    if observable && row_val.(r) then out := true
-  done;
-  !out
-
-let eval ?fault cfg vector =
-  eval_multi ~faults:(Option.to_list fault) cfg vector
 
 (* ------------------------------------------------------------------ *)
 (* Batched test-vector application.                                    *)
 (*                                                                     *)
 (* A [block] packs a whole vector set in the Bitslice layout: one bit  *)
 (* lane per vector, one word array per column line.  [eval_block] then *)
-(* replays [eval_multi]'s exact layering — column bridges, column      *)
-(* stucks, device effects, row bridges, row stucks, observed wired-OR  *)
-(* — with one word operation standing in for up to [word_bits] scalar  *)
-(* evaluations.  BIST syndromes over a packed plan cost one pass per   *)
-(* (configuration, fault) pair instead of one per vector.              *)
+(* applies the fault layering — column bridges, column stucks, device  *)
+(* effects, row bridges, row stucks, observed wired-OR — with one word *)
+(* operation standing in for up to [word_bits] scalar evaluations.     *)
+(* BIST syndromes over a packed plan cost one pass per (configuration, *)
+(* fault) pair instead of one per vector.                              *)
 (* ------------------------------------------------------------------ *)
 
 module Bitslice = Nxc_logic.Bitslice

@@ -29,7 +29,9 @@ val empty_config : rows:int -> cols:int -> config
 val single_term : rows:int -> cols:int -> int -> config
 (** [single_term ~rows ~cols r]: row [r] fully programmed and solely
     observed — the paper's single-term test function.
-    Test-only: tests and the bench build BIST configs with it. *)
+    Test-only: bench/main.ml, test/test_extensions.ml and
+    test/test_reliability.ml — tests and the bench build BIST configs with
+    it. *)
 
 type fault =
   | Xpoint_stuck_open of int * int
@@ -45,27 +47,15 @@ val universe : rows:int -> cols:int -> fault list
 
 val num_faults : rows:int -> cols:int -> int
 
-val eval : ?fault:fault -> config -> bool array -> bool
-(** Output of the (possibly faulty) configured crossbar on an input
-    vector of length [cols]. *)
-
-val eval_multi : faults:fault list -> config -> bool array -> bool
-(** Simultaneous faults: line stucks override bridge values, which
-    override device-level effects — the same layering {!eval} uses for
-    a single fault.  Used to study masking between coincident
-    defects.
-    Test-only: the scalar BIST oracle and tests evaluate with it. *)
-
 (** {2 Batched test-vector application}
 
     The word-parallel path of the BIST/BISM stack.  A {!block} packs a
     whole vector set in the {!Nxc_logic.Bitslice} layout — one bit lane
     per vector, one word array per column line — and {!eval_block}
-    replays {!eval_multi}'s exact fault layering with one word
-    operation standing in for up to [Bitslice.word_bits] scalar
-    evaluations.  Packing is done once per test plan; the per-fault
-    sweep then costs one kernel pass per configuration instead of one
-    scalar evaluation per vector. *)
+    applies a fault set with one word operation standing in for up to
+    [Bitslice.word_bits] scalar evaluations.  Packing is done once per
+    test plan; the per-fault sweep then costs one kernel pass per
+    configuration instead of one scalar evaluation per vector. *)
 
 type block
 (** An immutable packed vector set.  Safe to share between domains:
@@ -83,8 +73,10 @@ val block_words : block -> int
 val eval_block : faults:fault list -> config -> block -> into:int array -> unit
 (** [eval_block ~faults cfg blk ~into] writes the faulty outputs of
     every packed vector into the first [block_words blk] words of
-    [into]: bit lane [j] of the output is
-    [eval_multi ~faults cfg vector_j].  Output words are normalized
+    [into]: bit lane [j] of the output is the array's output on
+    [vector_j] with all of [faults] present at once.  Faults are
+    layered: line stucks override bridge values, which override
+    device-level effects.  Output words are normalized
     (lanes at or beyond the vector count are zero), so callers may
     XOR them against expectation words and popcount/scan the result
     directly.  Uses the per-domain scratch — no allocation, and safe
@@ -96,7 +88,8 @@ val of_defect : Defect.t -> int -> int -> fault option
     stuck-open / stuck-closed crosspoints map directly, a bridge maps to
     [Bridge_cols]/[Bridge_rows] at that position (clamped to the array
     edge).
-    Test-only: tests map defects to faults with it. *)
+    Test-only: test/test_reliability.ml — tests map defects to faults with
+    it. *)
 
 val fault_row : fault -> int option
 val fault_col : fault -> int option

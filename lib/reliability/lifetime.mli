@@ -56,4 +56,6 @@ val monte_carlo :
     trial order, through {!Rng.map_trials} (determinism contract
     there).
     @raise Invalid_argument when [trials <= 0], on the [simulate]
-    argument errors, or if some trial's initial mapping fails. *)
+    argument errors, or if some trial's initial mapping fails.
+    Test-only: bench/main.ml and test/par/test_par.ml — the bench and the
+    tests call it. *)

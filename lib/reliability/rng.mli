@@ -10,7 +10,8 @@ val create : int -> t
 (** Seeded generator. *)
 
 val split : t -> t
-(** An independent generator derived from (and advancing) [t]. *)
+(** An independent generator derived from (and advancing) [t].
+    Test-only: test/test_reliability.ml — tests check it directly. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  Requires [bound > 0]. *)

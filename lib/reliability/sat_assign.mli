@@ -67,7 +67,9 @@ val decide :
 (** Decide whether a [k_rows x k_cols] logical array fits the chip.
     Deterministic for a fixed [seed] (default 0), pool-independent.
     Errors: [`Invalid_input] on an infeasible geometry,
-    [`Budget_exhausted] under a [Fail]-policy budget. *)
+    [`Budget_exhausted] under a [Fail]-policy budget.
+    Test-only: bench/main.ml, test/chaos/chaos.ml, test/test_guard.ml and
+    test/test_sat.ml — the bench and the tests call it. *)
 
 type mc = {
   sa_trials : int;

@@ -13,12 +13,6 @@
     redundancy turns a per-evaluation module error rate [p] into
     roughly [3p^2], which this module's benches reproduce. *)
 
-val flip_sites : Rng.t -> epsilon:float -> Nxc_lattice.Lattice.t -> Nxc_lattice.Lattice.t
-(** A one-shot faulty instance: each site inverted (literal polarity
-    flipped, constants toggled) independently with probability
-    [epsilon].
-    Test-only: tests sample faulty lattices with it. *)
-
 val module_error_rate :
   Rng.t -> trials:int -> epsilon:float -> Nxc_lattice.Lattice.t ->
   Nxc_logic.Boolfunc.t -> float
@@ -35,4 +29,5 @@ val nmr_error_rate :
 val tmr_prediction : float -> float
 (** First-order analytic TMR module error: [3p^2 - 2p^3] for a module
     error rate [p].
-    Test-only: tests and the bench compare TMR with it. *)
+    Test-only: bench/main.ml and test/test_extensions.ml — tests and the
+    bench compare TMR with it. *)

@@ -50,5 +50,5 @@ let guaranteed_ks ?pool rng ~trials ~n ~profile ~min_yields =
   done;
   Array.to_list ks
 
-let guaranteed_k ?pool rng ~trials ~n ~profile ~min_yield =
-  List.hd (guaranteed_ks ?pool rng ~trials ~n ~profile ~min_yields:[ min_yield ])
+let guaranteed_k rng ~trials ~n ~profile ~min_yield =
+  List.hd (guaranteed_ks rng ~trials ~n ~profile ~min_yields:[ min_yield ])

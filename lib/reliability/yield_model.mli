@@ -12,7 +12,8 @@ val recovery_rate :
 (** Fraction of random chips from which a [k x k] defect-free array is
     recovered.  Trials run through {!Rng.map_trials} (determinism
     contract there).
-    Test-only: tests and the bench read recovery with it.
+    Test-only: bench/main.ml, test/par/test_par.ml and
+    test/test_reliability.ml — tests and the bench read recovery with it.
     @raise Invalid_argument when [trials <= 0]. *)
 
 val expected_max_k :
@@ -39,7 +40,6 @@ val guaranteed_ks :
     [min_yields] is not empty. *)
 
 val guaranteed_k :
-  ?pool:Nxc_par.Pool.t ->
   Rng.t -> trials:int -> n:int -> profile:Defect.profile -> min_yield:float -> int
 (** Largest [k] whose {!recovery_rate} estimate is at least
     [min_yield]: the one-threshold case of {!guaranteed_ks}. *)

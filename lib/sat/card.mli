@@ -18,7 +18,8 @@ val counter : Solver.t -> int list -> max:int -> int array
 val at_most : Solver.t -> int list -> k:int -> unit
 (** Constrain at most [k] of [lits] to be true ([k >= 0]).  [k = 0]
     adds unit clauses; [k >= length lits] adds nothing.
-    Test-only: tests check the cardinality encoding through it. *)
+    Test-only: test/test_sat.ml — tests check the cardinality encoding
+    through it. *)
 
 val at_least : Solver.t -> int list -> k:int -> unit
 (** Constrain at least [k] of [lits] to be true.  [k <= 0] adds

@@ -110,7 +110,6 @@ let create ?(seed = 0) () =
     s_decisions = 0;
     s_restarts = 0 }
 
-let ok s = s.ok
 let decision_level s = s.trail_lim_sz
 
 let lit_value s l =
@@ -551,17 +550,3 @@ let value s v =
   if v < 1 || v > s.nvars then invalid_arg "Solver.value: variable out of range";
   s.model.(v - 1) = 1
 
-type stats = {
-  conflicts : int;
-  propagations : int;
-  decisions : int;
-  restarts : int;
-  learned : int;
-}
-
-let stats s =
-  { conflicts = s.s_conflicts;
-    propagations = s.s_props;
-    decisions = s.s_decisions;
-    restarts = s.s_restarts;
-    learned = s.n_learnt }

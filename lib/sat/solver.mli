@@ -73,21 +73,3 @@ val value : t -> int -> bool
 (** [value t v] is variable [v]'s polarity in the model of the last
     {!Sat} answer.  Meaningless (but safe) after [Unsat]/[Unknown]. *)
 
-val ok : t -> bool
-(** [false] once the clause set is unsatisfiable at level 0 (e.g. the
-    empty clause was added); {!solve} then answers {!Unsat}
-    immediately. *)
-
-type stats = {
-  conflicts : int;
-  propagations : int;
-  decisions : int;
-  restarts : int;
-  learned : int;  (** learned clauses currently retained *)
-}
-
-val stats : t -> stats
-(** Totals since {!create}.  The same numbers feed the [sat.*] metrics
-    ([sat.conflicts], [sat.propagations], [sat.decisions],
-    [sat.restarts], [sat.learned_clauses], [sat.solve_calls]) and the
-    [sat.latency.solve] HDR histogram (microseconds per {!solve}). *)

@@ -28,7 +28,6 @@ type shard = {
   lock : Mutex.t;
   mutable s_hits : int;
   mutable s_misses : int;
-  mutable s_evictions : int;
   metrics : shard_metrics option;
 }
 
@@ -39,11 +38,12 @@ let make_shard cap metrics =
     lock = Mutex.create ();
     s_hits = 0;
     s_misses = 0;
-    s_evictions = 0;
     metrics }
 
-let create ?(capacity = 4096) ?(shards = 1) () =
-  if capacity <= 0 then invalid_arg "Nxc_service.Cache.create: capacity <= 0";
+(* entries a cache holds, over all its shards *)
+let capacity = 4096
+
+let create ?(shards = 1) () =
   if shards <= 0 then invalid_arg "Nxc_service.Cache.create: shards <= 0";
   let shard_cap = (capacity + shards - 1) / shards in
   let metrics i =
@@ -62,8 +62,6 @@ let create ?(capacity = 4096) ?(shards = 1) () =
   in
   { shards_arr = Array.init shards (fun i -> make_shard shard_cap (metrics i)) }
 
-let shards t = Array.length t.shards_arr
-
 (* Stable shard routing: OCaml's polymorphic hash is a fixed
    polynomial over the bytes of a string, so the same key lands on the
    same shard in every run and on every domain. *)
@@ -73,15 +71,9 @@ let locked sh f =
   Mutex.lock sh.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock sh.lock) f
 
-let size t =
-  Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> Lru.length sh.lru))
-    0 t.shards_arr
-
 let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards_arr
 let hits t = sum (fun sh -> sh.s_hits) t
 let misses t = sum (fun sh -> sh.s_misses) t
-let evictions t = sum (fun sh -> sh.s_evictions) t
 
 let peek t key =
   let sh = t.shards_arr.(shard_of t key) in
@@ -110,7 +102,6 @@ let add t key value =
   let sh = t.shards_arr.(shard_of t key) in
   locked sh (fun () ->
       if Lru.add sh.lru key value then begin
-        sh.s_evictions <- sh.s_evictions + 1;
         Nxc_obs.Metrics.incr m_evictions;
         match sh.metrics with
         | Some m -> Nxc_obs.Metrics.incr m.sm_evictions

@@ -9,7 +9,7 @@
 
     {b Sharding.}  The table is split into [shards] independent
     {!Lru} shards (default 1), each with its own mutex and counters,
-    selected by a stable hash of the key ({!shard_of}).  The concurrent
+    selected by a stable hash of the key.  The concurrent
     serve mode creates one shard per runner slot so cache traffic from
     different jobs contends on different locks; a single-shard cache
     behaves exactly like the historical unsharded one.  Every operation
@@ -27,23 +27,14 @@
 
 type t
 
-val create : ?capacity:int -> ?shards:int -> unit -> t
-(** Fresh empty cache holding at most [capacity] (default 4096) entries
-    split over [shards] (default 1) independent LRU shards; inserting
-    into a full shard evicts that shard's least recently used entry.
-    @raise Invalid_argument when [capacity <= 0] or [shards <= 0]. *)
-
-val shards : t -> int
-(** Number of shards (1 for the historical unsharded behavior). *)
-
-val shard_of : t -> string -> int
-(** [shard_of t key] is the shard index [key] routes to: a fixed
-    polynomial hash of the key modulo {!shards}, stable across calls,
-    runs and domains.
-    Test-only: tests pin the key-to-shard routing through it. *)
-
-val size : t -> int
-(** Entries currently stored (over all shards). *)
+val create : ?shards:int -> unit -> t
+(** Fresh empty cache holding at most 4096 entries split over [shards]
+    (default 1) independent LRU shards of [ceil (4096 / shards)]
+    entries each; inserting into a full shard evicts that shard's least
+    recently used entry.  A key routes to shard [h mod shards], [h] a
+    fixed polynomial hash of the key, stable across calls, runs and
+    domains.
+    @raise Invalid_argument when [shards <= 0]. *)
 
 val peek : t -> string -> Nxc_obs.Json.t option
 (** Lookup without touching recency or the hit/miss counters (used by
@@ -57,11 +48,12 @@ val add : t -> string -> Nxc_obs.Json.t -> unit
     is full. *)
 
 val hits : t -> int
+(** Test-only: bench/main.ml and test/test_service.ml — the bench and the
+    tests call it. *)
 
 val misses : t -> int
-
-val evictions : t -> int
-(** Test-only: tests read cache state through it. *)
+(** Test-only: bench/main.ml and test/test_service.ml — the bench and the
+    tests call it. *)
 
 val default_path : string
 (** [".nxc-cache"] — the CLI's default persistence file (gitignored). *)

@@ -615,8 +615,6 @@ module Stream = struct
       ewma_ns = 0.0 }
 
   let window t = t.window
-  let pending t = List.length t.rev_pending
-
   let flush t =
     match List.rev t.rev_pending with
     | [] -> []

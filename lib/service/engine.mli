@@ -23,7 +23,8 @@
     {2 Caching}
 
     [Synth] jobs are keyed by the NPN class of their parsed function
-    ({!Nxc_logic.Npn.canonical_key} plus an output-phase tag): the
+    ([Nxc_logic.Npn.table_key] of {!Nxc_logic.Npn.canonical} plus an
+    output-phase tag): the
     cache stores the minimized covers of the function and its dual in
     canonical input coordinates, and a hit maps them back through the
     request's own NPN transform — so permuted/negated variants reuse
@@ -76,7 +77,9 @@ val run_line : ?cache:Cache.t -> string -> outcome
     the test oracles, because the stream-equivalence and telemetry
     tests compare against it and the bench's LOADGEN [--jobs 1] arm
     times it, and moving it out would mean exporting the engine's
-    planning and sequential resolution. *)
+    planning and sequential resolution.
+    Test-only: bench/main.ml, test/test_obs.ml, test/test_reliability.ml and
+    test/test_service.ml — the bench and the tests call it. *)
 
 val batch_exit : outcome list -> int
 (** The batch's process exit code: [0] when every job's ["exit"] is
@@ -123,9 +126,8 @@ module Stream : sig
       admitted. *)
 
   val window : t -> int
-
-  val pending : t -> int
-  (** Entries buffered and not yet flushed (admitted + rejected). *)
+  (** Test-only: svcbench/main.ml and test/test_service.ml — the service
+      benchmark and the tests drive it. *)
 
   val push : t -> string -> outcome list
   (** Enqueue one request line.  Returns [[]] while the window fills,

@@ -94,7 +94,8 @@ val of_line : string -> (t, Nxc_guard.Error.t) result
 val to_json : t -> Nxc_obs.Json.t
 (** Canonical re-serialization: fields in a fixed order, defaults made
     explicit, [id] omitted when absent.
-    Test-only: tests and the bench re-serialize jobs with it. *)
+    Test-only: bench/main.ml and test/test_service.ml — tests and the bench
+    re-serialize jobs with it. *)
 
 val cache_key : t -> string
 (** Canonical content key for the non-[Synth] kinds: the spec (with

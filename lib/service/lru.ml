@@ -14,8 +14,6 @@ let create capacity =
   if capacity <= 0 then invalid_arg "Nxc_service.Lru.create: capacity <= 0";
   { tbl = Hashtbl.create 64; cap = capacity; tick = 0 }
 
-let length t = Hashtbl.length t.tbl
-
 let touch t e =
   t.tick <- t.tick + 1;
   e.stamp <- t.tick

@@ -15,9 +15,6 @@ val create : int -> 'a t
     entries.
     @raise Invalid_argument when [capacity <= 0]. *)
 
-val length : 'a t -> int
-(** Entries currently stored. *)
-
 val peek : 'a t -> string -> 'a option
 (** Lookup without touching recency. *)
 

@@ -32,13 +32,15 @@ val d_reducible : unit -> benchmark list
 
 val multi_output : unit -> multi list
 (** rd53, rd73, adders, multiplier — as output vectors.
-    Test-only: tests and the bench use its multi-output set. *)
+    Test-only: bench/main.ml, test/test_core.ml and test/test_extensions.ml
+    — tests and the bench use its multi-output set. *)
 
 val by_name : string -> benchmark option
 
 val majority : int -> benchmark
 (** [majority n] requires odd [n].
-    Test-only: tests and the bench use it as a fixed benchmark. *)
+    Test-only: bench/main.ml — tests and the bench use it as a fixed
+    benchmark. *)
 
 val random_function : n:int -> seed:int -> density:float -> benchmark
-(** Test-only: the bench draws random functions with it. *)
+(** Test-only: bench/main.ml — the bench draws random functions with it. *)

@@ -103,7 +103,7 @@ let degenerate_tables () =
     | 1 -> Tt.of_minterms n (List.init (1 lsl n) Fun.id) (* constant 1 *)
     | 2 -> Tt.of_fun_int n (fun m -> m <> 0) (* near-tautology *)
     | 3 -> Tt.of_minterms n [ Random.State.int rand (1 lsl n) ] (* minterm *)
-    | _ -> Tt.random n ~seed:(Random.State.int rand 10_000)
+    | _ -> Nxc_oracle.Logic_ref.random_table n ~seed:(Random.State.int rand 10_000)
   in
   for i = 1 to 50 * factor do
     let n = Random.State.int rand 7 in
@@ -133,7 +133,7 @@ let hostile_chips () =
     let profile =
       match i mod 3 with
       | 0 -> R.Defect.uniform 1.0 (* all defective *)
-      | 1 -> R.Defect.clustered ~clusters:2 0.6 (* clustered *)
+      | 1 -> R.Defect.clustered 0.6 (* clustered *)
       | _ -> R.Defect.uniform (Random.State.float rand 0.5)
     in
     let side = 2 + Random.State.int rand 10 in
@@ -153,9 +153,7 @@ let hostile_chips () =
     case "flow" (fun () ->
         match
           G.Budget.with_current guard (fun () ->
-              C.Flow.run_result ~max_configs:100
-                (R.Rng.create (seed + (31 * i)))
-                ~chip f)
+              C.Flow.run_result (R.Rng.create (seed + (31 * i))) ~chip f)
         with
         | Ok r ->
             (* a claimed-functional mapping must really compute f *)
@@ -181,7 +179,7 @@ let extraction () =
         let sel =
           G.Budget.with_current guard (fun () -> R.Defect_flow.exact_max chip)
         in
-        if not (R.Defect_flow.is_defect_free chip sel) then
+        if not (Nxc_oracle.Assign_ref.selection_defect_free chip sel) then
           fail "exact_max: selection not defect-free (side=%d)" side)
   done
 
@@ -224,14 +222,15 @@ let repair () =
               R.Bira.analyze chip ~spare_rows ~spare_cols)
         with
         | Ok sol ->
-            (* no partial repair may escape: the remap the solution
-               induces must exist and pass the BIST oracle *)
-            (match R.Bisr.build chip ~rows:side ~cols:side sol with
-            | Ok remap ->
-                if not (R.Bisr.defect_free chip remap) then
-                  fail "bira: solution remap not defect-free (side=%d)" side
-            | Error e ->
-                fail "bira: solution does not remap: %s" (G.Error.to_string e));
+            (* no partial repair may escape: the logical array the
+               solution leaves must exist and pass the BIST oracle *)
+            (match
+               Nxc_oracle.Assign_ref.repaired_array chip ~rows:side ~cols:side sol
+             with
+            | Some m ->
+                if not (R.Bism.mapping_defect_free chip m) then
+                  fail "bira: repaired array not defect-free (side=%d)" side
+            | None -> fail "bira: solution leaves no %dx%d array" side side);
             if sol.R.Bira.degraded then begin
               if policy = G.Budget.Fail then
                 fail "bira: degraded result under Fail policy";
@@ -248,6 +247,14 @@ let repair () =
 (* ------------------------------------------------------------------ *)
 (* SAT backends under budget exhaustion                                *)
 (* ------------------------------------------------------------------ *)
+
+(* [Qm.minimize_table] on the SAT covering backend, through the
+   process-wide backend switch the CLI sets; Bnb is restored afterwards *)
+let sat_minimize tt =
+  L.Qm.set_cover_backend L.Qm.Sat;
+  Fun.protect
+    ~finally:(fun () -> L.Qm.set_cover_backend L.Qm.Bnb)
+    (fun () -> L.Qm.minimize_table tt)
 
 let sat_budget () =
   let counter name =
@@ -269,8 +276,7 @@ let sat_budget () =
   let on = Tt.minterms tt in
   let full =
     let guard = G.Budget.create ~label:"chaos-sat" ~steps:5_000_000 () in
-    G.Budget.with_current guard (fun () ->
-        ignore (L.Qm.minimize ~cover_backend:L.Qm.Sat ~n:5 on));
+    G.Budget.with_current guard (fun () -> ignore (sat_minimize tt));
     G.Budget.steps_used guard
   in
   let before = counter "guard.degrade.sat_to_bnb" in
@@ -278,8 +284,7 @@ let sat_budget () =
     case "sat-cover" (fun () ->
         let guard = G.Budget.create ~label:"chaos-sat" ~steps () in
         let cover, _ =
-          G.Budget.with_current guard (fun () ->
-              L.Qm.minimize ~cover_backend:L.Qm.Sat ~n:5 on)
+          G.Budget.with_current guard (fun () -> sat_minimize tt)
         in
         if not (Tt.equal (Tt.of_cover cover) tt) then
           fail "sat-cover: degraded cover not equivalent (steps=%d)" steps)
@@ -422,7 +427,8 @@ let job_specs () =
   let envelopes outs =
     List.map (fun o -> Nxc_obs.Json.to_string o.Svc.Engine.envelope) outs
   in
-  Nxc_par.Pool.with_pool ~workers:1 @@ fun pool ->
+  Nxc_par.Pool.with_jobs 2 @@ fun pool ->
+  let pool = Option.get pool in
   for _ = 1 to 30 * factor do
     let lines = List.init (1 + Random.State.int rand 3) (fun _ -> spec ()) in
     let batch = String.concat " " lines in
@@ -458,7 +464,7 @@ let job_specs () =
 
 let determinism () =
   for i = 1 to 10 * factor do
-    let tt = Tt.random 5 ~seed:(seed + i) in
+    let tt = Nxc_oracle.Logic_ref.random_table 5 ~seed:(seed + i) in
     let steps = 10 + Random.State.int rand 200 in
     case "determinism" (fun () ->
         let run () =

@@ -109,3 +109,47 @@ let bira_exact chip ~spare_rows ~spare_cols =
           Some
             ( List.sort compare (must_r @ rows),
               List.sort compare (must_c @ cols) ))
+
+(** The logical array a BIRA repair leaves: logical line [i] is the
+    [i]-th physical line the solution does not replace, for the first
+    [rows] rows and [cols] columns.  [None] when fewer lines survive or
+    a repaired index is out of range. *)
+let repaired_array chip ~rows ~cols (sol : Bira.solution) =
+  let survivors n repaired k =
+    if List.exists (fun i -> i < 0 || i >= n) repaired then None
+    else
+      let kept = List.filter (fun i -> not (List.mem i repaired)) (List.init n Fun.id) in
+      if List.length kept < k then None
+      else Some (Array.of_list (List.filteri (fun i _ -> i < k) kept))
+  in
+  match
+    ( survivors (Defect.rows chip) sol.repair_rows rows,
+      survivors (Defect.cols chip) sol.repair_cols cols )
+  with
+  | Some row_map, Some col_map -> Some { Bism.row_map; col_map }
+  | _ -> None
+
+(** Whether every crosspoint a selection keeps is clean, probed one
+    crosspoint at a time. *)
+let selection_defect_free chip (sel : Defect_flow.selection) =
+  Array.for_all
+    (fun r ->
+      Array.for_all (fun c -> not (Defect.is_defective chip r c)) sel.sel_cols)
+    sel.sel_rows
+
+(** Whether a defect-aware placement puts every lattice site on a
+    crosspoint it tolerates: a constant-0 site over a clean or
+    stuck-open crosspoint, a constant-1 site over a clean or
+    stuck-closed one, a literal site over a clean one only. *)
+let placement_compatible chip lattice rows cols =
+  let module L = Nxc_lattice.Lattice in
+  let ok r c =
+    match (Defect.kind_at chip rows.(r) cols.(c), L.site lattice r c) with
+    | None, _ -> true
+    | Some Defect.Stuck_open, L.Zero -> true
+    | Some Defect.Stuck_closed, L.One -> true
+    | Some _, _ -> false
+  in
+  let good = ref true in
+  Array.iteri (fun r _ -> Array.iteri (fun c _ -> if not (ok r c) then good := false) cols) rows;
+  !good

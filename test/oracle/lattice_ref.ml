@@ -18,12 +18,12 @@ let branch lit component =
 
 (** Decompose [f] around [var] with polarity [pol] and compose
     [OR(lit_eq AND L(f_eq), lit_neq AND L(f_neq), L(f_int))]. *)
-let synthesize_with ?strategy ~var ~pol f =
+let synthesize_with ~var ~pol f =
   let n = Boolfunc.n_vars f in
   match Boolfunc.is_const f with
   | Some b -> Compose.of_const n b
   | None -> (
-      let d = Pcircuit.decompose ?strategy ~var ~pol f in
+      let d = Pcircuit.decompose ~var ~pol f in
       let lit_eq = Compose.of_literal n var (if pol then Cube.Pos else Cube.Neg) in
       let lit_neq = Compose.of_literal n var (if pol then Cube.Neg else Cube.Pos) in
       let branches =
@@ -43,15 +43,15 @@ let synthesize_with ?strategy ~var ~pol f =
 
 (** The first strict minimum of the area over every [(var, pol)]
     candidate, var-major with [pol = false] first. *)
-let decompose ?strategy f =
+let decompose f =
   let n = Boolfunc.n_vars f in
   if n = 0 then Compose.of_const 1 (Boolfunc.eval_int f 0)
   else
     let lattices =
       List.concat_map
         (fun var ->
-          [ synthesize_with ?strategy ~var ~pol:false f;
-            synthesize_with ?strategy ~var ~pol:true f ])
+          [ synthesize_with ~var ~pol:false f;
+            synthesize_with ~var ~pol:true f ])
         (List.init n Fun.id)
     in
     List.fold_left
@@ -61,3 +61,35 @@ let decompose ?strategy f =
 (** Structural equality: same arity, same sites. *)
 let equal a b =
   Lattice.n_vars a = Lattice.n_vars b && Lattice.sites a = Lattice.sites b
+
+(** Whether some 4-connected path of conducting sites joins the left
+    edge to the right edge under assignment [m] — the scalar
+    left-to-right reading of a lattice, by breadth-first search. *)
+let eval_lr l m =
+  let rows = Lattice.rows l and cols = Lattice.cols l in
+  let conducts r c =
+    match Lattice.site l r c with
+    | Lattice.Zero -> false
+    | Lattice.One -> true
+    | Lattice.Lit (v, p) -> (m land (1 lsl v) <> 0) = (p = Cube.Pos)
+  in
+  let seen = Array.make_matrix rows cols false in
+  let queue = Queue.create () in
+  let visit r c =
+    if r >= 0 && r < rows && c >= 0 && c < cols && (not seen.(r).(c))
+       && conducts r c
+    then begin
+      seen.(r).(c) <- true;
+      Queue.add (r, c) queue
+    end
+  in
+  for r = 0 to rows - 1 do
+    visit r 0
+  done;
+  let reached = ref false in
+  while (not !reached) && not (Queue.is_empty queue) do
+    let r, c = Queue.pop queue in
+    if c = cols - 1 then reached := true
+    else List.iter (fun (r', c') -> visit r' c') [ (r - 1, c); (r + 1, c); (r, c - 1); (r, c + 1) ]
+  done;
+  !reached

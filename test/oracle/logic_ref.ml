@@ -1,8 +1,25 @@
 (* Two-level logic references: the duality sharing lemma, the
-   pre-bucketing Quine–McCluskey prime generation and the list-based
-   branch-and-bound cover. *)
+   pre-bucketing Quine–McCluskey prime generation, the list-based
+   branch-and-bound cover, and the small checkers and writers the logic
+   tests and the bench build on. *)
 
 open Nxc_logic
+
+(** The cube of exactly minterm [m] over [n] variables. *)
+let of_minterm n m =
+  Cube.of_literals n
+    (List.init n (fun v -> (v, if m land (1 lsl v) <> 0 then Cube.Pos else Cube.Neg)))
+
+(** Quine–McCluskey combination: defined when the cubes constrain the
+    same variable set and differ in exactly one polarity. *)
+let merge a b =
+  let la = Cube.literals a and lb = Cube.literals b in
+  if List.map fst la <> List.map fst lb then None
+  else
+    match List.filter (fun (l, l') -> l <> l') (List.combine la lb) with
+    | [ ((v, _), _) ] ->
+        Some (Cube.of_literals (Cube.n_vars a) (List.filter (fun (u, _) -> u <> v) la))
+    | _ -> None
 
 (** The duality sharing lemma (Altun–Riedel, IEEE TC 2012): every cube
     of the first cover shares a same-polarity literal with every cube
@@ -11,14 +28,14 @@ open Nxc_logic
 let check_sharing f_cover d_cover =
   List.for_all
     (fun p ->
-      List.for_all (fun q -> Cube.shares_literal p q) (Cover.cubes d_cover))
+      List.for_all (fun q -> Cube.common_literals p q <> []) (Cover.cubes d_cover))
     (Cover.cubes f_cover)
 
 (** Prime implicants of [on ∪ dc] by merging every [i < j] cube pair in
     each round, sorted by [Cube.compare]. *)
 let primes_reference ~n ~on ~dc =
   let care = List.sort_uniq compare (on @ dc) in
-  let current = ref (List.map (Cube.of_minterm n) care) in
+  let current = ref (List.map (of_minterm n) care) in
   let prime_acc = ref [] in
   while !current <> [] do
     let merged = Hashtbl.create 64 in
@@ -27,17 +44,17 @@ let primes_reference ~n ~on ~dc =
     let k = Array.length arr in
     for i = 0 to k - 1 do
       for j = i + 1 to k - 1 do
-        match Cube.merge arr.(i) arr.(j) with
+        match merge arr.(i) arr.(j) with
         | Some m ->
             Hashtbl.replace next m ();
-            Hashtbl.replace merged (Cube.hash arr.(i), arr.(i)) ();
-            Hashtbl.replace merged (Cube.hash arr.(j), arr.(j)) ()
+            Hashtbl.replace merged arr.(i) ();
+            Hashtbl.replace merged arr.(j) ()
         | None -> ()
       done
     done;
     Array.iter
       (fun c ->
-        if not (Hashtbl.mem merged (Cube.hash c, c)) then
+        if not (Hashtbl.mem merged c) then
           prime_acc := c :: !prime_acc)
       arr;
     current := Hashtbl.fold (fun c () acc -> c :: acc) next []
@@ -88,3 +105,148 @@ let cover_exact ~guard ~budget primes_arr on_list =
   in
   let exact = match go [] 0 on_list with () -> true | exception Budget -> false in
   (!best, exact, !nodes)
+
+(* ------------------------------------------------------------------ *)
+(* PLA writer                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let cube_to_pla_input n c =
+  String.init n (fun i ->
+      match Cube.polarity_of c i with
+      | None -> '-'
+      | Some Pos -> '1'
+      | Some Neg -> '0')
+
+(* labels land in space-separated .ilb/.ob directives, so whitespace
+   inside a name would change the token count and make the emitted text
+   unparseable; squash it (function names are often full expressions) *)
+let sanitize_label s =
+  let s = if s = "" then "_" else s in
+  String.map
+    (fun ch -> match ch with ' ' | '\t' | '\n' | '\r' -> '_' | c -> c)
+    s
+
+(** PLA text of [p], the format [Parse.pla_of_string_result] reads:
+    one row per distinct input cube, shared products printed once. *)
+let pla_to_string (p : Parse.pla) =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Printf.sprintf ".i %d\n.o %d\n" p.inputs p.outputs);
+  let add_labels directive names =
+    Buffer.add_string buf
+      (directive ^ " "
+      ^ String.concat " " (List.map sanitize_label names)
+      ^ "\n")
+  in
+  (match p.input_labels with
+  | Some names -> add_labels ".ilb" names
+  | None -> ());
+  (match p.output_labels with
+  | Some names -> add_labels ".ob" names
+  | None -> ());
+  (* group rows by input cube so shared products print once *)
+  let tbl = Hashtbl.create 64 in
+  Array.iteri
+    (fun o cover ->
+      List.iter
+        (fun c ->
+          let cur =
+            match Hashtbl.find_opt tbl c with
+            | Some s -> s
+            | None ->
+                let s = Bytes.make p.outputs '0' in
+                Hashtbl.add tbl c s;
+                s
+          in
+          Bytes.set cur o '1')
+        (Cover.cubes cover))
+    p.on_sets;
+  Array.iteri
+    (fun o cover ->
+      List.iter
+        (fun c ->
+          let cur =
+            match Hashtbl.find_opt tbl c with
+            | Some s -> s
+            | None ->
+                let s = Bytes.make p.outputs '0' in
+                Hashtbl.add tbl c s;
+                s
+          in
+          Bytes.set cur o '-')
+        (Cover.cubes cover))
+    p.dc_sets;
+  let rows =
+    Hashtbl.fold
+      (fun c out acc -> (cube_to_pla_input p.inputs c, Bytes.to_string out) :: acc)
+      tbl []
+    |> List.sort compare
+  in
+  Buffer.add_string buf (Printf.sprintf ".p %d\n" (List.length rows));
+  List.iter
+    (fun (i, o) -> Buffer.add_string buf (i ^ " " ^ o ^ "\n"))
+    rows;
+  Buffer.add_string buf ".e\n";
+  Buffer.contents buf
+
+(** Exact (minterm-level) PLA of a function vector; all functions must
+    share an arity. *)
+let pla_of_functions fs : Parse.pla =
+  match fs with
+  | [] -> invalid_arg "Logic_ref.pla_of_functions: empty"
+  | f0 :: _ ->
+      let n = Boolfunc.n_vars f0 in
+      List.iter
+        (fun f ->
+          if Boolfunc.n_vars f <> n then
+            invalid_arg "Logic_ref.pla_of_functions: arity mismatch")
+        fs;
+      let covers =
+        List.map
+          (fun f ->
+            Cover.make n
+              (List.map (of_minterm n)
+                 (Truth_table.minterms (Boolfunc.table f))))
+          fs
+      in
+      { inputs = n;
+        outputs = List.length fs;
+        input_labels = None;
+        output_labels = Some (List.map Boolfunc.name fs);
+        on_sets = Array.of_list covers;
+        dc_sets = Array.of_list (List.map (fun _ -> Cover.bottom n) fs) }
+
+(* ------------------------------------------------------------------ *)
+(* Checkers and generators                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** Whether a P-circuit decomposition recomposes to [f]:
+    [lit(xi = p) f_eq + lit(xi <> p) f_neq + f_int = f]. *)
+let pcircuit_valid f (d : Pcircuit.t) =
+  let n = Boolfunc.n_vars f in
+  let sel pol =
+    Truth_table.of_fun_int n (fun m -> (m land (1 lsl d.var) <> 0) = pol)
+  in
+  Truth_table.equal
+    (Truth_table.bor
+       (Truth_table.bor
+          (Truth_table.band (sel d.pol) d.f_eq)
+          (Truth_table.band (sel (not d.pol)) d.f_neq))
+       d.f_int)
+    (Boolfunc.table f)
+
+(** The points of an affine space over [n] variables, ascending. *)
+let affine_points ~n s = List.filter (Affine.mem s) (List.init (1 lsl n) Fun.id)
+
+(* splitmix64-style mixing for deterministic random tables *)
+let mix seed i =
+  let golden = 0x1E3779B97F4A7C15 in
+  let m1 = 0x3F58476D1CE4E5B9 and m2 = 0x14D049BB133111EB in
+  let z = ref (seed + ((i + 1) * golden)) in
+  z := (!z lxor (!z lsr 30)) * m1;
+  z := (!z lxor (!z lsr 27)) * m2;
+  !z lxor (!z lsr 31)
+
+(** Deterministic pseudo-random function of [n] variables: bit 0 of the
+    mixed minterm index, the bit [Truth_table.random_with_density] does
+    not use. *)
+let random_table n ~seed = Truth_table.of_fun_int n (fun m -> mix seed m land 1 = 1)

@@ -41,4 +41,7 @@ let reference_canonical f =
       if c < 0 || (c = 0 && bt.Npn.output_neg && not t.Npn.output_neg) then
         (t, g)
       else best)
-    (Npn.identity n, f) (transforms n)
+    ( { Npn.perm = Array.init n Fun.id; input_neg = Array.make n false;
+        output_neg = false },
+      f )
+    (transforms n)

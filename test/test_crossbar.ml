@@ -17,7 +17,7 @@ let arb_nonconst n =
     (fun tt ->
       match Tt.is_const tt with
       | None -> Boolfunc.make tt
-      | Some _ -> Boolfunc.make (Tt.var n 0))
+      | Some _ -> Boolfunc.make (Testutil.tt_var n 0))
     (U.arb_table n)
 
 let model_tests =
@@ -29,7 +29,7 @@ let model_tests =
               (Model.placement_of_matrix [| [| true |]; [| true; false |] |]));
         let p = Model.placement_of_matrix [| [| true; false |]; [| true; true |] |] in
         check_int "programmed" 3 (Model.programmed p);
-        check_int "crosspoints" 4 (Model.crosspoints p.Model.dims));
+        check "dims" true (p.Model.dims = { Model.rows = 2; cols = 2 }));
   ]
 
 let diode_tests =
@@ -51,12 +51,21 @@ let diode_tests =
           | exception Invalid_argument _ -> true
           | _ -> false));
     Alcotest.test_case "row_value is the product" `Quick (fun () ->
+        (* each row alone, as a one-product crossbar, is the wired-AND
+           of its literals: it computes its product *)
         let f = Parse.expr "x1x2 + x1'x2'" in
         let x = Diode.synthesize f in
-        (* one of the rows is x1x2 *)
-        let row_funs = [ Diode.row_value x 0b11 0; Diode.row_value x 0b11 1 ] in
+        let rows = Cover.cubes (Diode.cover x) in
+        check_int "two rows" 2 (List.length rows);
+        List.iter
+          (fun cube ->
+            let row = Diode.of_cover (Cover.make 2 [ cube ]) in
+            for m = 0 to 3 do
+              check "row = product" (Cube.eval_int cube m) (Diode.eval_int row m)
+            done)
+          rows;
         check "exactly one row high at 11" true
-          (List.length (List.filter Fun.id row_funs) = 1));
+          (List.length (List.filter (fun c -> Cube.eval_int c 0b11) rows) = 1));
     U.qtest ~count:200 "diode crossbar computes f" (arb_nonconst 4) (fun f ->
         match Boolfunc.is_const f with
         | Some _ -> true
@@ -89,8 +98,23 @@ let diode_tests =
             let x = Diode.synthesize f in
             let c = Diode.cover x in
             Model.programmed (Diode.placement x)
-            = Cover.num_literals c + Cover.num_cubes c);
+            = List.fold_left (fun n cube -> n + List.length (Cube.literals cube)) 0
+                (Cover.cubes c)
+              + Cover.num_cubes c);
   ]
+
+(* the "(u pull-up + d pull-down)" header [Fet.pp] prints *)
+let networks x =
+  let s = Format.asprintf "%a" Fet.pp x in
+  Scanf.sscanf s "fet crossbar %_dx%_d (%d pull-up + %d pull-down)" (fun u d ->
+      (u, d))
+
+(* every assignment evaluated: [Fet.eval_int] asserts that exactly one
+   network conducts *)
+let complementary x n =
+  match List.init (1 lsl n) (Fet.eval_int x) with
+  | _ -> true
+  | exception Assert_failure _ -> false
 
 let fet_tests =
   [
@@ -101,9 +125,8 @@ let fet_tests =
         check_int "rows" 4 d.Model.rows;
         check_int "cols" 4 d.Model.cols;
         let x = Fet.synthesize f in
-        check_int "pull-up columns" 2 (Fet.num_pullup x);
-        check_int "pull-down columns" 2 (Fet.num_pulldown x);
-        check "complementary" true (Fet.is_complementary x));
+        check "pull-up + pull-down columns" true (networks x = (2, 2));
+        check "complementary" true (complementary x 2));
     Alcotest.test_case "constant rejected" `Quick (fun () ->
         check "raises" true
           (match Fet.synthesize (Boolfunc.of_fun_int 2 (fun _ -> false)) with
@@ -113,8 +136,7 @@ let fet_tests =
         (* f = x1x2: pull-up 1 column (x1,x2); dual x1+x2: two pull-down
            columns gated by x1', x2' *)
         let x = Fet.synthesize (Parse.expr "x1x2") in
-        check_int "pull-up" 1 (Fet.num_pullup x);
-        check_int "pull-down" 2 (Fet.num_pulldown x);
+        check "pull-up, pull-down" true (networks x = (1, 2));
         check "eval 11" true (Fet.eval_int x 0b11);
         check "eval 01" false (Fet.eval_int x 0b01));
     U.qtest ~count:200 "fet crossbar computes f" (arb_nonconst 4) (fun f ->
@@ -130,7 +152,7 @@ let fet_tests =
       (fun f ->
         match Boolfunc.is_const f with
         | Some _ -> true
-        | None -> Fet.is_complementary (Fet.synthesize f));
+        | None -> complementary (Fet.synthesize f) 5);
     U.qtest ~count:100 "size formula row count can exceed literals of f only"
       (arb_nonconst 4)
       (fun f ->
@@ -139,104 +161,8 @@ let fet_tests =
         | None ->
             let x = Fet.synthesize f in
             let d = Fet.dims x in
-            Array.length (Fet.row_literals x) = d.Model.rows
-            && d.Model.cols = Fet.num_pullup x + Fet.num_pulldown x);
-  ]
-
-(* word-parallel kernels vs the scalar evaluators *)
-let kernel_tests =
-  let vectors_of n ms =
-    Array.of_list
-      (List.map (fun m -> Array.init n (fun i -> m land (1 lsl i) <> 0)) ms)
-  in
-  [
-    U.qtest ~count:150 "diode eval_all ≡ scalar eval" (arb_nonconst 4) (fun f ->
-        match Boolfunc.is_const f with
-        | Some _ -> true
-        | None ->
-            let x = Diode.synthesize f in
-            Tt.equal (Diode.eval_all x)
-              (Tt.of_fun_int 4 (Diode.eval_int x)));
-    U.qtest ~count:30 "diode eval_all ≡ scalar eval (8 vars, heuristic sop)"
-      (arb_nonconst 8) (fun f ->
-        match Boolfunc.is_const f with
-        | Some _ -> true
-        | None ->
-            let x = Diode.of_cover (Isop.isop (Boolfunc.table f)) in
-            Tt.equal (Diode.eval_all x)
-              (Tt.of_fun_int 8 (Diode.eval_int x)));
-    Alcotest.test_case "diode eval_all on a 1xk crossbar" `Quick (fun () ->
-        (* a single product occupies one row *)
-        let x = Diode.synthesize (Parse.expr "x1x2'x3") in
-        check_int "one row" 1 (Diode.dims x).Model.rows;
-        check "kernel matches" true
-          (Tt.equal (Diode.eval_all x) (Tt.of_fun_int 3 (Diode.eval_int x))));
-    U.qtest ~count:100 "diode eval_vectors ≡ eval"
-      QCheck.(pair (arb_nonconst 4) (list (int_bound 15)))
-      (fun (f, ms) ->
-        match Boolfunc.is_const f with
-        | Some _ -> true
-        | None ->
-            let x = Diode.synthesize f in
-            let vecs = vectors_of 4 ms in
-            let bv = Diode.eval_vectors x vecs in
-            Bitvec.length bv = Array.length vecs
-            && Array.for_all Fun.id
-                 (Array.mapi (fun j v -> Bitvec.get bv j = Diode.eval x v) vecs));
-    U.qtest ~count:150 "fet eval_all ≡ scalar eval" (arb_nonconst 4) (fun f ->
-        match Boolfunc.is_const f with
-        | Some _ -> true
-        | None ->
-            let x = Fet.synthesize f in
-            Tt.equal (Fet.eval_all x) (Tt.of_fun_int 4 (Fet.eval_int x)));
-    U.qtest ~count:30 "fet eval_all ≡ scalar eval (6 vars, heuristic sop)"
-      (arb_nonconst 6) (fun f ->
-        match Boolfunc.is_const f with
-        | Some _ -> true
-        | None ->
-            let x =
-              Fet.of_covers ~n:6
-                ~f_cover:(Isop.isop (Boolfunc.table f))
-                ~dual_cover:(Isop.isop (Boolfunc.table (Boolfunc.dual f)))
-            in
-            Tt.equal (Fet.eval_all x) (Tt.of_fun_int 6 (Fet.eval_int x)));
-    U.qtest ~count:100 "fet eval_vectors ≡ eval"
-      QCheck.(pair (arb_nonconst 4) (list (int_bound 15)))
-      (fun (f, ms) ->
-        match Boolfunc.is_const f with
-        | Some _ -> true
-        | None ->
-            let x = Fet.synthesize f in
-            let vecs = vectors_of 4 ms in
-            let bv = Fet.eval_vectors x vecs in
-            Bitvec.length bv = Array.length vecs
-            && Array.for_all Fun.id
-                 (Array.mapi (fun j v -> Bitvec.get bv j = Fet.eval x v) vecs));
-    Alcotest.test_case "scratch is stateless across interleaved shapes" `Quick
-      (fun () ->
-        (* one scratch threaded through crossbars of different arities
-           and dimensions must give the same tables as fresh scratches *)
-        let fs =
-          List.map Parse.expr
-            [ "x1x2 + x1'x2'"; "x1x2'x3"; "x1 ^ x2 ^ x3 ^ x4"; "x1 + x2x3" ]
-        in
-        let s = Model.scratch () in
-        List.iter
-          (fun f ->
-            let d = Diode.synthesize f and t = Fet.synthesize f in
-            let expect_d = Diode.eval_all d and expect_t = Fet.eval_all t in
-            check "diode, shared scratch" true
-              (Tt.equal (Diode.eval_all ~scratch:s d) expect_d);
-            check "fet, shared scratch" true
-              (Tt.equal (Fet.eval_all ~scratch:s t) expect_t))
-          fs;
-        (* and again in reverse order, reusing the grown buffers *)
-        List.iter
-          (fun f ->
-            let d = Diode.synthesize f in
-            check "diode, reused scratch" true
-              (Tt.equal (Diode.eval_all ~scratch:s d) (Diode.eval_all d)))
-          (List.rev fs));
+            let up, down = networks x in
+            Fet.size_formula f = d && d.Model.cols = up + down);
   ]
 
 let metrics_tests =
@@ -270,6 +196,5 @@ let () =
       ("model", model_tests);
       ("diode", diode_tests);
       ("fet", fet_tests);
-      ("kernels", kernel_tests);
       ("metrics", metrics_tests);
     ]

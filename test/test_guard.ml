@@ -45,16 +45,21 @@ let test_budget_policy_view () =
   Alcotest.(check bool) "shared exhaustion" false (G.Budget.step b)
 
 let test_ambient () =
+  (* a budget's label is the one its exhaustion error carries *)
+  let label b =
+    match G.Budget.error b with
+    | `Budget_exhausted { G.Error.label; _ } -> label
+    | _ -> "?"
+  in
   let b = G.Budget.create ~label:"scoped" ~steps:1 () in
   let inside = G.Budget.with_current b (fun () -> G.Budget.current ()) in
-  Alcotest.(check string) "scoped label" "scoped" (G.Budget.label inside);
-  Alcotest.(check string) "restored" "unlimited"
-    (G.Budget.label (G.Budget.current ()));
+  Alcotest.(check string) "scoped label" "scoped" (label inside);
+  Alcotest.(check string) "restored" "unlimited" (label (G.Budget.current ()));
   (* exception-safe restore *)
   (try G.Budget.with_current b (fun () -> failwith "boom")
    with Failure _ -> ());
   Alcotest.(check string) "restored after raise" "unlimited"
-    (G.Budget.label (G.Budget.current ()))
+    (label (G.Budget.current ()))
 
 let test_unlimited_not_written () =
   (* every domain without a budget of its own shares [unlimited]: its
@@ -133,7 +138,7 @@ let minimize_equiv_under_tiny_budget =
 
 let test_minimize_result_fail_policy () =
   (* an exhausted Fail-policy guard must surface as a typed error *)
-  let tt = Tt.random 6 ~seed:7 in
+  let tt = Nxc_oracle.Logic_ref.random_table 6 ~seed:7 in
   let guard = G.Budget.create ~policy:G.Budget.Fail ~steps:5 () in
   match
     G.Budget.with_current guard (fun () ->
@@ -144,7 +149,7 @@ let test_minimize_result_fail_policy () =
   | Ok _ -> Alcotest.fail "expected budget exhaustion"
 
 let test_minimize_result_degrade_policy () =
-  let tt = Tt.random 6 ~seed:7 in
+  let tt = Nxc_oracle.Logic_ref.random_table 6 ~seed:7 in
   let guard = G.Budget.create ~steps:5 () in
   match
     G.Budget.with_current guard (fun () ->
@@ -157,13 +162,13 @@ let test_minimize_result_degrade_policy () =
 
 let test_determinism () =
   (* same input, same budget -> identical cover and step accounting *)
-  let tt = Tt.random 5 ~seed:99 in
+  let tt = Nxc_oracle.Logic_ref.random_table 5 ~seed:99 in
   let run () =
     let guard = G.Budget.create ~steps:50 () in
     let cover, _ =
       G.Budget.with_current guard (fun () -> L.Qm.minimize_table tt)
     in
-    (List.map L.Cube.to_string (L.Cover.cubes cover), G.Budget.steps_used guard)
+    (List.map Testutil.cube_to_string (L.Cover.cubes cover), G.Budget.steps_used guard)
   in
   let a = run () and b = run () in
   Alcotest.(check (pair (list string) int)) "identical runs" a b
@@ -186,8 +191,8 @@ let test_parse_rejects () =
   check_invalid "control byte" "x1 \x01 x2";
   check_invalid "huge index" "x9999999";
   check_invalid "overlong" ("x1 + " ^ String.make 70_000 ' ' ^ "x2");
-  (match L.Parse.expr_result ~n:0 "x1" with
-  | Error (`Invalid_input _) -> ()
+  (match L.Parse.expr ~n:0 "x1" with
+  | exception L.Parse.Parse_error _ -> ()
   | _ -> Alcotest.fail "forced arity below used variables must fail");
   (* column is reported for located errors *)
   match L.Parse.expr_result "x1 ? x2" with
@@ -261,7 +266,7 @@ let test_flow_all_defective () =
   let chip =
     R.Defect.generate (R.Rng.create 3) ~rows:8 ~cols:8 (R.Defect.uniform 1.0)
   in
-  match C.Flow.run_result ~max_configs:50 (R.Rng.create 4) ~chip f with
+  match C.Flow.run_result (R.Rng.create 4) ~chip f with
   | Ok r ->
       Alcotest.(check bool) "not functional" false r.C.Flow.functional;
       Alcotest.(check bool) "no mapping" true (r.C.Flow.mapping = None)
@@ -308,7 +313,7 @@ let test_exact_max_degrades () =
   let sel =
     G.Budget.with_current guard (fun () -> R.Defect_flow.exact_max chip)
   in
-  Alcotest.(check bool) "defect-free" true (R.Defect_flow.is_defect_free chip sel)
+  Alcotest.(check bool) "defect-free" true (Nxc_oracle.Assign_ref.selection_defect_free chip sel)
 
 (* ------------------------------------------------------------------ *)
 (* The ambient budget is the only channel                              *)
@@ -362,10 +367,6 @@ let starved_rows () =
       fun _ ->
         let _, exact, _ = L.Qm.cover_exact ~budget:1000 primes on in
         not exact );
-    ( "Qm.minimize",
-      fun _ ->
-        let (c, _), b = bumping "qm_to_isop" (fun () -> L.Qm.minimize ~n on) in
-        b && equiv c );
     ("Qm.minimize_result", fun _ -> budget_error (L.Qm.minimize_result ~n on));
     ( "Qm.minimize_table",
       fun _ ->
@@ -395,8 +396,6 @@ let starved_rows () =
       fun _ ->
         let (t, g), b = bumping "npn_semi" (fun () -> L.Npn.canonical tt) in
         b && Tt.equal (L.Npn.apply t tt) g );
-    ( "Npn.canonical_key",
-      fun _ -> snd (bumping "npn_semi" (fun () -> L.Npn.canonical_key tt)) );
     ( "Optimal.search",
       fun _ ->
         Nxc_lattice.Optimal.search f = Nxc_lattice.Optimal.Budget_exhausted );
@@ -474,21 +473,7 @@ let starved_rows () =
         let sel, b =
           bumping "exact_to_greedy" (fun () -> R.Defect_flow.exact_max chip)
         in
-        b && R.Defect_flow.is_defect_free chip sel );
-    ( "Defect_flow.repair_then_extract",
-      fun p ->
-        let site =
-          if fail p then "repair_to_extract" else "bira_exact_to_greedy"
-        in
-        let sel, b =
-          bumping site (fun () ->
-              R.Defect_flow.repair_then_extract chip ~spare_rows:3 ~spare_cols:3
-                ~k:5)
-        in
-        b
-        && match sel with
-           | None -> true
-           | Some s -> R.Defect_flow.is_defect_free chip s );
+        b && Nxc_oracle.Assign_ref.selection_defect_free chip sel );
     ( "Defect_flow.place_lattice",
       fun _ ->
         R.Defect_flow.place_lattice (rng ()) chip lattice ~attempts:10 = None );
@@ -518,11 +503,7 @@ let starved_rows () =
     ( "Flow.run",
       fun _ ->
         let r = C.Flow.run (rng ()) ~chip f in
-        r.C.Flow.impl.C.Synth.degraded && r.C.Flow.mapping = None );
-    ( "Flow.run_defect_aware",
-      fun _ ->
-        let r = C.Flow.run_defect_aware (rng ()) ~chip f in
-        r.C.Flow.aware_impl.C.Synth.degraded && not r.C.Flow.placed ) ]
+        r.C.Flow.impl.C.Synth.degraded && r.C.Flow.mapping = None ) ]
 
 let test_starved_entry_points () =
   List.iter

@@ -77,7 +77,7 @@ let eval_tests =
         check_int "rows" 2 (Lattice.rows t);
         for m = 0 to 3 do
           check "transpose eval_lr = eval top-bottom" (Lattice.eval_int l m)
-            (Lattice.eval_lr t m)
+            (Nxc_oracle.Lattice_ref.eval_lr t m)
         done);
   ]
 
@@ -176,11 +176,11 @@ let compose_tests =
     U.qtest ~count:100 "disjunction computes OR" QCheck.(pair (arb_func 4) (arb_func 4))
       (fun (f, g) ->
         let l = Compose.disjunction (Altun_riedel.synthesize f) (Altun_riedel.synthesize g) in
-        Checker.equivalent l (Boolfunc.bor f g));
+        Checker.equivalent l (Testutil.bf_or f g));
     U.qtest ~count:100 "conjunction computes AND" QCheck.(pair (arb_func 4) (arb_func 4))
       (fun (f, g) ->
         let l = Compose.conjunction (Altun_riedel.synthesize f) (Altun_riedel.synthesize g) in
-        Checker.equivalent l (Boolfunc.band f g));
+        Checker.equivalent l (Testutil.bf_and f g));
     U.qtest ~count:60 "of_cover is the naive SOP lattice" (U.arb_cover 4)
       (fun c ->
         let l = Compose.of_cover 4 c in
@@ -192,7 +192,7 @@ let compose_tests =
         and lg = Altun_riedel.synthesize g
         and lh = Altun_riedel.synthesize h in
         let l = Compose.disjunction_list [ Compose.conjunction lf lg; lh ] in
-        Checker.equivalent l (Boolfunc.bor (Boolfunc.band f g) h));
+        Checker.equivalent l (Testutil.bf_or (Testutil.bf_and f g) h));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -214,12 +214,9 @@ let decompose_tests =
         Lattice.area best <= Lattice.area direct
         && Checker.equivalent best f);
     U.qtest ~count:150 "every candidate and the minimum match the reference"
-      QCheck.(
-        pair bool
-          (make ~print:(Format.asprintf "%a" Tt.pp)
-             Gen.(int_range 2 6 >>= U.gen_table)))
-      (fun (shannon, tt) ->
-        let strategy = if shannon then Pcircuit.Shannon else Pcircuit.Projected in
+      (QCheck.make ~print:(Format.asprintf "%a" Testutil.pp_table)
+         QCheck.Gen.(int_range 2 6 >>= U.gen_table))
+      (fun tt ->
         let f = Boolfunc.make tt in
         let module R = Nxc_oracle.Lattice_ref in
         List.for_all
@@ -227,17 +224,11 @@ let decompose_tests =
             List.for_all
               (fun pol ->
                 R.equal
-                  (Decompose_synth.synthesize_with ~strategy ~var ~pol f)
-                  (R.synthesize_with ~strategy ~var ~pol f))
+                  (Decompose_synth.synthesize_with ~var ~pol f)
+                  (R.synthesize_with ~var ~pol f))
               [ false; true ])
           (List.init (Tt.n_vars tt) Fun.id)
-        && R.equal (Decompose_synth.synthesize ~strategy f) (R.decompose ~strategy f));
-    U.qtest ~count:40 "shannon strategy also correct"
-      QCheck.(triple (arb_func 4) (int_bound 3) bool)
-      (fun (f, var, pol) ->
-        Checker.equivalent
-          (Decompose_synth.synthesize_with ~strategy:Pcircuit.Shannon ~var ~pol f)
-          f);
+        && R.equal (Decompose_synth.synthesize f) (R.decompose f));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -267,13 +258,13 @@ let dred_tests =
         | None -> true
         | Some l -> Checker.equivalent l f);
     U.qtest ~count:60 "best_of is correct and no worse" (arb_func 4) (fun f ->
-        let best = Dred_synth.best_of f in
+        let best = Nxc_core.Synth.best_lattice (Nxc_core.Synth.synthesize f) in
         Checker.equivalent best f
         && Lattice.area best <= Lattice.area (Altun_riedel.synthesize f));
     U.qtest ~count:60 "subspace-confined functions are handled"
       QCheck.(pair (U.arb_table 3) (int_bound 3))
       (fun (tt, v) ->
-        let g = Tt.band (Tt.lift tt 4 [| 0; 1; 2 |]) (Tt.var 4 v) in
+        let g = Tt.band (Tt.lift tt 4 [| 0; 1; 2 |]) (Testutil.tt_var 4 v) in
         match Tt.is_const g with
         | Some _ -> true
         | None -> (
@@ -302,7 +293,7 @@ let optimal_tests =
     U.qtest ~count:25 "found lattices are equivalent and AR is never smaller"
       (arb_func 2)
       (fun f ->
-        match Optimal.search ~max_area:4 ~budget:400_000 f with
+        match Optimal.search ~max_area:4 f with
         | Optimal.Found l ->
             Checker.equivalent l f
             && Lattice.area l <= Lattice.area (Altun_riedel.synthesize f)

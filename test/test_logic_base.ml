@@ -52,7 +52,8 @@ let bitvec_tests =
         Bitvec.popcount (Bitvec.land_ a b) <= min (Bitvec.popcount a) (Bitvec.popcount b));
     U.qtest "lxor self is zero" QCheck.(int_bound 1000) (fun s ->
         let v = Bitvec.init 40 (fun i -> (i + s) mod 2 = 0) in
-        Bitvec.is_all false (Bitvec.lxor_ v v));
+        (* v xor v is zero: v has no first difference from itself *)
+        Bitvec.first_diff v (Bitvec.copy v) = None);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -66,7 +67,7 @@ let cube_tests =
     Alcotest.test_case "top cube" `Quick (fun () ->
         let t = Cube.top n in
         check "is_top" true (Cube.is_top t);
-        check_int "no literals" 0 (Cube.num_literals t);
+        check_int "no literals" 0 (List.length (Cube.literals t));
         for m = 0 to (1 lsl n) - 1 do
           check "top true everywhere" true (Cube.eval_int t m)
         done);
@@ -75,27 +76,27 @@ let cube_tests =
         check "x1 x3' at 00001" true (Cube.eval_int c 0b00001);
         check "x1 x3' at 00101" false (Cube.eval_int c 0b00101);
         check "x1 x3' at 00000" false (Cube.eval_int c 0b00000);
-        Alcotest.(check string) "printing" "x1x3'" (Cube.to_string c));
+        Alcotest.(check string) "printing" "x1x3'" (Testutil.cube_to_string c));
     Alcotest.test_case "conflicting literals rejected" `Quick (fun () ->
         Alcotest.check_raises "x1 and x1'"
           (Invalid_argument "Cube.of_literals: conflicting polarities")
           (fun () -> ignore (Cube.of_literals n [ (0, Pos); (0, Neg) ])));
     Alcotest.test_case "minterms of a cube" `Quick (fun () ->
         let c = Cube.of_literals 3 [ (1, Pos) ] in
-        Alcotest.(check (list int)) "x2 minterms" [ 2; 3; 6; 7 ] (Cube.minterms c));
+        Alcotest.(check (list int)) "x2 minterms" [ 2; 3; 6; 7 ] (Testutil.cube_minterms c));
     Alcotest.test_case "merge (QM step)" `Quick (fun () ->
-        let a = Cube.of_minterm 3 0b000 and b = Cube.of_minterm 3 0b100 in
-        (match Cube.merge a b with
-        | Some m -> Alcotest.(check string) "merged" "x1'x2'" (Cube.to_string m)
+        let a = Nxc_oracle.Logic_ref.of_minterm 3 0b000 and b = Nxc_oracle.Logic_ref.of_minterm 3 0b100 in
+        (match Nxc_oracle.Logic_ref.merge a b with
+        | Some m -> Alcotest.(check string) "merged" "x1'x2'" (Testutil.cube_to_string m)
         | None -> Alcotest.fail "expected merge");
-        let c = Cube.of_minterm 3 0b011 in
-        check "no merge at distance 2" true (Cube.merge a c = None));
+        let c = Nxc_oracle.Logic_ref.of_minterm 3 0b011 in
+        check "no merge at distance 2" true (Nxc_oracle.Logic_ref.merge a c = None));
     U.qtest "literals roundtrip" (U.arb_cube n) (fun c ->
         Cube.equal c (Cube.of_literals n (Cube.literals c)));
     U.qtest "contains is minterm inclusion" QCheck.(pair (U.arb_cube n) (U.arb_cube n))
       (fun (a, b) ->
         let inc =
-          List.for_all (fun m -> Cube.eval_int a m) (Cube.minterms b)
+          List.for_all (fun m -> Cube.eval_int a m) (Testutil.cube_minterms b)
         in
         Cube.contains a b = inc);
     U.qtest "intersect is conjunction" QCheck.(pair (U.arb_cube n) (U.arb_cube n))
@@ -113,7 +114,10 @@ let cube_tests =
         | None -> U.same_function n (fun _ -> false) (fun m -> Cube.eval_int c (fix m)));
     U.qtest "shares_literal iff common_literals nonempty"
       QCheck.(pair (U.arb_cube n) (U.arb_cube n))
-      (fun (a, b) -> Cube.shares_literal a b = (Cube.common_literals a b <> []));
+      (fun (a, b) ->
+        (* sharing a literal: some (variable, polarity) is in both *)
+        List.exists (fun l -> List.mem l (Cube.literals b)) (Cube.literals a)
+        = (Cube.common_literals a b <> []));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -126,7 +130,7 @@ let cover_tests =
   [
     Alcotest.test_case "constants" `Quick (fun () ->
         check "bottom" true (Cover.num_cubes (Cover.bottom n) = 0);
-        check "top is tautology" true (Cover.is_tautology (Cover.top n));
+        check "top is tautology" true (Cover.is_tautology (Cover.make n [ Cube.top n ]));
         check "bottom not tautology" false (Cover.is_tautology (Cover.bottom n)));
     Alcotest.test_case "xor cover" `Quick (fun () ->
         let f =
@@ -151,10 +155,13 @@ let cover_tests =
         Truth_table.equal
           (tt_of_cover (Cover.complement f))
           (Truth_table.bnot (tt_of_cover f)));
+    (* the minimizer's covers are irredundant *)
     U.qtest "irredundant preserves semantics" (U.arb_cover 4) (fun f ->
-        Truth_table.equal (tt_of_cover (Cover.irredundant f)) (tt_of_cover f));
+        Truth_table.equal
+          (tt_of_cover (Minimize.sop (Boolfunc.of_cover f)))
+          (tt_of_cover f));
     U.qtest "irredundant is irredundant" (U.arb_cover 4) (fun f ->
-        let g = Cover.irredundant f in
+        let g = Minimize.sop (Boolfunc.of_cover f) in
         List.for_all
           (fun c ->
             let rest =
@@ -162,11 +169,6 @@ let cover_tests =
             in
             not (Cover.covers_cube rest c))
           (Cover.cubes g));
-    U.qtest "product is conjunction" QCheck.(pair (U.arb_cover 4) (U.arb_cover 4))
-      (fun (f, g) ->
-        Truth_table.equal
-          (tt_of_cover (Cover.product f g))
-          (Truth_table.band (tt_of_cover f) (tt_of_cover g)));
     U.qtest "union is disjunction" QCheck.(pair (U.arb_cover 4) (U.arb_cover 4))
       (fun (f, g) ->
         Truth_table.equal
@@ -182,9 +184,12 @@ let cover_tests =
       QCheck.(pair (U.arb_cover 4) (U.arb_cube 4))
       (fun (f, c) ->
         Cover.covers_cube f c
-        = List.for_all (fun m -> Cover.eval_int f m) (Cube.minterms c));
+        = List.for_all (fun m -> Cover.eval_int f m) (Testutil.cube_minterms c));
     U.qtest "minterm roundtrip" (U.arb_cover 4) (fun f ->
-        let g = Cover.of_minterms 4 (Cover.minterms f) in
+        let g =
+          Cover.make 4
+            (List.map (Nxc_oracle.Logic_ref.of_minterm 4) (Truth_table.minterms (tt_of_cover f)))
+        in
         Truth_table.equal (tt_of_cover f) (tt_of_cover g));
   ]
 
@@ -192,10 +197,14 @@ let cover_tests =
 (* Truth_table                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* the variables a table depends on, ascending *)
+let support f =
+  List.filter (Truth_table.depends_on f) (List.init (Truth_table.n_vars f) Fun.id)
+
 let table_tests =
   [
     Alcotest.test_case "var projection" `Quick (fun () ->
-        let x2 = Truth_table.var 3 1 in
+        let x2 = Testutil.tt_var 3 1 in
         check "at 010" true (Truth_table.eval_int x2 0b010);
         check "at 101" false (Truth_table.eval_int x2 0b101));
     Alcotest.test_case "dual of AND is OR" `Quick (fun () ->
@@ -208,32 +217,32 @@ let table_tests =
           Truth_table.of_fun_int 3 (fun m ->
               (m lxor (m lsr 1) lxor (m lsr 2)) land 1 = 1)
         in
-        check "parity3 self-dual" true (Truth_table.is_self_dual f3));
+        check "parity3 self-dual" true (Truth_table.equal f3 (Truth_table.dual f3)));
     Alcotest.test_case "majority is self-dual" `Quick (fun () ->
         let maj =
-          Truth_table.of_fun 3 (fun x ->
-              (if x.(0) then 1 else 0) + (if x.(1) then 1 else 0)
-              + (if x.(2) then 1 else 0)
-              >= 2)
+          Truth_table.of_fun_int 3 (fun m ->
+              (m land 1) + ((m lsr 1) land 1) + ((m lsr 2) land 1) >= 2)
         in
-        check "maj3 self-dual" true (Truth_table.is_self_dual maj));
+        check "maj3 self-dual" true (Truth_table.equal maj (Truth_table.dual maj)));
     Alcotest.test_case "support" `Quick (fun () ->
         let f = Truth_table.of_fun_int 4 (fun m -> m land 0b101 = 0b101) in
-        Alcotest.(check (list int)) "vars 0 and 2" [ 0; 2 ] (Truth_table.support f));
+        Alcotest.(check (list int)) "vars 0 and 2" [ 0; 2 ] (support f));
     Alcotest.test_case "restrict_to_support" `Quick (fun () ->
+        (* f over its support {x2, x4} is x1 + x2; lifting it back onto
+           variables 1 and 3 of four gives f again *)
         let f = Truth_table.of_fun_int 4 (fun m -> m land 0b1010 <> 0) in
-        let g, sup = Truth_table.restrict_to_support f in
+        let sup = support f in
         Alcotest.(check (list int)) "support" [ 1; 3 ] sup;
-        check_int "arity" 2 (Truth_table.n_vars g);
+        let g = Truth_table.of_fun_int 2 (fun m -> m <> 0) in
         let back = Truth_table.lift g 4 (Array.of_list sup) in
         check "roundtrip" true (Truth_table.equal back f));
     Alcotest.test_case "random determinism" `Quick (fun () ->
         check "same seed" true
-          (Truth_table.equal (Truth_table.random 6 ~seed:42)
-             (Truth_table.random 6 ~seed:42));
+          (Truth_table.equal (Nxc_oracle.Logic_ref.random_table 6 ~seed:42)
+             (Nxc_oracle.Logic_ref.random_table 6 ~seed:42));
         check "different seed" false
-          (Truth_table.equal (Truth_table.random 6 ~seed:42)
-             (Truth_table.random 6 ~seed:43)));
+          (Truth_table.equal (Nxc_oracle.Logic_ref.random_table 6 ~seed:42)
+             (Nxc_oracle.Logic_ref.random_table 6 ~seed:43)));
     Alcotest.test_case "density control" `Quick (fun () ->
         let f = Truth_table.random_with_density 10 ~seed:7 ~density:0.25 in
         let frac =
@@ -254,7 +263,10 @@ let table_tests =
           (Truth_table.bor (Truth_table.bnot f) (Truth_table.bnot g)));
     U.qtest "exists quantification" QCheck.(pair (U.arb_table 4) (int_bound 3))
       (fun (f, v) ->
-        let e = Truth_table.exists f v in
+        let e =
+          Truth_table.bor (Truth_table.cofactor f v false)
+            (Truth_table.cofactor f v true)
+        in
         U.same_function 4 (Truth_table.eval_int e) (fun m ->
             Truth_table.eval_int f (m lor (1 lsl v))
             || Truth_table.eval_int f (m land lnot (1 lsl v))));
@@ -281,10 +293,10 @@ let table_tests =
        in
        QCheck.make
          ~print:(fun (f, g) ->
-           Format.asprintf "%a vs %a" Truth_table.pp f Truth_table.pp g)
+           Format.asprintf "%a vs %a" Testutil.pp_table f Testutil.pp_table g)
          gen)
       (fun (f, g) ->
-        let pp = Format.asprintf "%a" Truth_table.pp in
+        let pp = Format.asprintf "%a" Testutil.pp_table in
         Int.compare (Truth_table.compare f g) 0
         = Int.compare (String.compare (pp f) (pp g)) 0);
   ]

@@ -8,6 +8,16 @@ module J = Nxc_obs.Json
 (* Json                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* an integer field of a histogram in the metrics JSON dump *)
+let hdr_field name field =
+  let get k = function
+    | J.Obj kvs -> (match List.assoc_opt k kvs with Some v -> v | None -> J.Null)
+    | _ -> J.Null
+  in
+  match get field (get name (get "histograms" (Obs.Metrics.dump_json ()))) with
+  | J.Int v -> v
+  | _ -> Alcotest.failf "no %s.%s in the metrics dump" name field
+
 let roundtrip v = J.of_string (J.to_string v)
 
 let test_json_roundtrip () =
@@ -206,10 +216,10 @@ let test_hdr_quantile () =
   let n = 1000 in
   let values = Array.init n (fun i -> (i + 1) * 17) in
   Array.iter (Obs.Metrics.hdr_observe h) values;
-  Alcotest.(check int) "count" n (Obs.Metrics.hdr_count h);
+  Alcotest.(check int) "count" n (hdr_field "test.hdr_q" "count");
   Alcotest.(check int)
     "sum" (17 * n * (n + 1) / 2)
-    (Obs.Metrics.hdr_sum h);
+    (hdr_field "test.hdr_q" "sum");
   List.iter
     (fun q ->
       let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
@@ -247,8 +257,10 @@ let qtest_hdr_merge =
           let h = Obs.Metrics.hdr "test.hdr_merge_par" in
           List.iter (Obs.Metrics.hdr_observe h) ys);
       Obs.Metrics.merge buf;
-      Obs.Metrics.hdr_count seq = Obs.Metrics.hdr_count par
-      && Obs.Metrics.hdr_sum seq = Obs.Metrics.hdr_sum par
+      hdr_field "test.hdr_merge_seq" "count"
+      = hdr_field "test.hdr_merge_par" "count"
+      && hdr_field "test.hdr_merge_seq" "sum"
+         = hdr_field "test.hdr_merge_par" "sum"
       && List.for_all
            (fun q ->
              Obs.Metrics.hdr_quantile seq q = Obs.Metrics.hdr_quantile par q)
@@ -292,7 +304,7 @@ let test_metric_namespaces () =
 
 let test_recorder_ring () =
   Obs.Recorder.clear ();
-  let cap = Obs.Recorder.capacity in
+  let cap = 256 (* the ring's capacity *) in
   for i = 0 to cap + 4 do
     Obs.Recorder.record ~name:(Printf.sprintf "e%d" i) []
   done;
@@ -362,7 +374,6 @@ let test_log_disabled_feeds_recorder () =
   Obs.Log.disable ();
   Obs.Recorder.clear ();
   Obs.Log.event ~level:Obs.Log.Debug ~name:"test.ev" [ ("x", J.Int 7) ];
-  Alcotest.(check bool) "log stays off" false (Obs.Log.enabled ());
   (* dump_flight without a destination is a no-op, not an error *)
   Obs.Log.dump_flight ~reason:"disabled";
   match Obs.Recorder.entries () with
@@ -383,7 +394,6 @@ let test_log_jsonl_and_flight_dump () =
   @@ fun () ->
   Obs.Recorder.clear ();
   Obs.Log.enable ~dest:path ();
-  Alcotest.(check bool) "enabled" true (Obs.Log.enabled ());
   Obs.Log.set_level Obs.Log.Warn;
   Obs.Log.event ~level:Obs.Log.Info ~name:"below" [];
   Obs.Log.event ~level:Obs.Log.Error ~name:"kept" [ ("job", J.Str "j1") ];

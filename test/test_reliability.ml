@@ -94,11 +94,21 @@ let rng_tests =
 (* Defect maps                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* defective crosspoints of a map, probed one at a time *)
+let defect_count m =
+  let n = ref 0 in
+  for r = 0 to Defect.rows m - 1 do
+    for c = 0 to Defect.cols m - 1 do
+      if Defect.is_defective m r c then incr n
+    done
+  done;
+  !n
+
 let defect_tests =
   [
     Alcotest.test_case "perfect map" `Quick (fun () ->
         let m = Defect.perfect ~rows:8 ~cols:8 in
-        check_int "no defects" 0 (Defect.count m);
+        check_int "no defects" 0 (defect_count m);
         check "density zero" true (Defect.actual_density m = 0.0));
     Alcotest.test_case "uniform density is approximately honored" `Quick
       (fun () ->
@@ -130,7 +140,7 @@ let defect_tests =
     Alcotest.test_case "clustered maps cluster" `Quick (fun () ->
         let rng = Rng.create 13 in
         let m =
-          Defect.generate rng ~rows:80 ~cols:80 (Defect.clustered ~clusters:2 0.08)
+          Defect.generate rng ~rows:80 ~cols:80 (Defect.clustered 0.08)
         in
         (* local density variance should exceed a uniform map's:
            compare max 10x10 tile count against the mean tile count *)
@@ -152,16 +162,17 @@ let defect_tests =
     Alcotest.test_case "with_defect is functional" `Quick (fun () ->
         let m = Defect.perfect ~rows:4 ~cols:4 in
         let m' = Defect.with_defect m 1 2 Defect.Stuck_open in
-        check_int "original untouched" 0 (Defect.count m);
-        check_int "updated has one" 1 (Defect.count m');
+        check_int "original untouched" 0 (defect_count m);
+        check_int "updated has one" 1 (defect_count m');
         check "kind" true (Defect.kind_at m' 1 2 = Some Defect.Stuck_open));
     Alcotest.test_case "profile validation edges" `Quick (fun () ->
-        let ok p = Result.is_ok (Defect.validate_profile p) in
-        let bad p =
-          match Defect.validate_profile p with
-          | Error (`Invalid_input _) -> true
-          | Error _ | Ok _ -> false
+        (* [Defect.generate] validates its profile first *)
+        let ok p =
+          match Defect.generate (Rng.create 1) ~rows:2 ~cols:2 p with
+          | _ -> true
+          | exception Invalid_argument _ -> false
         in
+        let bad p = not (ok p) in
         (* the closed endpoints of every range are legal *)
         check "density 0" true (ok (Defect.uniform 0.0));
         check "density 1" true (ok (Defect.uniform 1.0));
@@ -257,8 +268,8 @@ let fault_model_tests =
   [
     Alcotest.test_case "single-term config computes AND" `Quick (fun () ->
         let cfg = Fm.single_term ~rows:3 ~cols:4 1 in
-        check "all ones" true (Fm.eval cfg [| true; true; true; true |]);
-        check "one zero" false (Fm.eval cfg [| true; false; true; true |]));
+        check "all ones" true (Bist_ref.eval cfg [| true; true; true; true |]);
+        check "one zero" false (Bist_ref.eval cfg [| true; false; true; true |]));
     Alcotest.test_case "universe size formula" `Quick (fun () ->
         (* 2mn xpoints + 3m row faults + 2n col faults + bridges *)
         let m = 4 and n = 5 in
@@ -268,34 +279,34 @@ let fault_model_tests =
     Alcotest.test_case "stuck-open widens the product" `Quick (fun () ->
         let cfg = Fm.single_term ~rows:2 ~cols:3 0 in
         let v = [| true; false; true |] in
-        check "fault-free is 0" false (Fm.eval cfg v);
+        check "fault-free is 0" false (Bist_ref.eval cfg v);
         check "ignoring the 0 input gives 1" true
-          (Fm.eval ~fault:(Fm.Xpoint_stuck_open (0, 1)) cfg v));
+          (Bist_ref.eval ~fault:(Fm.Xpoint_stuck_open (0, 1)) cfg v));
     Alcotest.test_case "stuck-closed narrows the product" `Quick (fun () ->
         let cfg = Fm.empty_config ~rows:2 ~cols:3 in
         cfg.Fm.programmed.(0).(0) <- true;
         cfg.Fm.observed.(0) <- true;
         let v = [| true; false; true |] in
-        check "fault-free is 1" true (Fm.eval cfg v);
+        check "fault-free is 1" true (Bist_ref.eval cfg v);
         check "extra device reads the 0" false
-          (Fm.eval ~fault:(Fm.Xpoint_stuck_closed (0, 1)) cfg v));
+          (Bist_ref.eval ~fault:(Fm.Xpoint_stuck_closed (0, 1)) cfg v));
     Alcotest.test_case "row and column stuck" `Quick (fun () ->
         let cfg = Fm.single_term ~rows:2 ~cols:2 0 in
         check "row stuck 0" false
-          (Fm.eval ~fault:(Fm.Row_stuck (0, false)) cfg [| true; true |]);
+          (Bist_ref.eval ~fault:(Fm.Row_stuck (0, false)) cfg [| true; true |]);
         check "col stuck 1 rescues a 0 input" true
-          (Fm.eval ~fault:(Fm.Col_stuck (1, true)) cfg [| true; false |]));
+          (Bist_ref.eval ~fault:(Fm.Col_stuck (1, true)) cfg [| true; false |]));
     Alcotest.test_case "bridges are AND-type" `Quick (fun () ->
         let cfg = Fm.single_term ~rows:2 ~cols:2 0 in
         (* col bridge: both columns read the AND *)
         check "col bridge kills mixed input" false
-          (Fm.eval ~fault:(Fm.Bridge_cols 0) cfg [| true; false |]
-          || Fm.eval ~fault:(Fm.Bridge_cols 0) cfg [| false; true |]));
+          (Bist_ref.eval ~fault:(Fm.Bridge_cols 0) cfg [| true; false |]
+          || Bist_ref.eval ~fault:(Fm.Bridge_cols 0) cfg [| false; true |]));
     Alcotest.test_case "output open silences the row" `Quick (fun () ->
         let cfg = Fm.single_term ~rows:2 ~cols:2 1 in
-        check "fault-free" true (Fm.eval cfg [| true; true |]);
+        check "fault-free" true (Bist_ref.eval cfg [| true; true |]);
         check "opened" false
-          (Fm.eval ~fault:(Fm.Output_open 1) cfg [| true; true |]));
+          (Bist_ref.eval ~fault:(Fm.Output_open 1) cfg [| true; true |]));
     Alcotest.test_case "of_defect translation" `Quick (fun () ->
         let m = Defect.perfect ~rows:3 ~cols:3 in
         let m = Defect.with_defect m 0 1 Defect.Stuck_open in
@@ -356,10 +367,9 @@ let bist_tests =
     Alcotest.test_case "passes on a perfect chip, fails with a fault" `Quick
       (fun () ->
         let p = Bist.plan ~rows:4 ~cols:4 in
-        check "perfect passes" true (Bist.passes p (fun cfg v -> Fm.eval cfg v));
+        check "perfect passes" true (Bist_ref.syndrome_scalar p [] = []);
         check "faulty fails" false
-          (Bist.passes p (fun cfg v ->
-               Fm.eval ~fault:(Fm.Xpoint_stuck_open (2, 1)) cfg v)));
+          (Bist.syndrome p (Fm.Xpoint_stuck_open (2, 1)) = []));
     Alcotest.test_case "vector count stays linear-ish" `Quick (fun () ->
         let p = Bist.plan ~rows:8 ~cols:8 in
         check "configs" true (Bist.num_configs p <= 16);
@@ -414,7 +424,7 @@ let packed_tests =
         let ok = ref true in
         Array.iteri
           (fun j v ->
-            let want = Fm.eval_multi ~faults cfg v in
+            let want = Bist_ref.eval_multi ~faults cfg v in
             let got =
               obs.(j / Nxc_logic.Bitslice.word_bits)
               land (1 lsl (j mod Nxc_logic.Bitslice.word_bits))
@@ -439,7 +449,29 @@ let packed_tests =
         let plan = Bist.plan ~rows ~cols in
         let universe = Array.of_list (Fm.universe ~rows ~cols) in
         let faults = fault_sample universe seed (1 + (seed mod 4)) in
-        Bist.syndrome_multi plan faults = Bist_ref.syndrome_scalar plan faults);
+        (* the packed kernel under all the faults at once, pair by pair *)
+        let packed =
+          List.concat
+            (List.mapi
+               (fun ci (tc : Bist.test_config) ->
+                 let vectors =
+                   Array.of_list (List.map (fun t -> t.Bist.vector) tc.tests)
+                 in
+                 let blk = Fm.pack_vectors ~cols vectors in
+                 let obs = Array.make (Fm.block_words blk) 0 in
+                 Fm.eval_block ~faults tc.config blk ~into:obs;
+                 List.concat
+                   (List.mapi
+                      (fun vi t ->
+                        let w = vi / Nxc_logic.Bitslice.word_bits
+                        and b = vi mod Nxc_logic.Bitslice.word_bits in
+                        if obs.(w) land (1 lsl b) <> 0 <> t.Bist.expected then
+                          [ (ci, vi) ]
+                        else [])
+                      tc.tests))
+               plan.Bist.configs)
+        in
+        packed = Bist_ref.syndrome_scalar plan faults);
     qtest ~count:30 "coverage verdicts ≡ oracle on thinned plans"
       QCheck.(triple (int_range 1 6) (int_range 2 7) (int_bound 10_000))
       (fun (rows, cols, seed) ->
@@ -507,14 +539,14 @@ let multi_fault_tests =
           (fun f ->
             List.iter
               (fun v ->
-                check "agree" (Fm.eval ~fault:f cfg v)
-                  (Fm.eval_multi ~faults:[ f ] cfg v))
+                check "agree" (Bist_ref.eval ~fault:f cfg v)
+                  (Bist_ref.eval_multi ~faults:[ f ] cfg v))
               vectors)
           (Fm.universe ~rows:3 ~cols:4));
     Alcotest.test_case "empty fault list is fault-free" `Quick (fun () ->
         let cfg = Fm.single_term ~rows:2 ~cols:3 0 in
         let v = [| true; true; false |] in
-        check "agree" (Fm.eval cfg v) (Fm.eval_multi ~faults:[] cfg v));
+        check "agree" (Bist_ref.eval cfg v) (Bist_ref.eval_multi ~faults:[] cfg v));
     Alcotest.test_case "pairs of stuck-opens never mask each other" `Quick
       (fun () ->
         (* expected-0 group tests push in one direction only, so two
@@ -526,7 +558,7 @@ let multi_fault_tests =
               for c2 = 0 to 4 do
                 if (r1, c1) < (r2, c2) then
                   check "detected" true
-                    (Bist.syndrome_multi plan
+                    (Bist_ref.syndrome_scalar plan
                        [ Fm.Xpoint_stuck_open (r1, c1);
                          Fm.Xpoint_stuck_open (r2, c2) ]
                     <> [])
@@ -550,7 +582,7 @@ let multi_fault_tests =
           | Fm.Col_stuck (a, x), Fm.Col_stuck (b, y) -> a = b && x <> y
           | _ -> false
         in
-        contradictory || Bist.syndrome_multi plan [ f1; f2 ] <> []);
+        contradictory || Bist_ref.syndrome_scalar plan [ f1; f2 ] <> []);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -793,7 +825,7 @@ let flow_tests =
         for _ = 1 to 40 do
           let chip = Defect.generate rng ~rows:20 ~cols:20 (Defect.uniform 0.1) in
           let sel = Defect_flow.greedy_max chip in
-          check "defect-free" true (Defect_flow.is_defect_free chip sel);
+          check "defect-free" true (Nxc_oracle.Assign_ref.selection_defect_free chip sel);
           check "square" true
             (Array.length sel.Defect_flow.sel_rows
             = Array.length sel.Defect_flow.sel_cols)
@@ -807,7 +839,7 @@ let flow_tests =
         (match Defect_flow.extract chip ~k:8 with
         | Some sel ->
             check_int "rows" 8 (Array.length sel.Defect_flow.sel_rows);
-            check "defect-free" true (Defect_flow.is_defect_free chip sel)
+            check "defect-free" true (Nxc_oracle.Assign_ref.selection_defect_free chip sel)
         | None -> Alcotest.fail "expected an 8x8 extraction at 5% on 16x16");
         check "absurd k refused" true (Defect_flow.extract chip ~k:16 = None));
     Alcotest.test_case "exact is at least as good as greedy" `Quick (fun () ->
@@ -818,7 +850,7 @@ let flow_tests =
           let e_sel = Defect_flow.exact_max chip in
           let e = Defect_flow.recovered_k e_sel in
           check "exact >= greedy" true (e >= g);
-          check "exact defect-free" true (Defect_flow.is_defect_free chip e_sel)
+          check "exact defect-free" true (Nxc_oracle.Assign_ref.selection_defect_free chip e_sel)
         done);
     qtest ~count:150 "extract = greedy_max truncated to k, for every k"
       QCheck.(
@@ -1008,7 +1040,7 @@ let yield_tests =
         in
         each = List.map descent ys
         && ks () = each
-        && Nxc_par.Pool.with_pool ~workers:1 (fun pool -> ks ~pool ()) = each);
+        && Nxc_par.Pool.with_jobs 2 (fun pool -> ks ?pool ()) = each);
     Alcotest.test_case "yield job results are pinned" `Quick (fun () ->
         (* computed while the engine still ran one descent per
            threshold *)

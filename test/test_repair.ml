@@ -1,6 +1,6 @@
-(* Tests for the BIRA/BISR spare-repair layer: must-repair analysis,
-   exact vs greedy spare allocation, the address-remap table, and the
-   repair-then-extract flow. *)
+(* Tests for the BIRA spare-repair layer: must-repair analysis, exact
+   vs greedy spare allocation, the logical array a repair leaves, and
+   the Monte-Carlo repair sweep. *)
 
 open Nxc_reliability
 
@@ -51,19 +51,21 @@ let analyze ?mode sc =
   Bira.analyze ?mode (scenario_chip sc) ~spare_rows:sc.sc_spare_rows
     ~spare_cols:sc.sc_spare_cols
 
-(* law (a): a successful repair really is a repair — the BISR remap it
-   induces survives the application-independent BIST oracle *)
+(* law (a): a successful repair really is a repair — the logical array
+   of its surviving lines (logical line i = i-th unreplaced physical
+   line) survives the application-independent BIST oracle *)
 let law_repair_is_defect_free =
   qtest "BIRA success => BISR remap is defect-free" arb_scenario (fun sc ->
       match analyze sc with
       | Error _ -> true (* vacuous: no solution claimed *)
       | Ok sol -> (
           let chip = scenario_chip sc in
-          match Bisr.build chip ~rows:sc.sc_rows ~cols:sc.sc_cols sol with
-          | Error _ -> false (* a valid solution must always remap *)
-          | Ok remap ->
-              Bisr.defect_free chip remap
-              && Bism.mapping_defect_free chip (Bisr.to_mapping remap)))
+          match
+            Nxc_oracle.Assign_ref.repaired_array chip ~rows:sc.sc_rows
+              ~cols:sc.sc_cols sol
+          with
+          | None -> false (* a valid solution always leaves the array *)
+          | Some m -> Bism.mapping_defect_free chip m))
 
 (* law (b), part 1: exact dominates greedy on success — any chip greedy
    can repair, exact can too *)
@@ -164,9 +166,9 @@ let bira_tests =
         in
         match Bira.analyze chip ~spare_rows:1 ~spare_cols:1 with
         | Ok sol -> (
-            match Bisr.build chip ~rows:4 ~cols:4 sol with
-            | Ok remap -> check "remap clean" true (Bisr.defect_free chip remap)
-            | Error _ -> Alcotest.fail "solution must remap")
+            match Nxc_oracle.Assign_ref.repaired_array chip ~rows:4 ~cols:4 sol with
+            | Some m -> check "remap clean" true (Bism.mapping_defect_free chip m)
+            | None -> Alcotest.fail "solution must leave a 4x4 array")
         | Error _ -> Alcotest.fail "repairable: delete row 0 and col 3");
     Alcotest.test_case "negative spares are invalid input" `Quick (fun () ->
         match
@@ -222,112 +224,11 @@ let bira_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* BISR remap                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bisr_tests =
-  [
-    Alcotest.test_case "remap skips repaired lines in order" `Quick (fun () ->
-        let chip = Defect.perfect ~rows:5 ~cols:5 in
-        let sol =
-          { Bira.repair_rows = [ 1 ]; repair_cols = [ 0; 3 ];
-            must_rows = []; must_cols = []; degraded = false }
-        in
-        match Bisr.build chip ~rows:4 ~cols:3 sol with
-        | Ok t ->
-            check "rows" true (Array.to_list t.Bisr.row_map = [ 0; 2; 3; 4 ]);
-            check "cols" true (Array.to_list t.Bisr.col_map = [ 1; 2; 4 ]);
-            check_int "row lookup" 2 (Bisr.row t 1);
-            check_int "col lookup" 4 (Bisr.col t 2)
-        | Error _ -> Alcotest.fail "valid remap");
-    Alcotest.test_case "too many repairs is invalid input" `Quick (fun () ->
-        let chip = Defect.perfect ~rows:4 ~cols:4 in
-        let sol =
-          { Bira.repair_rows = [ 0; 1 ]; repair_cols = []; must_rows = [];
-            must_cols = []; degraded = false }
-        in
-        match Bisr.build chip ~rows:3 ~cols:4 sol with
-        | Error (`Invalid_input _) -> ()
-        | Error _ | Ok _ -> Alcotest.fail "only 2 rows survive, need 3");
-    Alcotest.test_case "out-of-range repair index is invalid input" `Quick
-      (fun () ->
-        let chip = Defect.perfect ~rows:4 ~cols:4 in
-        let sol =
-          { Bira.repair_rows = [ 9 ]; repair_cols = []; must_rows = [];
-            must_cols = []; degraded = false }
-        in
-        match Bisr.build chip ~rows:3 ~cols:4 sol with
-        | Error (`Invalid_input _) -> ()
-        | Error _ | Ok _ -> Alcotest.fail "row 9 does not exist");
-    Alcotest.test_case "compose routes an inner mapping through" `Quick
-      (fun () ->
-        let chip = Defect.perfect ~rows:5 ~cols:5 in
-        let sol =
-          { Bira.repair_rows = [ 0 ]; repair_cols = [ 2 ]; must_rows = [];
-            must_cols = []; degraded = false }
-        in
-        match Bisr.build chip ~rows:4 ~cols:4 sol with
-        | Error _ -> Alcotest.fail "valid remap"
-        | Ok t ->
-            let inner =
-              { Bism.row_map = [| 3; 0 |]; Bism.col_map = [| 1; 2 |] }
-            in
-            let outer = Bisr.compose t inner in
-            (* logical row 3 is physical 4 (row 0 repaired); logical
-               col 2 is physical 3 (col 2 repaired) *)
-            check "rows" true (Array.to_list outer.Bism.row_map = [ 4; 1 ]);
-            check "cols" true (Array.to_list outer.Bism.col_map = [ 1; 3 ]);
-            check "compose out of range raises" true
-              (match
-                 Bisr.compose t { Bism.row_map = [| 4 |]; Bism.col_map = [||] }
-               with
-              | exception Invalid_argument _ -> true
-              | _ -> false));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* repair-then-extract and the Monte-Carlo harness                     *)
+(* the Monte-Carlo harness                                             *)
 (* ------------------------------------------------------------------ *)
 
 let flow_tests =
   [
-    Alcotest.test_case "repair_then_extract yields a clean selection" `Quick
-      (fun () ->
-        let chip =
-          Defect.generate (Rng.create 21) ~rows:14 ~cols:14
-            (Defect.uniform 0.02)
-        in
-        match
-          Defect_flow.repair_then_extract chip ~spare_rows:2 ~spare_cols:2
-            ~k:10
-        with
-        | Some sel ->
-            check "defect-free" true (Defect_flow.is_defect_free chip sel);
-            check_int "k rows" 10 (Array.length sel.Defect_flow.sel_rows)
-        | None -> Alcotest.fail "low density should extract");
-    Alcotest.test_case "repair failure degrades to plain extraction" `Quick
-      (fun () ->
-        (* zero spares: BIRA can never help, the fallback must count a
-           guard.degrade.repair_to_extract and still try greedy *)
-        let chip =
-          Defect.generate (Rng.create 22) ~rows:12 ~cols:12
-            (Defect.uniform 0.10)
-        in
-        let before =
-          Nxc_obs.Metrics.counter_value
-            (Nxc_obs.Metrics.counter "guard.degrade.repair_to_extract")
-        in
-        let sel =
-          Defect_flow.repair_then_extract chip ~spare_rows:0 ~spare_cols:0 ~k:4
-        in
-        let after =
-          Nxc_obs.Metrics.counter_value
-            (Nxc_obs.Metrics.counter "guard.degrade.repair_to_extract")
-        in
-        (match sel with
-        | Some s -> check "clean" true (Defect_flow.is_defect_free chip s)
-        | None -> ());
-        check "degrade counted" true (after > before));
     Alcotest.test_case "monte_carlo is pool-identical" `Quick (fun () ->
         let run pool =
           Bira.monte_carlo ?pool (Rng.create 5) ~trials:24 ~rows:8 ~cols:8
@@ -374,6 +275,5 @@ let () =
     [
       ("laws", law_tests);
       ("bira", bira_tests);
-      ("bisr", bisr_tests);
       ("flow", flow_tests);
     ]

@@ -1,4 +1,4 @@
-(* Unused-export report over the typed trees of the whole project.
+(* Unused-export gate over the typed trees of the whole project.
 
    Reads the [.cmti] of every [lib/**/*.mli] and the [.cmt] of every
    compiled [.ml] (bin/, lib/, examples/, test/, bench/, tools/,
@@ -17,9 +17,12 @@
    - [test]: files under test/, bench/, tools/ and svcbench/ that use it;
    - [own]: 1 when the module's own .ml uses it, else 0.
 
+   A value with no prod caller is followed by the files that use it.
+
    A module passed whole — a functor argument, [include], a first-class
    module — counts as a use of each of its values, so the report errs
-   towards keeping.  Values with no caller outside their module come
+   towards keeping; an [open] does not, since the values used under it
+   resolve to their own paths.  Values with no caller outside their module come
    first.
 
    A second section lists every optional parameter of those exports
@@ -27,11 +30,23 @@
    lib/ ([prod]), bench/, examples/ and svcbench/ ([bench]), and test/
    and tools/ ([test]).  A callee is resolved through its declaration
    location, so calls through module aliases count; inside its own
-   module it is resolved by name.  A [?x:x] that only forwards a
-   parameter of the same name does not count as setting [?x].  Unset
-   parameters come first.
+   module it is resolved by name.  A [?x:x] that only forwards the
+   caller's own optional parameter [?x] sets the callee's [?x] wherever
+   the caller's [?x] is set, so a forwarded parameter counts in the
+   groups of its forwarders' call sites.
 
-   This is a report, not a gate; it always exits 0.
+   The report is also a gate: it exits 1, after listing each failure,
+   when
+
+   - an export has no caller outside its module;
+   - an export with no prod caller has no "Test-only:" reason in its
+     doc comment naming at least one repository [.ml] file, such as
+     "Test-only: test/test_par.ml checks the --jobs mapping.";
+   - a file named by such a reason does not use the value, or the
+     value has a prod caller and so needs no reason;
+   - an optional parameter is set by no call site in bin/, lib/,
+     bench/, examples/ or svcbench/: a knob only tests turn is a
+     second code path no product runs.
 
    Run from the repository root: `make unused-exports`. *)
 
@@ -81,22 +96,83 @@ let rec optional_labels ty =
 let loc_key (loc : Location.t) =
   (loc.loc_start.pos_fname, loc.loc_start.pos_cnum)
 
-(* ["Sub.value"] for every value of the interface, with its declaration
-   location and optional labels *)
+(* the text of a value's doc comments *)
+let doc_text (attrs : attributes) =
+  List.filter_map
+    (fun (a : Parsetree.attribute) ->
+      match a.attr_payload with
+      | PStr
+          [ { pstr_desc =
+                Pstr_eval
+                  ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+              _ } ]
+        when a.attr_name.txt = "ocaml.doc" ->
+          Some s
+      | _ -> None)
+    attrs
+  |> String.concat "\n"
+
+type export = {
+  name : string;  (* "Sub.value" *)
+  loc : string * int;
+  labels : string list;
+  doc : string;
+}
+
+(* every value of the interface, with its declaration location,
+   optional labels and doc comment *)
 let rec sig_values prefix (s : signature) =
   List.concat_map
     (fun item ->
       match item.sig_desc with
       | Tsig_value vd ->
-          [ ( prefix ^ vd.val_name.txt,
-              loc_key vd.val_val.val_loc,
-              optional_labels vd.val_val.val_type ) ]
+          [ { name = prefix ^ vd.val_name.txt;
+              loc = loc_key vd.val_val.val_loc;
+              labels = optional_labels vd.val_val.val_type;
+              doc = doc_text vd.val_attributes } ]
       | Tsig_module
           { md_name = { txt = Some m; _ };
             md_type = { mty_desc = Tmty_signature s; _ }; _ } ->
           sig_values (prefix ^ m ^ ".") s
       | _ -> [])
     s.sig_items
+
+(* The files a "Test-only:" reason names: its words that look like a
+   path to a repository [.ml] file.  [None] when the doc has no
+   reason. *)
+let reason_files doc =
+  let marker = "Test-only:" in
+  let ml = String.length marker and n = String.length doc in
+  let rec find i =
+    if i + ml > n then None
+    else if String.sub doc i ml = marker then Some (i + ml)
+    else find (i + 1)
+  in
+  Option.map
+    (fun start ->
+      let path_char = function
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '/' | '.' | '-' -> true
+        | _ -> false
+      in
+      let words = ref [] and buf = Buffer.create 32 in
+      let flush () =
+        let w = Buffer.contents buf in
+        Buffer.clear buf;
+        (* a sentence may end right after the path *)
+        let w =
+          if String.length w > 0 && w.[String.length w - 1] = '.' then
+            String.sub w 0 (String.length w - 1)
+          else w
+        in
+        if String.contains w '/' && Filename.check_suffix w ".ml" then
+          words := w :: !words
+      in
+      for i = start to n - 1 do
+        if path_char doc.[i] then Buffer.add_char buf doc.[i] else flush ()
+      done;
+      flush ();
+      List.sort_uniq compare !words)
+    (find 0)
 
 (* ------------------------------------------------------------------ *)
 (* uses                                                                *)
@@ -128,23 +204,10 @@ type uses = {
       (* this file's own top-level values it uses, as "Sub.value" *)
   sets : (string * string * string, int) Hashtbl.t;
       (* (unit, value, label) -> call sites that set that optional *)
+  forwards : ((string * string * string) * (string * string * string)) list ref;
+      (* (forwarder, label) -> (callee, label): a [?x:x] passing the
+         forwarder's own optional parameter on *)
 }
-
-(* Does an argument the type checker recorded for an optional parameter
-   set it?  An omitted one is a [None] at [Location.none]; [?x:x] where
-   [x] is the caller's own optional parameter [?x] forwards it.
-   [opt_params] holds the unique names of the enclosing functions'
-   optional parameters. *)
-let sets_optional opt_params label (e : expression) =
-  match e.exp_desc with
-  | Texp_construct (_, { Types.cstr_name = "None"; _ }, [])
-    when e.exp_loc = Location.none ->
-      false
-  | Texp_ident (Path.Pident id, _, _) ->
-      not
-        (Ident.name id = label
-        && Hashtbl.mem opt_params (Ident.unique_name id))
-  | _ -> true
 
 (* The file's top-level values and submodules, by [Ident.unique_name]:
    value -> "Sub.value", submodule -> "Sub.".  A module's own .ml
@@ -195,10 +258,14 @@ let uses_of units by_loc unit_name (str : structure) =
     { values = Hashtbl.create 64;
       wholes = Hashtbl.create 4;
       locals = Hashtbl.create 64;
-      sets = Hashtbl.create 16 }
+      sets = Hashtbl.create 16;
+      forwards = ref [] }
   in
   let top_values, top_modules = top_level str in
+  (* optional parameters in scope, by unique name: the top-level value
+     whose definition binds them, if any, and their label *)
   let opt_params = Hashtbl.create 16 in
+  let enclosing = ref None in
   let local = function
     | Path.Pident id -> Hashtbl.find_opt top_values (Ident.unique_name id)
     | Path.Pdot (Path.Pident m, v) ->
@@ -210,6 +277,21 @@ let uses_of units by_loc unit_name (str : structure) =
     match Hashtbl.find_opt by_loc (loc_key vd.val_loc) with
     | Some _ as export -> export
     | None -> Option.map (fun v -> (unit_name, v)) (local p)
+  in
+  (* An argument the type checker recorded for optional parameter
+     [label]: an omitted one is a [None] at [Location.none] and sets
+     nothing; [?x:x] where [x] is the caller's own [?x] forwards it;
+     anything else sets it. *)
+  let argument label (e : expression) =
+    match e.exp_desc with
+    | Texp_construct (_, { Types.cstr_name = "None"; _ }, [])
+      when e.exp_loc = Location.none ->
+        `Omitted
+    | Texp_ident (Path.Pident id, _, _)
+      when Ident.name id = label
+           && Hashtbl.mem opt_params (Ident.unique_name id) ->
+        `Forwards (Hashtbl.find opt_params (Ident.unique_name id))
+    | _ -> `Sets
   in
   let alias_target me =
     match me.mod_desc with
@@ -235,22 +317,28 @@ let uses_of units by_loc unit_name (str : structure) =
                 (fun (unit, v) ->
                   List.iter
                     (function
-                      | Asttypes.Optional l, Some arg
-                        when sets_optional opt_params l arg ->
+                      | Asttypes.Optional l, Some arg -> (
                           let k = (unit, v, l) in
-                          let n = Hashtbl.find_opt u.sets k in
-                          Hashtbl.replace u.sets k
-                            (1 + Option.value ~default:0 n)
+                          match argument l arg with
+                          | `Omitted -> ()
+                          | `Forwards (Some owner, pl) ->
+                              u.forwards := ((unit_name, owner, pl), k) :: !(u.forwards)
+                          | `Forwards (None, _) -> ()
+                          | `Sets ->
+                              let n = Hashtbl.find_opt u.sets k in
+                              Hashtbl.replace u.sets k
+                                (1 + Option.value ~default:0 n))
                       | _ -> ())
                     args)
                 (callee p vd);
               super.expr it e
-          | Texp_function { arg_label = Optional _; cases; _ } ->
+          | Texp_function { arg_label = Optional l; cases; _ } ->
               List.iter
                 (fun c ->
                   List.iter
                     (fun id ->
-                      Hashtbl.replace opt_params (Ident.unique_name id) ())
+                      Hashtbl.replace opt_params (Ident.unique_name id)
+                        (!enclosing, l))
                     (pat_bound_idents c.c_lhs))
                 cases;
               super.expr it e
@@ -261,6 +349,15 @@ let uses_of units by_loc unit_name (str : structure) =
                   it.expr it body
               | None -> super.expr it e)
           | _ -> super.expr it e);
+      value_binding =
+        (fun it vb ->
+          match vb.vb_pat.pat_desc with
+          | Tpat_var (id, _) when Hashtbl.mem top_values (Ident.unique_name id) ->
+              let outer = !enclosing in
+              enclosing := Hashtbl.find_opt top_values (Ident.unique_name id);
+              super.value_binding it vb;
+              enclosing := outer
+          | _ -> super.value_binding it vb);
       structure_item =
         (fun it item ->
           match item.str_desc with
@@ -270,6 +367,9 @@ let uses_of units by_loc unit_name (str : structure) =
                 (Hashtbl.replace aliases (Ident.unique_name id))
                 (alias_target mb_expr)
           | _ -> super.structure_item it item);
+      (* an [open M] or [M.(e)] only brings names into scope: the
+         values used under it are resolved like any other *)
+      open_declaration = (fun _ _ -> ());
       module_expr =
         (fun it me ->
           (match me.mod_desc with
@@ -284,7 +384,7 @@ let uses_of units by_loc unit_name (str : structure) =
   u
 
 (* ------------------------------------------------------------------ *)
-(* report                                                              *)
+(* report and gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -304,24 +404,23 @@ let () =
              | exception _ -> None
            else None)
   in
-  (* library interfaces: unit name -> exported values *)
-  let units = Hashtbl.create 64 in
+  (* library interfaces: unit name -> exported values, and its .mli *)
+  let units = Hashtbl.create 64 and interfaces = Hashtbl.create 64 in
   List.iter
     (fun (src, info) ->
       match info.Cmt_format.cmt_annots with
       | Cmt_format.Interface s when starts_with ~prefix:"lib/" src ->
-          Hashtbl.replace units info.cmt_modname (sig_values "" s)
+          Hashtbl.replace units info.cmt_modname (sig_values "" s);
+          Hashtbl.replace interfaces info.cmt_modname src
       | _ -> ())
     infos;
   let by_loc = Hashtbl.create 1024 in
   Hashtbl.iter
     (fun unit values ->
-      List.iter
-        (fun (v, loc, _) -> Hashtbl.replace by_loc loc (unit, v))
-        values)
+      List.iter (fun e -> Hashtbl.replace by_loc e.loc (unit, e.name)) values)
     units;
-  (* per implementation file: its unit, whether it is production code,
-     and what it uses *)
+  (* per implementation file: its source, unit, whether it is
+     production code, its optional-parameter group and what it uses *)
   let impls =
     List.filter_map
       (fun (src, info) ->
@@ -337,7 +436,7 @@ let () =
               else 2
             in
             Some
-              (info.cmt_modname, prod, group,
+              (src, info.cmt_modname, prod, group,
                uses_of units by_loc info.cmt_modname str)
         | _ -> None)
       infos
@@ -345,22 +444,29 @@ let () =
   let display unit =
     match List.rev (split_unit unit) with m :: _ -> m | [] -> unit
   in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let rows =
     Hashtbl.fold
       (fun unit values acc ->
         List.map
-          (fun (v, _, _) ->
-            let prod = ref 0 and test = ref 0 and own = ref 0 in
+          (fun e ->
+            let prod = ref 0 and test = ref [] and own = ref 0 in
             List.iter
-              (fun (modname, is_prod, _, u) ->
+              (fun (src, modname, is_prod, _, u) ->
                 if modname = unit then begin
-                  if Hashtbl.mem u.locals v then own := 1
+                  if Hashtbl.mem u.locals e.name then own := 1
                 end
                 else if
-                  Hashtbl.mem u.values (unit, v) || Hashtbl.mem u.wholes unit
-                then if is_prod then incr prod else incr test)
+                  Hashtbl.mem u.values (unit, e.name) || Hashtbl.mem u.wholes unit
+                then if is_prod then incr prod else test := src :: !test)
               impls;
-            (!prod, !test, !own, display unit ^ "." ^ v))
+            ( !prod,
+              List.length !test,
+              !own,
+              display unit ^ "." ^ e.name,
+              (Hashtbl.find interfaces unit, e),
+              !test ))
           values
         @ acc)
       units []
@@ -368,33 +474,75 @@ let () =
   in
   Printf.printf "%5s %5s %4s  %s\n" "prod" "test" "own" "value";
   List.iter
-    (fun (p, t, o, v) -> Printf.printf "%5d %5d %4d  %s\n" p t o v)
+    (fun (p, t, o, v, (mli, e), users) ->
+      let fail fmt = fail ("%s (%s): " ^^ fmt) v mli in
+      if p = 0 then
+        Printf.printf "%5d %5d %4d  %s  [%s]\n" p t o v
+          (String.concat " " (List.sort compare users))
+      else Printf.printf "%5d %5d %4d  %s\n" p t o v;
+      match (p, reason_files e.doc) with
+      | 0, _ when t = 0 -> fail "no caller outside its module"
+      | 0, (None | Some []) ->
+          fail "no prod caller and no \"Test-only:\" reason naming a file"
+      | 0, Some files ->
+          List.iter
+            (fun f ->
+              if not (List.mem f users) then
+                fail "its reason names %s, which does not use it" f)
+            files
+      | _, Some _ -> fail "has a prod caller but a \"Test-only:\" reason"
+      | _, None -> ())
     rows;
   let count pred = List.length (List.filter pred rows) in
   Printf.printf
     "%d exported values; %d with no caller outside their module (%d of \
      them unused in it too); %d more used only by tests and tools\n"
     (List.length rows)
-    (count (fun (p, t, _, _) -> p = 0 && t = 0))
-    (count (fun (p, t, o, _) -> p = 0 && t = 0 && o = 0))
-    (count (fun (p, t, _, _) -> p = 0 && t > 0));
-  (* optional parameters: call sites that set each, per group *)
+    (count (fun (p, t, _, _, _, _) -> p = 0 && t = 0))
+    (count (fun (p, t, o, _, _, _) -> p = 0 && t = 0 && o = 0))
+    (count (fun (p, t, _, _, _, _) -> p = 0 && t > 0));
+  (* optional parameters: call sites that set each, per group, counting
+     a forwarded parameter wherever its forwarder's is set *)
+  let direct = Hashtbl.create 64 and into = Hashtbl.create 16 in
+  List.iter
+    (fun (_, _, _, group, u) ->
+      Hashtbl.iter
+        (fun k n ->
+          let a =
+            match Hashtbl.find_opt direct k with
+            | Some a -> a
+            | None ->
+                let a = Array.make 3 0 in
+                Hashtbl.replace direct k a;
+                a
+          in
+          a.(group) <- a.(group) + n)
+        u.sets;
+      List.iter (fun (src, dst) -> Hashtbl.add into dst src) !(u.forwards))
+    impls;
+  let rec setters seen k =
+    if List.mem k seen then Array.make 3 0
+    else begin
+      let n =
+        Array.copy
+          (Option.value ~default:(Array.make 3 0) (Hashtbl.find_opt direct k))
+      in
+      List.iter
+        (fun src -> Array.iteri (fun g m -> n.(g) <- n.(g) + m) (setters (k :: seen) src))
+        (Hashtbl.find_all into k);
+      n
+    end
+  in
   let optionals =
     Hashtbl.fold
       (fun unit values acc ->
         List.concat_map
-          (fun (v, _, labels) ->
+          (fun e ->
             List.map
               (fun l ->
-                let n = Array.make 3 0 in
-                List.iter
-                  (fun (_, _, group, u) ->
-                    Option.iter
-                      (fun k -> n.(group) <- n.(group) + k)
-                      (Hashtbl.find_opt u.sets (unit, v, l)))
-                  impls;
-                (n.(0) + n.(1) + n.(2) > 0, display unit ^ "." ^ v, l, n))
-              labels)
+                let n = setters [] (unit, e.name, l) in
+                (n.(0) + n.(1) > 0, display unit ^ "." ^ e.name, l, n))
+              e.labels)
           values
         @ acc)
       units []
@@ -402,9 +550,22 @@ let () =
   in
   Printf.printf "\n%5s %5s %5s  optional parameter\n" "prod" "bench" "test";
   List.iter
-    (fun (_, v, l, n) ->
-      Printf.printf "%5d %5d %5d  %s ?%s\n" n.(0) n.(1) n.(2) v l)
+    (fun (set, v, l, n) ->
+      Printf.printf "%5d %5d %5d  %s ?%s\n" n.(0) n.(1) n.(2) v l;
+      if not set then
+        fail "%s ?%s: set by no call site in bin/, lib/, bench/, examples/ or svcbench/"
+          v l)
     optionals;
-  Printf.printf "%d optional parameters on lib/ exports; %d set by no caller\n"
+  Printf.printf
+    "%d optional parameters on lib/ exports; %d set by no caller; %d set \
+     only by tests\n"
     (List.length optionals)
-    (List.length (List.filter (fun (set, _, _, _) -> not set) optionals))
+    (List.length
+       (List.filter (fun (_, _, _, n) -> Array.for_all (( = ) 0) n) optionals))
+    (List.length (List.filter (fun (set, _, _, _) -> not set) optionals));
+  match List.rev !failures with
+  | [] -> ()
+  | fs ->
+      Printf.printf "\n%d gate failures:\n" (List.length fs);
+      List.iter (Printf.printf "FAIL %s\n") fs;
+      exit 1
