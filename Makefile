@@ -41,8 +41,9 @@ bench:
 # NPN search keep their >= 4x margins over the scalar paths, E6 stays
 # under its 8s wall-clock
 # floor, SERVICE keeps its warm hit rate, LOADGEN publishes finite
-# quantiles, E1/E11 publish their covering provenance, E3/E4 keep the
-# suite's lattice sizes, and E18 proves the SAT backends agree with bnb
+# quantiles, E1/E11 publish their covering provenance, E1/E11/E18 keep
+# their count of covers certified minimum by a checked lower bound, E3/E4
+# keep the suite's lattice sizes, and E18 proves the SAT backends agree with bnb
 # and rescue chips hybrid BISM missed);
 # the gate table lives in docs/PERFORMANCE.md
 bench-smoke:

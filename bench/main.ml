@@ -37,6 +37,29 @@ let cover_provenance () =
   in
   [ ("bnb_nodes", J.Int (c "qm.bnb_nodes")); ("cover_status", J.Str status) ]
 
+(* Whether the minimization of [name] into [cover] came back exact and
+   as small as its lower bound, so that the minimum rests on a
+   certificate.  Every certificate is checked by
+   [Logic_ref.certificate_errors] against primes of its own; a rejected
+   one fails the experiment. *)
+let certified name ~n ~on cover (st : Qm.stats) =
+  (match Nxc_oracle.Logic_ref.certificate_errors ~n ~on cover st with
+  | [] -> ()
+  | e :: _ -> failwith (Printf.sprintf "certificate of %s rejected: %s" name e));
+  st.exact && Cover.num_cubes cover = st.lower_bound
+
+(* How many exact minimizations of [fs] are [certified].  Run after
+   [cover_provenance], whose counts they would otherwise add to. *)
+let exact_certified fs =
+  List.fold_left
+    (fun acc f ->
+      let tt = Boolfunc.table f in
+      let n = Truth_table.n_vars tt and on = Truth_table.minterms tt in
+      match Qm.minimize_result ~n on with
+      | Ok (cover, st) when certified (Boolfunc.name f) ~n ~on cover st -> acc + 1
+      | _ -> acc)
+    0 fs
+
 let section id title =
   Format.printf "@.=====================================================@.";
   Format.printf "%s — %s@." id title;
@@ -72,10 +95,22 @@ let e1 () =
     (Nxc_suite.core ());
   Format.printf
     "@.paper check: xnor2 has 4 literals / 2 products -> diode 2x5, fet 4x4@.";
+  let provenance = cover_provenance () in
+  let certified =
+    exact_certified
+      (List.concat_map
+         (fun b -> [ b.Nxc_suite.func; Boolfunc.dual b.Nxc_suite.func ])
+         (Nxc_suite.core ()))
+  in
+  Format.printf
+    "%d of %d covers (each function and its dual) certified minimum by \
+     their lower bound@."
+    certified (2 * !count);
   [ ("benchmarks", J.Int !count);
     ("total_products", J.Int !total_products);
     ("total_distinct_literals", J.Int !total_literals) ]
-  @ cover_provenance ()
+  @ provenance
+  @ [ ("exact_certified", J.Int certified) ]
 
 (* ------------------------------------------------------------------ *)
 (* E2: Fig. 5 — four-terminal lattice size formula + Fig. 4 example    *)
@@ -491,9 +526,18 @@ let e11 () =
   Format.printf
     "@.products are the programmable AND-plane rows — the paper's size \
      currency; sharing never needs more of them@.";
+  let provenance = cover_provenance () in
+  let outputs =
+    List.concat_map (fun mo -> mo.Nxc_suite.outputs) (Nxc_suite.multi_output ())
+  in
+  let certified = exact_certified outputs in
+  Format.printf "%d of %d separate output covers certified minimum by their \
+                 lower bound@."
+    certified (List.length outputs);
   [ ("total_shared_products", J.Int !tot_shared);
     ("total_separate_products", J.Int !tot_separate) ]
-  @ cover_provenance ()
+  @ provenance
+  @ [ ("exact_certified", J.Int certified) ]
 
 (* ------------------------------------------------------------------ *)
 (* E12: transient faults and modular redundancy                        *)
@@ -891,6 +935,7 @@ let e18 () =
      degradation contract. *)
   let budget_steps = 250_000 in
   let identical = ref true and checked = ref 0 and both_exact = ref 0 in
+  let cover_certified = ref 0 in
   List.iter
     (fun (name, f) ->
       let module G = Nxc_guard in
@@ -905,8 +950,17 @@ let e18 () =
       match (minimize Qm.Bnb, minimize Qm.Sat) with
       | Ok (cb, ib), Ok (cs, is) ->
           incr checked;
+          List.iter
+            (fun (c, st) -> if certified name ~n ~on c st then incr cover_certified)
+            [ (cb, ib); (cs, is) ];
           let exact = ib.Qm.exact && is.Qm.exact in
-          if exact then incr both_exact;
+          if exact then incr both_exact
+          else
+            Format.printf
+              "  %s: bnb %d cubes (exact %b), sat %d cubes (exact %b), lower \
+               bound %d@."
+              name (Cover.num_cubes cb) ib.Qm.exact (Cover.num_cubes cs)
+              is.Qm.exact ib.Qm.lower_bound;
           let same =
             Cover.equivalent cb cs
             && ((not exact) || Cover.num_cubes cb = Cover.num_cubes cs)
@@ -922,8 +976,11 @@ let e18 () =
     funcs;
   Format.printf
     "cover parity: %d functions minimized by both backends (%d with both \
-     exact), equivalent everywhere, sizes equal whenever exact: %b@.@."
+     exact), equivalent everywhere, sizes equal whenever exact: %b@."
     !checked !both_exact !identical;
+  Format.printf
+    "%d of %d covers certified minimum by their lower bound@.@."
+    !cover_certified (2 * !checked);
   assert !identical;
   assert (!both_exact > 0);
   (* part B: density sweep where exact assignment rescues chips hybrid
@@ -1013,6 +1070,7 @@ let e18 () =
     !certified !refuted !cross_checked;
   [ ("functions_checked", J.Int !checked);
     ("both_exact", J.Int !both_exact);
+    ("exact_certified", J.Int !cover_certified);
     ("identical_covers", J.Bool !identical);
     ("sat_rescues", J.Int !rescues);
     ("confirmed_unmappable", J.Int !unmappable);

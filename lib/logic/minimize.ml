@@ -1,6 +1,3 @@
-(* minimize.mli quotes this value in the [sop] doc *)
-let exact_threshold_vars = 8
-
 module Obs = Nxc_obs
 module Guard = Nxc_guard
 
@@ -24,7 +21,7 @@ let sop_table_with ?cover_backend tt =
      generation (the exponential part).  Under a [Fail] policy the trip
      is reported instead. *)
   let result =
-    if n > exact_threshold_vars then Ok { cover = heuristic (); degraded = false }
+    if n > Qm.max_vars then Ok { cover = heuristic (); degraded = false }
     else
       match
         Qm.minimize_result ?cover_backend ~n (Truth_table.minterms tt)

@@ -5,83 +5,104 @@ let m_calls = Obs.Metrics.counter "qm.minimize_calls"
 let m_primes = Obs.Metrics.counter "qm.prime_implicants"
 let m_nodes = Obs.Metrics.counter "qm.bnb_nodes"
 let m_budget_exhausted = Obs.Metrics.counter "qm.budget_exhausted"
+let m_certified = Obs.Metrics.counter "qm.certified"
 let h_primes = Obs.Metrics.hdr "qm.primes_per_call"
 
 exception Guard_exhausted
 
-(* Level k holds every implicant of [on ∪ dc] with k free variables,
-   as (mask, bits) pairs sorted for binary search.  A cube merges with
-   the cube of the same mask and one more positive literal; the merged
-   cube is emitted only along its highest free variable, so each
-   implicant of the next level is produced exactly once.  [guard] is
-   charged, in bulk, one step per pair of cubes on adjacent positive
-   counts — |B_p|·|B_p+1| for each bucket pair p, p+1, the pair count
-   of the classic bucketed scan — and exhaustion raises
-   {!Guard_exhausted}. *)
-let primes_guarded guard ~n ~on ~dc =
+let max_vars = 8
+
+(* Level k holds every implicant of [on] with k free variables, packed
+   as [mask lsl n lor bits].  A dense table indexed by the ternary code
+   of a cube (digit v: 0 negative, 1 positive, 2 free) marks which
+   implicants exist and which of them merged, so the partner of a cube
+   with variable v negative sits at [t + 3^v] and the merged cube at
+   [t + 2·3^v]; 3^8 = 6561 entries at the largest [n].  The merged cube
+   is emitted only along its highest free variable, so each implicant
+   of the next level is produced exactly once.  [guard] is charged, in
+   bulk, one step per pair of cubes on adjacent positive counts —
+   |B_p|·|B_p+1| for each bucket pair p, p+1, the pair count of the
+   classic bucketed scan — and exhaustion raises {!Guard_exhausted}. *)
+let primes_guarded guard ~n ~on =
+  if n < 0 || n > max_vars then invalid_arg "Qm: more than 8 variables";
   let full = (1 lsl n) - 1 in
-  let order (m1, b1) (m2, b2) =
-    if m1 <> m2 then Int.compare m1 m2 else Int.compare b1 b2
-  in
-  let find level c =
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let r = order level.(mid) c in
-        if r = 0 then mid else if r < 0 then go (mid + 1) hi else go lo mid
-    in
-    go 0 (Array.length level)
-  in
-  let level =
-    ref
-      (Array.of_list
-         (List.map
-            (fun m -> (full, m))
-            (List.sort_uniq compare
-               (List.map (fun m -> m land full) (on @ dc)))))
-  in
+  let pow3 = Array.make (n + 1) 1 in
+  for v = 1 to n do
+    pow3.(v) <- 3 * pow3.(v - 1)
+  done;
+  (* tern.(s): the code of the variable set [s] at digit 1 *)
+  let tern = Array.make (full + 1) 0 in
+  for s = 1 to full do
+    tern.(s) <- tern.(s land (s - 1)) + pow3.(Bitslice.lowest_set s)
+  done;
+  let code e = tern.(e land full) + (2 * tern.(full lxor (e lsr n))) in
+  let present = '\001' and merged = '\002' in
+  let table = Bytes.make pow3.(n) '\000' in
+  (* every level, back to back: level k is [cubes.(lo) .. cubes.(hi-1)] *)
+  let cubes = Array.make pow3.(n) 0 in
+  let hi = ref 0 in
+  List.iter
+    (fun m ->
+      Bytes.set table tern.(m) present;
+      cubes.(!hi) <- (full lsl n) lor m;
+      incr hi)
+    (List.sort_uniq compare (List.map (fun m -> m land full) on));
+  let lo = ref 0 in
   let primes = ref [] in
-  while Array.length !level > 0 do
-    let cubes = !level in
-    let bucket = Array.make (n + 2) 0 in
-    Array.iter
-      (fun (_, bits) ->
-        let p = Bitslice.popcount bits in
-        bucket.(p) <- bucket.(p) + 1)
-      cubes;
+  let bucket = Array.make (n + 2) 0 in
+  while !lo < !hi do
+    let first = !lo and last = !hi in
+    Array.fill bucket 0 (n + 2) 0;
+    for i = first to last - 1 do
+      let p = Bitslice.popcount (cubes.(i) land full) in
+      bucket.(p) <- bucket.(p) + 1
+    done;
     let pairs = ref 0 in
     for p = 0 to n - 1 do
       pairs := !pairs + (bucket.(p) * bucket.(p + 1))
     done;
     if not (Guard.Budget.charge guard !pairs) then raise Guard_exhausted;
-    let merged = Array.make (Array.length cubes) false in
-    let next = ref [] in
-    Array.iteri
-      (fun i (mask, bits) ->
-        let free = full land lnot mask in
-        Bitslice.iter_set (mask land lnot bits) (fun v ->
-            let bit = 1 lsl v in
-            let j = find cubes (mask, bits lor bit) in
-            if j >= 0 then begin
-              merged.(i) <- true;
-              merged.(j) <- true;
-              if bit > free then next := (mask lxor bit, bits) :: !next
-            end))
-      cubes;
-    Array.iteri
-      (fun i (mask, bits) ->
-        if not merged.(i) then primes := Cube.of_masks n ~mask ~bits :: !primes)
-      cubes;
-    let next = Array.of_list !next in
-    Array.sort order next;
-    level := next
+    for i = first to last - 1 do
+      let e = cubes.(i) in
+      let mask = e lsr n and bits = e land full in
+      let free = full lxor mask in
+      let t = code e in
+      let neg = ref (mask land lnot bits) in
+      while !neg <> 0 do
+        let bit = !neg land - !neg in
+        neg := !neg lxor bit;
+        let v = Bitslice.lowest_set bit in
+        let u = t + pow3.(v) in
+        if Bytes.get table u <> '\000' then begin
+          Bytes.set table t merged;
+          Bytes.set table u merged;
+          if bit > free then begin
+            Bytes.set table (u + pow3.(v)) present;
+            cubes.(!hi) <- ((mask lxor bit) lsl n) lor bits;
+            incr hi
+          end
+        end
+      done
+    done;
+    for i = first to last - 1 do
+      let e = cubes.(i) in
+      if Bytes.get table (code e) = present then
+        primes :=
+          Cube.of_masks n ~mask:(e lsr n) ~bits:(e land full) :: !primes
+    done;
+    lo := last
   done;
   List.sort Cube.compare !primes
 
-let primes ~n ~on ~dc = primes_guarded Guard.Budget.unlimited ~n ~on ~dc
+let primes ~n ~on = primes_guarded Guard.Budget.unlimited ~n ~on
 
-type stats = { num_primes : int; num_essential : int; exact : bool }
+type stats = {
+  num_primes : int;
+  num_essential : int;
+  exact : bool;
+  lower_bound : int;
+  witness : int list;
+}
 
 type cover_backend = Bnb | Sat
 
@@ -91,33 +112,92 @@ let default_backend = ref Bnb
 let set_cover_backend b = default_backend := b
 
 (* Branch and bound over the covering problem: minimize the number of
-   chosen primes covering all ON minterms.  The minterms are indexed in
-   [on_list] order and sets of them are word bitsets, so the first
-   uncovered minterm is the lowest set bit and branching visits the
-   primes covering it in index order.  [budget] caps explored nodes;
-   the ambient budget is consumed once per node.  Returns the best
-   cover found, whether the search completed, and the node count. *)
-let cover_exact ~budget primes_arr on_list =
+   chosen sets covering every element.  Sets of elements are word
+   bitsets, so the first uncovered element is the lowest set bit and
+   branching visits the sets covering it in index order.  A node is
+   pruned when [chosen + bound] reaches the best cover so far; the
+   bound is the number of [witness] elements still uncovered (no two
+   share a set), and only when that is within one of pruning the greedy
+   independent set of the uncovered elements.  The search stops once a
+   cover as small as the witness is found.  [budget] caps explored
+   nodes; the ambient budget is consumed once per node.  Returns the
+   best cover found, whether the search completed, and the node
+   count. *)
+let cover_exact ~budget ~num_sets ~covered_by ~witness =
   let guard = Guard.Budget.current () in
-  let on = Array.of_list on_list in
-  let words = Bitslice.words_for (Array.length on) in
+  let elems = Array.length covered_by in
+  let words = Bitslice.words_for elems in
   let wb = Bitslice.word_bits in
-  let coverage p =
-    let w = Array.make words 0 in
-    Array.iteri
-      (fun j m ->
-        if Cube.eval_int p m then
-          w.(j / wb) <- w.(j / wb) lor (1 lsl (j mod wb)))
-      on;
+  (* the greedy order of {!Sat_cover.independent_set}: [order.(r)] is
+     the element of rank r *)
+  let sets = Array.map List.length covered_by in
+  let order = Array.init elems Fun.id in
+  Array.stable_sort (fun a b -> Int.compare sets.(a) sets.(b)) order;
+  let rank = Array.make elems 0 in
+  Array.iteri (fun r j -> rank.(j) <- r) order;
+  (* a set of elements is [2 * words] words: by index, then by rank, so
+     that branching finds the first element and the greedy bound walks
+     the uncovered ones in its order, each by their lowest set bit *)
+  let bitset l =
+    let w = Array.make (2 * words) 0 in
+    List.iter
+      (fun j ->
+        w.(j / wb) <- w.(j / wb) lor (1 lsl (j mod wb));
+        let r = rank.(j) in
+        w.(words + (r / wb)) <- w.(words + (r / wb)) lor (1 lsl (r mod wb)))
+      l;
     w
   in
-  let cov = Array.map coverage primes_arr in
-  (* for each minterm index, the primes covering it, ascending *)
-  let covering =
-    Array.init (Array.length on) (fun j ->
-        List.filter
-          (fun i -> cov.(i).(j / wb) land (1 lsl (j mod wb)) <> 0)
-          (List.init (Array.length primes_arr) Fun.id))
+  let members = Array.make num_sets [] in
+  for j = elems - 1 downto 0 do
+    List.iter (fun i -> members.(i) <- j :: members.(i)) covered_by.(j)
+  done;
+  let cov = Array.map bitset members in
+  let wit = bitset witness in
+  let root_bound = List.length witness in
+  (* [near.(r)]: the elements sharing a set with the element of rank r,
+     itself included, as the rank words of a set *)
+  let near =
+    Array.map
+      (fun j ->
+        let w = Array.make words 0 in
+        List.iter
+          (fun i ->
+            for k = 0 to words - 1 do
+              w.(k) <- w.(k) lor cov.(i).(words + k)
+            done)
+          covered_by.(j);
+        w)
+      order
+  in
+  let cand = Array.make words 0 in
+  (* whether the greedy independent set of the uncovered elements
+     reaches [need]: take the uncovered element of lowest rank, drop
+     every element sharing a set with it, repeat; it stops counting at
+     [need] *)
+  let greedy_reaches uncovered need =
+    for k = 0 to words - 1 do
+      cand.(k) <- uncovered.(words + k)
+    done;
+    let count = ref 0 and w = ref 0 in
+    while !count < need && !w < words do
+      if cand.(!w) = 0 then incr w
+      else begin
+        incr count;
+        let nr = near.((!w * wb) + Bitslice.lowest_set cand.(!w)) in
+        for k = !w to words - 1 do
+          cand.(k) <- cand.(k) land lnot nr.(k)
+        done
+      end
+    done;
+    !count >= need
+  in
+  let witness_left uncovered =
+    let c = ref 0 in
+    for w = 0 to words - 1 do
+      c := !c + Bitslice.popcount (uncovered.(w) land wit.(w))
+    done;
+    !c
   in
   let first_set u =
     let rec go w =
@@ -131,6 +211,7 @@ let cover_exact ~budget primes_arr on_list =
   let best = ref None in
   let best_size = ref max_int in
   let exception Budget in
+  let exception At_bound in
   let rec go chosen n_chosen uncovered =
     incr nodes;
     if !nodes > budget || not (Guard.Budget.step guard) then raise Budget;
@@ -138,25 +219,34 @@ let cover_exact ~budget primes_arr on_list =
     | -1 ->
         if n_chosen < !best_size then begin
           best_size := n_chosen;
-          best := Some chosen
+          best := Some chosen;
+          if n_chosen <= root_bound then raise At_bound
         end
     | j ->
-        if n_chosen + 1 >= !best_size then () (* bound *)
+        let left = max 1 (witness_left uncovered) in
+        if n_chosen + left >= !best_size then () (* bound *)
+        else if
+          n_chosen + left + 1 >= !best_size
+          && greedy_reaches uncovered (!best_size - n_chosen)
+        then ()
         else
           List.iter
             (fun i ->
               let c = cov.(i) in
-              go (i :: chosen) (n_chosen + 1)
-                (Array.mapi (fun w u -> u land lnot c.(w)) uncovered))
-            covering.(j)
+              let rest = Array.make (2 * words) 0 in
+              for w = 0 to (2 * words) - 1 do
+                rest.(w) <- uncovered.(w) land lnot c.(w)
+              done;
+              go (i :: chosen) (n_chosen + 1) rest)
+            covered_by.(j)
   in
   let all =
-    Array.init words (fun w ->
-        if w = words - 1 then Bitslice.tail_mask (Array.length on) else -1)
+    Array.init (2 * words) (fun w ->
+        if w mod words = words - 1 then Bitslice.tail_mask elems else -1)
   in
   let exact =
     match go [] 0 all with
-    | () -> true
+    | () | (exception At_bound) -> true
     | exception Budget ->
         Obs.Metrics.incr m_budget_exhausted;
         false
@@ -205,9 +295,12 @@ let minimize_with ~backend ~n on =
   @@ fun () ->
   let on = List.sort_uniq compare on in
   if on = [] then
-    Ok (Cover.bottom n, { num_primes = 0; num_essential = 0; exact = true })
+    Ok
+      ( Cover.bottom n,
+        { num_primes = 0; num_essential = 0; exact = true; lower_bound = 0;
+          witness = [] } )
   else
-    match primes_guarded guard ~n ~on ~dc:[] with
+    match primes_guarded guard ~n ~on with
     | exception Guard_exhausted ->
         Obs.Metrics.incr m_budget_exhausted;
         Error (Guard.Budget.error guard)
@@ -233,28 +326,38 @@ let minimize_with ~backend ~n on =
         let covered m =
           List.exists (fun i -> Cube.eval_int primes_arr.(i) m) essential_idx
         in
-        let remaining = List.filter (fun m -> not (covered m)) on in
+        let remaining = Array.of_list (List.filter (fun m -> not (covered m)) on) in
         let rest_primes =
           Array.of_list
             (List.filteri
                (fun i _ -> not (Hashtbl.mem essential i))
                (Array.to_list primes_arr))
         in
+        let num_sets = Array.length rest_primes in
+        (* for each remaining minterm, the primes covering it, ascending *)
+        let covered_by =
+          Array.map
+            (fun m ->
+              List.filter
+                (fun i -> Cube.eval_int rest_primes.(i) m)
+                (List.init num_sets Fun.id))
+            remaining
+        in
+        let witness = Sat_cover.independent_set covered_by in
+        let bound = List.length witness in
         let bnb () =
-          match cover_exact ~budget:node_budget rest_primes remaining with
+          match cover_exact ~budget:node_budget ~num_sets ~covered_by ~witness with
           | Some sol, ex, _ -> (sol, ex)
-          | None, _, _ -> (greedy_cover rest_primes remaining, false)
+          | None, _, _ ->
+              (greedy_cover rest_primes (Array.to_list remaining), false)
         in
         let rest_result =
-          if remaining = [] then Ok ([], true)
+          if remaining = [||] then Ok ([], true)
           else
             match backend with
             | Bnb -> Ok (bnb ())
             | Sat -> (
-                match
-                  Sat_cover.min_cube_cover ~primes:rest_primes
-                    ~minterms:remaining ()
-                with
+                match Sat_cover.min_cover ~num_sets ~covered_by ~bound () with
                 | Ok { Sat_cover.chosen; optimal } -> Ok (chosen, optimal)
                 | Error (`Budget_exhausted _ as e)
                   when Guard.Budget.policy guard = Guard.Budget.Fail ->
@@ -274,11 +377,17 @@ let minimize_with ~backend ~n on =
             let cubes =
               List.map (fun i -> primes_arr.(i)) essential_idx @ rest_cubes
             in
+            let num_essential = List.length essential_idx in
+            let lower_bound = num_essential + bound in
+            if exact && List.length cubes = lower_bound then
+              Obs.Metrics.incr m_certified;
             Ok
               ( Cover.make n cubes,
                 { num_primes = Array.length primes_arr;
-                  num_essential = List.length essential_idx;
-                  exact } ))
+                  num_essential;
+                  exact;
+                  lower_bound;
+                  witness = List.map (fun j -> remaining.(j)) witness } ))
 
 let backend_of = function Some b -> b | None -> !default_backend
 
@@ -300,7 +409,8 @@ let minimize ~n on =
          minimal *)
       Guard.Budget.degrade "qm_to_isop";
       ( isop_fallback ~n ~on,
-        { num_primes = 0; num_essential = 0; exact = false } )
+        { num_primes = 0; num_essential = 0; exact = false; lower_bound = 0;
+          witness = [] } )
 
 let minimize_table tt =
   minimize ~n:(Truth_table.n_vars tt) (Truth_table.minterms tt)

@@ -8,7 +8,28 @@ let m_partial = Obs.Metrics.counter "sat.cover_partial"
 
 type outcome = { chosen : int list; optimal : bool }
 
-let min_cover ~num_sets ~covered_by () =
+(* Elements in ascending order of how many sets cover them (ties by
+   index); each is kept when it shares no set with one kept before.
+   Any cover spends a distinct set on every kept element. *)
+let independent_set covered_by =
+  let order =
+    List.sort
+      (fun (a, ka) (b, kb) -> if ka <> kb then Int.compare ka kb else Int.compare a b)
+      (List.mapi (fun e who -> (e, List.length who)) (Array.to_list covered_by))
+  in
+  let used = Hashtbl.create 64 in
+  List.sort Int.compare
+    (List.filter_map
+       (fun (e, _) ->
+         let who = covered_by.(e) in
+         if List.exists (Hashtbl.mem used) who then None
+         else begin
+           List.iter (fun i -> Hashtbl.replace used i ()) who;
+           Some e
+         end)
+       order)
+
+let min_cover ~num_sets ~covered_by ~bound () =
   let guard = Guard.Budget.current () in
   Obs.Metrics.incr m_calls;
   Obs.Span.with_ ~name:"sat.min_cover"
@@ -32,10 +53,15 @@ let min_cover ~num_sets ~covered_by () =
       List.filter (fun i -> Sat.Solver.value s sel.(i)) (List.init num_sets Fun.id)
     in
     let rec tighten best =
-      let bound = List.length best in
-      if bound = 0 then Ok { chosen = best; optimal = true }
+      let size = List.length best in
+      if size <= bound then begin
+        (* no cover is smaller than the lower bound: optimal without
+           the refutation of [size - 1] *)
+        Obs.Metrics.incr m_optimal;
+        Ok { chosen = best; optimal = true }
+      end
       else
-        match Sat.Solver.solve ~assumptions:[ -o.(bound - 1) ] s with
+        match Sat.Solver.solve ~assumptions:[ -o.(size - 1) ] s with
         | Sat.Solver.Sat -> tighten (extract ())
         | Sat.Solver.Unsat ->
             Obs.Metrics.incr m_optimal;
@@ -52,17 +78,3 @@ let min_cover ~num_sets ~covered_by () =
         Error (Guard.Error.internal "Sat_cover: unconstrained solve UNSAT")
     | Sat.Solver.Unknown -> Error (Guard.Budget.error guard)
   end
-
-let min_cube_cover ~primes ~minterms () =
-  let covered_by =
-    Array.of_list
-      (List.map
-         (fun m ->
-           let who = ref [] in
-           for i = Array.length primes - 1 downto 0 do
-             if Cube.eval_int primes.(i) m then who := i :: !who
-           done;
-           !who)
-         minterms)
-  in
-  min_cover ~num_sets:(Array.length primes) ~covered_by ()

@@ -1,8 +1,8 @@
 (* Structured JSONL event log.  Off by default: [event] then only
    feeds the flight-recorder ring (always-on forensics) and returns.
    Enabled via [enable] (the CLI's --log flag) or the NANOXCOMP_LOG
-   environment variable, after which each event at or above the
-   threshold level is written as one JSON object per line.
+   environment variable, after which each event is written as one JSON
+   object per line.
 
    Writes are serialized with a mutex so worker domains can log
    directly; each line is flushed so the log tails cleanly and survives
@@ -16,17 +16,11 @@ let level_label = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-
 type dest = { oc : out_channel; close_on_disable : bool }
 
 let dest_ref : dest option ref = ref None
 
-let threshold = ref Debug
-
 let write_mutex = Mutex.create ()
-
-let set_level l = threshold := l
 
 let disable () =
   match !dest_ref with
@@ -65,14 +59,14 @@ let write_line d json =
 let event ?(level = Info) ~name data =
   Recorder.record ~name (("level", Json.Str (level_label level)) :: data);
   match !dest_ref with
-  | Some d when level_rank level >= level_rank !threshold ->
+  | Some d ->
       write_line d
         (Json.Obj
            (("t_ns", Json.Int (Clock.now_ns ()))
            :: ("level", Json.Str (level_label level))
            :: ("event", Json.Str name)
            :: data))
-  | Some _ | None -> ()
+  | None -> ()
 
 let dump_flight ~reason =
   match !dest_ref with

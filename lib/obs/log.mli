@@ -6,8 +6,7 @@
     by setting the [NANOXCOMP_LOG] environment variable (["1"] or
     ["-"] for stderr, anything else but [""]/["0"] as a file path).
 
-    When enabled, each event at or above the threshold level is written
-    as one JSON object per line:
+    When enabled, every event is written as one JSON object per line:
     [{"t_ns": .., "level": "info", "event": "<name>", ...data}].
     Writes are mutex-serialized and flushed per line, so worker domains
     can log directly and the output tails cleanly. *)
@@ -23,14 +22,10 @@ val disable : unit -> unit
 (** Turn the log off, flushing and closing a file destination.
     Test-only: test/test_obs.ml — tests check it directly. *)
 
-val set_level : level -> unit
-(** Drop events below this level (default: [Debug] — everything).
-    Test-only: test/test_obs.ml — tests check it directly. *)
-
 val event : ?level:level -> name:string -> (string * Json.t) list -> unit
 (** [event ~name data] records the event into the flight-recorder ring
-    (always), and writes it as a JSONL line when the log is enabled and
-    [level] (default [Info]) is at or above the threshold. *)
+    (always), and writes it as a JSONL line when the log is enabled;
+    [level] (default [Info]) labels it in both. *)
 
 val dump_flight : reason:string -> unit
 (** When the log is enabled, write a ["flight.dump"] header line

@@ -479,23 +479,23 @@ let determinism () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The adversarial 12-input QM instance (unbounded without a guard)    *)
+(* The adversarial 8-input QM instance                                *)
 (* ------------------------------------------------------------------ *)
 
 let adversarial_qm () =
-  (* ON-set = everything but minterm 0: prime generation would explore
-     billions of merges; the guard must cut it off and the ISOP
-     fallback must still be function-equivalent *)
-  let tt = Tt.of_fun_int 12 (fun m -> m <> 0) in
-  case "qm12" (fun () ->
-      let guard = G.Budget.create ~label:"qm12" ~steps:300_000 () in
+  (* ON-set = everything but minterm 0 over Qm's widest input: prime
+     generation charges 1,756,280 pair steps; the guard must cut it
+     off and the ISOP fallback must still be function-equivalent *)
+  let tt = Tt.of_fun_int L.Qm.max_vars (fun m -> m <> 0) in
+  case "qm8" (fun () ->
+      let guard = G.Budget.create ~label:"qm8" ~steps:300_000 () in
       let cover, _ =
         G.Budget.with_current guard (fun () -> L.Qm.minimize_table tt)
       in
       if not (G.Budget.exhausted guard) then
-        fail "qm12: expected the guard to trip";
+        fail "qm8: expected the guard to trip";
       if not (Tt.equal (Tt.of_cover cover) tt) then
-        fail "qm12: degraded cover not equivalent")
+        fail "qm8: degraded cover not equivalent")
 
 let () =
   Format.printf "chaos: seed=%d factor=%d@." seed factor;

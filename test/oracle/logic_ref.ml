@@ -31,35 +31,110 @@ let check_sharing f_cover d_cover =
       List.for_all (fun q -> Cube.common_literals p q <> []) (Cover.cubes d_cover))
     (Cover.cubes f_cover)
 
-(** Prime implicants of [on ∪ dc] by merging every [i < j] cube pair in
-    each round, sorted by [Cube.compare]. *)
+(** The implicants of [care] level by level: those with 0 free
+    variables (the minterms), then 1, ..., each level built by merging
+    every [i < j] cube pair of the one before. *)
+let implicant_levels ~n care =
+  let rec go current acc =
+    if current = [] then List.rev acc
+    else begin
+      let next = Hashtbl.create 64 in
+      let arr = Array.of_list current in
+      let k = Array.length arr in
+      for i = 0 to k - 1 do
+        for j = i + 1 to k - 1 do
+          match merge arr.(i) arr.(j) with
+          | Some m -> Hashtbl.replace next m ()
+          | None -> ()
+        done
+      done;
+      go (Hashtbl.fold (fun c () acc -> c :: acc) next []) (current :: acc)
+    end
+  in
+  go (List.map (of_minterm n) (List.sort_uniq compare care)) []
+
+(** Prime implicants of [on ∪ dc]: the implicants no implicant of the
+    next level contains, sorted by [Cube.compare]. *)
 let primes_reference ~n ~on ~dc =
-  let care = List.sort_uniq compare (on @ dc) in
-  let current = ref (List.map (of_minterm n) care) in
-  let prime_acc = ref [] in
-  while !current <> [] do
-    let merged = Hashtbl.create 64 in
-    let next = Hashtbl.create 64 in
-    let arr = Array.of_list !current in
-    let k = Array.length arr in
-    for i = 0 to k - 1 do
-      for j = i + 1 to k - 1 do
-        match merge arr.(i) arr.(j) with
-        | Some m ->
-            Hashtbl.replace next m ();
-            Hashtbl.replace merged arr.(i) ();
-            Hashtbl.replace merged arr.(j) ()
-        | None -> ()
-      done
-    done;
-    Array.iter
-      (fun c ->
-        if not (Hashtbl.mem merged c) then
-          prime_acc := c :: !prime_acc)
-      arr;
-    current := Hashtbl.fold (fun c () acc -> c :: acc) next []
-  done;
-  List.sort_uniq Cube.compare !prime_acc
+  let rec primes = function
+    | [] -> []
+    | level :: rest ->
+        let up = match rest with [] -> [] | u :: _ -> u in
+        List.filter (fun c -> not (List.exists (fun u -> Cube.contains u c) up)) level
+        @ primes rest
+  in
+  List.sort_uniq Cube.compare (primes (implicant_levels ~n (on @ dc)))
+
+(** The steps prime generation of the ON-set [on] charges: per level,
+    the pairs of implicants whose positive-literal counts differ by
+    one, [sum_p |B_p| * |B_(p+1)|]. *)
+let prime_pair_steps ~n ~on =
+  List.fold_left
+    (fun acc level ->
+      let b = Array.make (n + 2) 0 in
+      List.iter
+        (fun c ->
+          let p =
+            List.length (List.filter (fun (_, pol) -> pol = Cube.Pos) (Cube.literals c))
+          in
+          b.(p) <- b.(p) + 1)
+        level;
+      let pairs = ref 0 in
+      for p = 0 to n - 1 do
+        pairs := !pairs + (b.(p) * b.(p + 1))
+      done;
+      acc + !pairs)
+    0 (implicant_levels ~n on)
+
+(** For each minterm of [on], the indices of the primes covering it,
+    ascending: the covering problem both engines of [Qm] solve. *)
+let covered_by primes_arr on =
+  Array.of_list
+    (List.map
+       (fun m ->
+         List.filter
+           (fun i -> Cube.eval_int primes_arr.(i) m)
+           (List.init (Array.length primes_arr) Fun.id))
+       on)
+
+(** What is wrong with the lower-bound certificate [st] of a [Qm]
+    minimization of the ON-set [on] into [cover], checked against
+    primes of its own ([primes_reference]); [[]] when it holds.  The
+    witness minterms must be ON, none covered by an essential prime,
+    no two covered by one prime; then every cover needs the essentials
+    plus one prime per witness minterm, and [st.lower_bound] may claim
+    no more than that, which [cover] must reach. *)
+let certificate_errors ~n ~on cover (st : Qm.stats) =
+  let on = List.sort_uniq compare on in
+  let primes = primes_reference ~n ~on ~dc:[] in
+  let covering m = List.filter (fun p -> Cube.eval_int p m) primes in
+  let essentials =
+    List.sort_uniq Cube.compare
+      (List.filter_map (fun m -> match covering m with [ p ] -> Some p | _ -> None) on)
+  in
+  let w = st.witness in
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  List.iter
+    (fun m ->
+      if not (List.mem m on) then err "witness %d is not ON" m;
+      if List.exists (fun p -> Cube.eval_int p m) essentials then
+        err "witness %d is covered by an essential prime" m)
+    w;
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j && List.exists (fun p -> Cube.eval_int p b) (covering a) then
+            err "witnesses %d and %d share a prime" a b)
+        w)
+    w;
+  let checked = List.length w + List.length essentials in
+  let size = Cover.num_cubes cover in
+  if st.lower_bound > checked then
+    err "lower bound %d exceeds the %d the witness backs" st.lower_bound checked;
+  if checked > size then err "cover of %d is below the bound %d" size checked;
+  List.rev !errs
 
 (** Branch and bound over the covering problem with the uncovered
     minterms as a list, filtered at every node: the same search as

@@ -1,8 +1,9 @@
 (* Equivalence suites for the word-parallel evaluation kernels:
    Bitslice/Bitvec word primitives against their naive per-bit
-   definitions, the bucketed QM prime scan against the historical full
-   pair scan, and the bit-sliced lattice kernel against the scalar
-   BFS. *)
+   definitions, the dense-table QM prime generation against the
+   historical full pair scan, the pruned covering branch and bound
+   against the unpruned list-based one, and the bit-sliced lattice
+   kernel against the scalar BFS. *)
 
 module Bitslice = Nxc_logic.Bitslice
 module Bitvec = Nxc_logic.Bitvec
@@ -91,26 +92,47 @@ let bitvec_tests =
 (* Bucketed QM prime scan vs the historical full pair scan             *)
 (* ------------------------------------------------------------------ *)
 
-let arb_minterm_sets ?(max_dc = 4) n =
+let arb_on_set n =
   QCheck.make
-    ~print:(fun (on, dc) ->
-      Printf.sprintf "on=[%s] dc=[%s]"
-        (String.concat ";" (List.map string_of_int on))
-        (String.concat ";" (List.map string_of_int dc)))
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 0 (1 lsl n)) (int_range 0 ((1 lsl n) - 1)))
-        (list_size (int_range 0 max_dc) (int_range 0 ((1 lsl n) - 1))))
+    ~print:(fun on -> Printf.sprintf "on=[%s]" (String.concat ";" (List.map string_of_int on)))
+    QCheck.Gen.(list_size (int_range 0 (1 lsl n)) (int_range 0 ((1 lsl n) - 1)))
 
-let primes_match n (on, dc) =
-  let dc = List.filter (fun m -> not (List.mem m on)) dc in
-  List.equal Cube.equal
-    (Qm.primes ~n ~on ~dc)
-    (Nxc_oracle.Logic_ref.primes_reference ~n ~on ~dc)
+let primes_match n on =
+  List.equal Cube.equal (Qm.primes ~n ~on)
+    (Nxc_oracle.Logic_ref.primes_reference ~n ~on ~dc:[])
 
-(* the bitset branch and bound against the list-based reference on the
-   covering problems QM hands it, with room to finish, under a small
-   node budget and under a small step budget *)
+(* the fewest sets covering every element, by breadth-first search over
+   the subsets of elements covered so far (at most 16 elements) *)
+let brute_min_sets ~num_sets ~covered_by =
+  let elems = Array.length covered_by in
+  let cov = Array.make num_sets 0 in
+  Array.iteri
+    (fun e who -> List.iter (fun i -> cov.(i) <- cov.(i) lor (1 lsl e)) who)
+    covered_by;
+  let full = (1 lsl elems) - 1 in
+  let dist = Array.make (full + 1) (-1) in
+  dist.(0) <- 0;
+  let q = Queue.create () in
+  Queue.add 0 q;
+  while dist.(full) < 0 && not (Queue.is_empty q) do
+    let s = Queue.pop q in
+    Array.iter
+      (fun c ->
+        let t = s lor c in
+        if dist.(t) < 0 then begin
+          dist.(t) <- dist.(s) + 1;
+          Queue.add t q
+        end)
+      cov
+  done;
+  dist.(full)
+
+(* the pruned bitset branch and bound against the unpruned list-based
+   reference on the covering problems QM hands it, with room to
+   finish, under a small node budget and under a small step budget:
+   where the reference completes, the same cover, exact, in no more
+   nodes; where it is cut short, a cover no larger; and at n <= 4 an
+   exact cover has the brute-force minimum size *)
 let arb_cover_problem =
   QCheck.make
     ~print:(fun (tt, nodes, steps) ->
@@ -122,32 +144,50 @@ let arb_cover_problem =
         (oneof [ return 200_000; int_range 1 40 ])
         (opt (int_range 0 60)))
 
-let cover_matches (tt, budget, steps) =
+let cover_law (tt, budget, steps) =
   let n = Tt.n_vars tt in
   let on = Tt.minterms tt in
-  let primes = Array.of_list (Qm.primes ~n ~on ~dc:[]) in
+  let primes = Array.of_list (Qm.primes ~n ~on) in
+  let covered_by = Nxc_oracle.Logic_ref.covered_by primes on in
+  let num_sets = Array.length primes in
+  let witness = Nxc_logic.Sat_cover.independent_set covered_by in
   let guard () =
     match steps with
     | None -> Nxc_guard.Budget.unlimited
     | Some s -> Nxc_guard.Budget.create ~steps:s ()
   in
-  Nxc_guard.Budget.with_current (guard ()) (fun () ->
-      Qm.cover_exact ~budget primes on)
-  = Nxc_oracle.Logic_ref.cover_exact ~guard:(guard ()) ~budget primes on
+  let best, exact, nodes =
+    Nxc_guard.Budget.with_current (guard ()) (fun () ->
+        Qm.cover_exact ~budget ~num_sets ~covered_by ~witness)
+  in
+  let r_best, r_exact, r_nodes =
+    Nxc_oracle.Logic_ref.cover_exact ~guard:(guard ()) ~budget primes on
+  in
+  let size = Option.map List.length in
+  let agrees =
+    if r_exact then best = r_best && exact && nodes <= r_nodes
+    else
+      match (size best, size r_best) with
+      | _, None -> true
+      | Some b, Some r -> b <= r
+      | None, Some _ -> false
+  in
+  agrees
+  && (n > 4 || (not exact)
+     || size best = Some (brute_min_sets ~num_sets ~covered_by))
 
 let qm_tests =
-  [ qtest "bucketed primes = full-scan primes (n=4)" (arb_minterm_sets 4)
+  [ qtest "bucketed primes = full-scan primes (n=4)" (arb_on_set 4)
       (primes_match 4);
     qtest ~count:100 "bucketed primes = full-scan primes (n=5)"
-      (arb_minterm_sets 5) (primes_match 5);
+      (arb_on_set 5) (primes_match 5);
     qtest ~count:40 "bucketed primes = full-scan primes (n=6)"
-      (arb_minterm_sets ~max_dc:16 6) (primes_match 6);
+      (arb_on_set 6) (primes_match 6);
     qtest ~count:25 "bucketed primes = full-scan primes (n=7)"
-      (arb_minterm_sets ~max_dc:32 7) (primes_match 7);
+      (arb_on_set 7) (primes_match 7);
     qtest ~count:10 "bucketed primes = full-scan primes (n=8)"
-      (arb_minterm_sets ~max_dc:64 8) (primes_match 8);
-    qtest ~count:300 "bitset cover = list cover" arb_cover_problem
-      cover_matches ]
+      (arb_on_set 8) (primes_match 8);
+    qtest ~count:300 "bitset cover = list cover" arb_cover_problem cover_law ]
 
 (* ------------------------------------------------------------------ *)
 (* Bit-sliced lattice kernel vs scalar BFS                             *)

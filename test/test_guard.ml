@@ -340,7 +340,8 @@ let starved_rows () =
   let f = L.Parse.expr "x1x2 + x2x3 + x1x3" in
   let tt = L.Boolfunc.table f in
   let n = Tt.n_vars tt and on = Tt.minterms tt in
-  let primes = Array.of_list (L.Qm.primes ~n ~on ~dc:[]) in
+  let primes = Array.of_list (L.Qm.primes ~n ~on) in
+  let covered_by = Nxc_oracle.Logic_ref.covered_by primes on in
   let equiv cover = Tt.equal (tt_of_cover cover) tt in
   let rng () = R.Rng.create 5 in
   let chip =
@@ -358,14 +359,15 @@ let starved_rows () =
         Nxc_sat.Solver.solve s = Nxc_sat.Solver.Unknown );
     ( "Sat_cover.min_cover",
       fun _ ->
-        let covered_by = [| [ 0 ]; [ 1; 2 ] |] in
-        budget_error (L.Sat_cover.min_cover ~num_sets:3 ~covered_by ()) );
-    ( "Sat_cover.min_cube_cover",
-      fun _ ->
-        budget_error (L.Sat_cover.min_cube_cover ~primes ~minterms:on ()) );
+        budget_error
+          (L.Sat_cover.min_cover ~num_sets:(Array.length primes) ~covered_by
+             ~bound:1 ()) );
     ( "Qm.cover_exact",
       fun _ ->
-        let _, exact, _ = L.Qm.cover_exact ~budget:1000 primes on in
+        let _, exact, _ =
+          L.Qm.cover_exact ~budget:1000 ~num_sets:(Array.length primes)
+            ~covered_by ~witness:[ 0 ]
+        in
         not exact );
     ("Qm.minimize_result", fun _ -> budget_error (L.Qm.minimize_result ~n on));
     ( "Qm.minimize_table",

@@ -98,14 +98,40 @@ let sop_tests =
         let c, _ = Qm.minimize_table (Boolfunc.table f) in
         check_int "single universal cube" 1 (Cover.num_cubes c);
         check "it is top" true (Cube.is_top (List.nth (Cover.cubes c) 0)));
-    Alcotest.test_case "don't cares shrink the cover" `Quick (fun () ->
-        (* on = {00}, dc = {10}: x2' covers both, one literal suffices *)
-        let primes = Qm.primes ~n:2 ~on:[ 0b00 ] ~dc:[ 0b10 ] in
-        check_int "one prime" 1 (List.length primes);
-        check_int "one literal" 1 (List.length (Cube.literals (List.hd primes))));
     Alcotest.test_case "primes of xor2" `Quick (fun () ->
-        let ps = Qm.primes ~n:2 ~on:[ 0b01; 0b10 ] ~dc:[] in
+        let ps = Qm.primes ~n:2 ~on:[ 0b01; 0b10 ] in
         check_int "two primes" 2 (List.length ps));
+    U.qtest ~count:100 "qm prime generation charges the oracle's pair count"
+      (U.arb_table_sized 6) (fun tt ->
+        let n = Tt.n_vars tt and on = Tt.minterms tt in
+        let nodes = Nxc_obs.Metrics.counter "qm.bnb_nodes" in
+        let before = Nxc_obs.Metrics.counter_value nodes in
+        let guard = Nxc_guard.Budget.create ~steps:max_int () in
+        ignore (Nxc_guard.Budget.with_current guard (fun () -> Qm.minimize_table tt));
+        Nxc_guard.Budget.steps_used guard
+        - (Nxc_obs.Metrics.counter_value nodes - before)
+        = Logic_ref.prime_pair_steps ~n ~on);
+    Alcotest.test_case "qm rejects more than 8 variables" `Quick (fun () ->
+        check "primes" true
+          (match Qm.primes ~n:9 ~on:[ 0 ] with
+          | _ -> false
+          | exception Invalid_argument _ -> true);
+        check "minimize_table" true
+          (match Qm.minimize_table (Testutil.tt_const 9 true) with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
+    U.qtest ~count:60 "qm certificate holds on both backends"
+      (U.arb_table_sized 6) (fun tt ->
+        let n = Tt.n_vars tt and on = Tt.minterms tt in
+        List.for_all
+          (fun backend ->
+            match Qm.minimize_result ~cover_backend:backend ~n on with
+            | Error _ -> false
+            | Ok (c, st) -> (
+                match Logic_ref.certificate_errors ~n ~on c st with
+                | [] -> true
+                | errs -> QCheck.Test.fail_report (String.concat "; " errs)))
+          [ Qm.Bnb; Qm.Sat ]);
     U.qtest ~count:100 "qm cover equals function" (U.arb_table 5) (fun tt ->
         let c, _ = Qm.minimize_table tt in
         Tt.equal (Tt.of_cover c) tt);
@@ -306,20 +332,25 @@ let edge_tests =
   [
     Alcotest.test_case "QM budget exhaustion falls back to greedy" `Quick
       (fun () ->
-        (* a function with enough primes that covering needs branching *)
-        let tt = Nxc_oracle.Logic_ref.random_table 6 ~seed:99 in
-        (* 400 ambient steps outlast prime generation (no ISOP fallback)
-           and run out inside the branch and bound, which needs 406 *)
+        (* a function whose covering needs branching: 204 nodes, at
+           depth at least 15 - essentials before the first cover *)
+        let tt = Logic_ref.random_table 6 ~seed:68 in
+        let on = Tt.minterms tt in
+        (* prime generation's exact cost plus 3 steps: the primes
+           complete (no ISOP fallback) and the branch and bound runs
+           out before its first cover, leaving greedy covering *)
+        let steps = Logic_ref.prime_pair_steps ~n:6 ~on + 3 in
         let isop = Nxc_obs.Metrics.counter "guard.degrade.qm_to_isop" in
         let before = Nxc_obs.Metrics.counter_value isop in
         let cover, st =
           Nxc_guard.Budget.with_current
-            (Nxc_guard.Budget.create ~label:"test" ~steps:400 ())
+            (Nxc_guard.Budget.create ~label:"test" ~steps ())
             (fun () -> Qm.minimize_table tt)
         in
         check "still covers" true (Tt.equal (Tt.of_cover cover) tt);
         check "flagged inexact" false st.Qm.exact;
-        check "primes complete" true (Nxc_obs.Metrics.counter_value isop = before));
+        check "primes complete" true (Nxc_obs.Metrics.counter_value isop = before);
+        check "bound still reported" true (st.Qm.lower_bound > st.Qm.num_essential));
     Alcotest.test_case "QM on the empty on-set" `Quick (fun () ->
         let c, st = Qm.minimize_table (Testutil.tt_const 4 false) in
         check_int "bottom" 0 (Cover.num_cubes c);

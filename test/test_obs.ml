@@ -389,13 +389,11 @@ let test_log_jsonl_and_flight_dump () =
   Fun.protect
     ~finally:(fun () ->
       Obs.Log.disable ();
-      Obs.Log.set_level Obs.Log.Debug;
       Sys.remove path)
   @@ fun () ->
   Obs.Recorder.clear ();
   Obs.Log.enable ~dest:path ();
-  Obs.Log.set_level Obs.Log.Warn;
-  Obs.Log.event ~level:Obs.Log.Info ~name:"below" [];
+  Obs.Log.event ~level:Obs.Log.Info ~name:"first" [];
   Obs.Log.event ~level:Obs.Log.Error ~name:"kept" [ ("job", J.Str "j1") ];
   Obs.Log.dump_flight ~reason:"unit test";
   Obs.Log.disable ();
@@ -408,13 +406,14 @@ let test_log_jsonl_and_flight_dump () =
    with End_of_file -> ());
   close_in ic;
   let objs = List.map J.of_string (List.rev !lines) in
-  (* one kept event + dump header + the ring's two entries; the
-     below-threshold event reaches the ring but never the JSONL *)
-  Alcotest.(check int) "line count" 4 (List.length objs);
+  (* both events + dump header + the ring's two entries *)
+  Alcotest.(check int) "line count" 5 (List.length objs);
   let ev name o = J.member "event" o = Some (J.Str name) in
   Alcotest.(check bool)
-    "below threshold dropped" false
-    (List.exists (ev "below") objs);
+    "info event written" true
+    (List.exists
+       (fun o -> ev "first" o && J.member "level" o = Some (J.Str "info"))
+       objs);
   (match List.find_opt (ev "kept") objs with
   | Some o ->
       Alcotest.(check bool)
@@ -443,7 +442,7 @@ let test_log_jsonl_and_flight_dump () =
       objs
   in
   Alcotest.(check (list string))
-    "ring entries dumped oldest first" [ "below"; "kept" ] ring_names
+    "ring entries dumped oldest first" [ "first"; "kept" ] ring_names
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)

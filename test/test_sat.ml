@@ -342,7 +342,8 @@ let arb_cover_instance =
   QCheck.make ~print:print_cover_instance gen_cover_instance
 
 let sat_cover_differential (num_sets, covered_by) =
-  match SC.min_cover ~num_sets ~covered_by () with
+  let bound = List.length (SC.independent_set covered_by) in
+  match SC.min_cover ~num_sets ~covered_by ~bound () with
   | Ok { SC.chosen; optimal } ->
       if not optimal then
         QCheck.Test.fail_report "non-optimal without budget";
@@ -404,7 +405,7 @@ let test_backends_sampled_n4 () =
   done
 
 let test_cover_uncoverable () =
-  match SC.min_cover ~num_sets:3 ~covered_by:[| [ 0; 1 ]; [] |] () with
+  match SC.min_cover ~num_sets:3 ~covered_by:[| [ 0; 1 ]; [] |] ~bound:2 () with
   | Error (`Unsat _) -> ()
   | _ -> Alcotest.fail "expected Unsat on an uncoverable element"
 
@@ -414,7 +415,7 @@ let test_cover_budget () =
   let dead = G.Budget.create ~steps:0 () in
   (match
      G.Budget.with_current dead (fun () ->
-         SC.min_cover ~num_sets:7 ~covered_by ())
+         SC.min_cover ~num_sets:7 ~covered_by ~bound:1 ())
    with
   | Error (`Budget_exhausted _) -> ()
   | Ok _ -> Alcotest.fail "dead budget produced a certificate"

@@ -36,6 +36,11 @@
      [cover_status] of "exact" or "degraded" — the covering engine must
      say how much search its covers cost and whether any came back
      non-minimal — and E1's core suite must stay "exact";
+   - an E1, E11 or E18 experiment must publish [exact_certified] at no
+     less than its measured floor (E1 48 of 48 covers, E11 12 of 13,
+     E18 73 of 74): the covers that come back exact at their lower
+     bound, each certificate checked by the oracle — the lower bound
+     may not stop certifying minima it certifies today;
    - an E3 experiment must report [total_best_lattice_area = 1059] and
      an E4 experiment [improved >= 10] of [benchmarks = 24] — the
      lattice sizes of the paper's suite may not drift when the
@@ -232,6 +237,18 @@ let () =
          | Some v -> fail "%s: bad cover_status (%s)" id (J.to_string v)
          | None -> fail "%s: no cover_status in headline" id
        end);
+      (match List.assoc_opt id [ ("E1", 48); ("E11", 12); ("E18", 73) ] with
+      | None -> ()
+      | Some floor -> (
+          match field "exact_certified" with
+          | Some (J.Int c) when c >= floor ->
+              Printf.printf "bench_check: %-9s exact_certified %d (floor %d)\n"
+                id c floor
+          | Some v ->
+              fail "%s: fewer covers certified minimum (exact_certified = %s, \
+                    floor %d)"
+                id (J.to_string v) floor
+          | None -> fail "%s: no exact_certified in headline" id));
       (if id = "E3" then
          match field "total_best_lattice_area" with
          | Some (J.Int 1059) ->

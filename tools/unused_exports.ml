@@ -44,6 +44,8 @@
      "Test-only: test/test_par.ml checks the --jobs mapping.";
    - a file named by such a reason does not use the value, or the
      value has a prod caller and so needs no reason;
+   - an export named [set_*] has no prod caller: a setter only tests
+     call is a global knob no product turns, whatever its reason;
    - an optional parameter is set by no call site in bin/, lib/,
      bench/, examples/ or svcbench/: a knob only tests turn is a
      second code path no product runs.
@@ -482,6 +484,8 @@ let () =
       else Printf.printf "%5d %5d %4d  %s\n" p t o v;
       match (p, reason_files e.doc) with
       | 0, _ when t = 0 -> fail "no caller outside its module"
+      | 0, _ when starts_with ~prefix:"set_" e.name ->
+          fail "a setter no bin/, lib/ or examples/ code calls: a knob only tests turn"
       | 0, (None | Some []) ->
           fail "no prod caller and no \"Test-only:\" reason naming a file"
       | 0, Some files ->
